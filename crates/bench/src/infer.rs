@@ -8,8 +8,8 @@
 //! from the training-step benchmark.
 //!
 //! The sim backend serves through the fast **functional** Q7.8 engine
-//! (flat i64 accumulation + AVX2 integer kernels when the host has
-//! them); its sequential baseline runs the same engine so the paired
+//! (lowered input tiles + an exact AVX2 integer row kernel when the
+//! host has it); its sequential baseline runs the same engine so the paired
 //! batched-vs-sequential ratio isolates batching, not the engine split.
 //! The report records the active kernel path and the host's CPU
 //! features so numbers carry their provenance.

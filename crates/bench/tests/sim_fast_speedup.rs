@@ -13,13 +13,14 @@
 //!
 //! Debug builds skip the timing (`gemm_perf` precedent) but still pin
 //! the bitwise identity of the two engines end to end — logits,
-//! prediction and the full `ConvStats` — which is the contract that
-//! makes routing serving to the fast path safe at all.
+//! prediction and the full `ConvStats` — on dense micro and on
+//! block-pruned lite-wide, which is the contract that makes routing
+//! serving to the fast path safe at all.
 
-use p3d_core::PrunedModel;
+use p3d_core::{magnitude_block_prune, targets_for_stages, BlockShape, KeepRule, PrunedModel};
 use p3d_fpga::config::{AcceleratorConfig, Ports, Tiling};
 use p3d_fpga::sim::{QuantizedNetwork, SimScratch};
-use p3d_models::{build_network, r2plus1d_micro};
+use p3d_models::{build_network, r2plus1d_lite_wide, r2plus1d_micro};
 use p3d_tensor::TensorRng;
 
 fn micro_cfg() -> AcceleratorConfig {
@@ -79,4 +80,34 @@ fn functional_sim_path_at_least_3x_cycle_engine() {
             p3d_tensor::simd::active().name(),
         );
     }
+}
+
+/// Whole-network identity on block-pruned lite-wide, in every profile:
+/// pruned at the paper's ratios (eta 0.9 on `conv2_x`, 0.8 on
+/// `conv3_x`, 8x4 blocks) and tiled to match the blocks, the functional
+/// engine reproduces the cycle engine's logits, prediction, `ConvStats`
+/// and FC cycles bit for bit — every lite-wide stride, tap and skip
+/// pattern at once, where the micro check above is dense.
+#[test]
+fn functional_equals_cycle_engine_on_pruned_lite_wide() {
+    let spec = r2plus1d_lite_wide(4);
+    let mut net = build_network(&spec, 41);
+    let targets = targets_for_stages(&spec, &[("conv2_x", 0.9), ("conv3_x", 0.8)]);
+    let pruned = magnitude_block_prune(&mut net, BlockShape::new(8, 4), &targets, KeepRule::Round);
+    let cfg = AcceleratorConfig {
+        tiling: Tiling::new(8, 4, 2, 8, 8),
+        ..micro_cfg()
+    };
+    let q = QuantizedNetwork::from_network(&spec, &mut net, cfg);
+    let (c, d, h, w) = spec.input;
+    let clip = TensorRng::seed(78).uniform_tensor([c, d, h, w], 0.0, 1.0);
+    let mut scratch = SimScratch::new();
+
+    let cycle = q.forward_with_scratch(&clip, &pruned, &mut scratch);
+    let fast = q.forward_functional_with_scratch(&clip, &pruned, &mut scratch);
+    assert!(cycle.stats.blocks_skipped > 0, "pruning skipped no block");
+    assert_eq!(cycle.logits, fast.logits, "functional logits diverged");
+    assert_eq!(cycle.prediction, fast.prediction);
+    assert_eq!(cycle.stats, fast.stats, "functional stats diverged");
+    assert_eq!(cycle.fc_cycles, fast.fc_cycles);
 }

@@ -2,24 +2,25 @@
 //!
 //! [`run_conv_functional`] computes exactly the same outputs and
 //! statistics as the cycle-approximate engine in [`crate::sim::cycle`],
-//! restructured for speed:
+//! restructured like the hardware's input-tile loop (Algorithm 2,
+//! Fig. 2) rather than its MAC array:
 //!
-//! * **Flat accumulation** — one `i64` accumulator per output element of
-//!   one output channel, held in a caller-reused buffer and written with
-//!   linear indexing, instead of the tile engine's per-(tile x block)
-//!   `MacAccumulator` scratch and per-element multi-dimensional
-//!   `out.set` offsets.
-//! * **Hoisted padding tests** — the valid output range of every
-//!   `(kernel tap, stride, pad)` combination is computed once per row,
-//!   so the hot loop has no branch per element.
-//! * **Vectorized inner loop** — for unit column stride the row update
-//!   is an integer axpy `acc[c] += w * x[c]`, dispatched through
-//!   [`p3d_tensor::simd`] to an AVX2 kernel (i16 -> i32 exact products
-//!   widened to the i64 accumulators) with a bitwise-identical scalar
-//!   fallback.
+//! * **Lowered input tiles** — the output volume is walked in chunks of
+//!   whole output rows, sized so the chunk's input tile holds at most
+//!   [`TILE_WORDS`] `i16` words. Each chunk lowers the input once into a
+//!   per-thread tile with one row per `(input channel, kernel tap)`:
+//!   the word that tap reads for every output position of the chunk,
+//!   zero in the padding. Stride and padding are resolved here, once
+//!   per chunk, so the compute loop never sees them.
+//! * **One long-row kernel** — every non-zero weight adds its tile row
+//!   into the chunk's `i64` accumulator at the full chunk length,
+//!   `acc[j] += w * tile[j]`, dispatched through [`p3d_tensor::simd`]
+//!   to an AVX2 kernel (exact `i16 -> i32` products widened to `i64`)
+//!   with a bitwise-identical scalar fallback. The same kernel serves
+//!   every stride and every tap.
 //! * **Block-enable skipping** — disabled `(bi, bj)` blocks contribute
-//!   neither loads nor arithmetic, same as the hardware's block-enable
-//!   signal; zero weights inside enabled blocks skip their row update
+//!   neither arithmetic nor, when no block row reads an input channel,
+//!   lowering; zero weights inside enabled blocks skip their row update
 //!   entirely (exact: a zero product contributes nothing to an integer
 //!   sum).
 //!
@@ -28,12 +29,14 @@
 //! Both paths accumulate **every** contribution of an output element in
 //! a wide integer register (`i64`) exactly, then round-and-saturate
 //! once with the same `(acc + 128) >> 8` rule. Integer addition is
-//! associative and commutative, so the loop order — tiled there, flat
-//! here, vectorized or not — cannot change a single bit. The
-//! `conv_differential` suite pins this on random geometries; the
-//! statistics (cycles included) are reproduced analytically from the
-//! same tile walk the cycle engine executes, so the whole
-//! `(output, ConvStats)` pair is equal, not just the tensor.
+//! associative and commutative, so the loop order — tiled there,
+//! lowered and chunked here, vectorized or not — cannot change a single
+//! bit, and a lowered padding word is a zero that adds nothing. The
+//! `conv_differential` suite pins this on random geometries and on
+//! every lite-wide layer; the statistics (cycles included) are
+//! reproduced analytically from the same tile walk the cycle engine
+//! executes, so the whole `(output, ConvStats)` pair is equal, not just
+//! the tensor.
 
 use crate::config::AcceleratorConfig;
 use crate::latency::tile_terms;
@@ -42,6 +45,35 @@ use p3d_core::LayerBlockMask;
 use p3d_models::ConvInstance;
 use p3d_tensor::fixed::{bits_of, FRAC_BITS};
 use p3d_tensor::{simd, Fixed16, FixedTensor, Shape};
+use std::cell::RefCell;
+use std::ops::Range;
+
+/// Upper bound, in `i16` words, on one lowered input tile (64 KiB, so
+/// the tile stays cache-resident while every output channel of its
+/// chunk streams over it). A chunk is at least one output row, so a
+/// layer whose single row lowers to more than this uses one row.
+pub const TILE_WORDS: usize = 32 * 1024;
+
+thread_local! {
+    /// Per-thread lowered input tile, grown on first use and reused by
+    /// every layer of every clip the thread simulates.
+    static TILE_SCRATCH: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with a scratch slice of exactly `len` words, reusing the
+/// thread-local tile buffer across calls. The buffer grows straight to
+/// at least [`TILE_WORDS`], so later layers never reallocate it.
+fn with_tile_scratch<R>(len: usize, f: impl FnOnce(&mut [i16]) -> R) -> R {
+    TILE_SCRATCH.with(|cell| {
+        let mut buf = cell.take();
+        if buf.len() < len {
+            buf.resize(len.max(TILE_WORDS), 0);
+        }
+        let r = f(&mut buf[..len]);
+        cell.replace(buf);
+        r
+    })
+}
 
 /// Runs one convolution layer through the fast functional path,
 /// allocating a fresh accumulator buffer.
@@ -64,7 +96,8 @@ pub fn run_conv_functional(
 }
 
 /// [`run_conv_functional`] with a caller-owned `i64` accumulator buffer
-/// (one entry per output-volume element; grown on first use).
+/// (one entry per output position of a lowered chunk; grown on first
+/// use).
 pub fn run_conv_functional_with_scratch(
     inst: &ConvInstance,
     weights: &FixedTensor,
@@ -76,8 +109,6 @@ pub fn run_conv_functional_with_scratch(
     let (n_ch, di, hi, wi) = inst.input;
     let (m_ch, od, oh, ow) = inst.output;
     let (kd, kr, kc) = inst.spec.kernel;
-    let (sd, sr, sc) = inst.spec.stride;
-    let (pd, pr, pc) = inst.spec.pad;
     assert_eq!(
         weights.shape().dims(),
         &[m_ch, n_ch, kd, kr, kc],
@@ -102,114 +133,148 @@ pub fn run_conv_functional_with_scratch(
             inst.spec.name
         );
     }
+    let enabled = |bi: usize, bj: usize| mask.is_none_or(|m| m.is_enabled(bi, bj));
 
     let mut stats = stats_from_tile_walk(inst, mask, config);
+    let mut out = FixedTensor::zeros(Shape::d4(m_ch, od, oh, ow));
+
+    // Tile row of each input channel's first tap, in channel order.
+    // Channels that no enabled block reads are never lowered.
+    let ktaps = kd * kr * kc;
+    let mut lowered_rows = 0;
+    let first_row: Vec<Option<usize>> = (0..n_ch)
+        .map(|n| {
+            let read = (0..rows).any(|bi| enabled(bi, n / t.tn));
+            read.then(|| {
+                lowered_rows += ktaps;
+                lowered_rows - ktaps
+            })
+        })
+        .collect();
+    let out_rows = od * oh;
+    if lowered_rows == 0 || out_rows * ow == 0 {
+        return (out, stats); // every sum is zero: nothing to compute or rail
+    }
+    let chunk_rows = (TILE_WORDS / (lowered_rows * ow)).clamp(1, out_rows);
 
     let w_bits = bits_of(weights.data());
     let x_bits = bits_of(input.data());
-    let vol = od * oh * ow;
+    let vol = out_rows * ow;
     acc64.clear();
-    acc64.resize(vol, 0);
-    let acc = &mut acc64[..vol];
-
-    let mut out = FixedTensor::zeros(Shape::d4(m_ch, od, oh, ow));
+    acc64.resize(chunk_rows * ow, 0);
     let out_data = out.data_mut();
-
-    // Valid output ranges per kernel tap, hoisted out of the hot loops:
-    // `o` is valid for tap `k` iff `0 <= o*stride + k - pad < limit`.
-    let d_ranges: Vec<(usize, usize)> =
-        (0..kd).map(|k| valid_range(k, sd, pd, di, od)).collect();
-    let r_ranges: Vec<(usize, usize)> =
-        (0..kr).map(|k| valid_range(k, sr, pr, hi, oh)).collect();
-    let c_ranges: Vec<(usize, usize)> =
-        (0..kc).map(|k| valid_range(k, sc, pc, wi, ow)).collect();
-
     let use_avx2 = simd::use_avx2();
-    let ktaps = kd * kr * kc;
 
-    for m in 0..m_ch {
-        acc.fill(0);
-        let bi = m / t.tm;
-        let w_m = m * n_ch;
-        for bj in 0..cols {
-            if let Some(mask) = mask {
-                if !mask.is_enabled(bi, bj) {
-                    continue; // block-enable: no load, no compute
+    with_tile_scratch(lowered_rows * chunk_rows * ow, |tile| {
+        for row0 in (0..out_rows).step_by(chunk_rows) {
+            let chunk = row0..(row0 + chunk_rows).min(out_rows);
+            let len = chunk.len() * ow;
+            let tile = &mut tile[..lowered_rows * len];
+            lower_chunk(tile, x_bits, inst, &first_row, chunk);
+            let acc = &mut acc64[..len];
+            for m in 0..m_ch {
+                acc.fill(0);
+                let bi = m / t.tm;
+                for bj in (0..cols).filter(|&bj| enabled(bi, bj)) {
+                    for n in bj * t.tn..((bj + 1) * t.tn).min(n_ch) {
+                        let base = first_row[n].expect("an enabled block's channels are lowered");
+                        let w = &w_bits[(m * n_ch + n) * ktaps..][..ktaps];
+                        for (tap, &wv) in w.iter().enumerate() {
+                            if wv != 0 {
+                                axpy(acc, &tile[(base + tap) * len..][..len], wv, use_avx2);
+                            }
+                        }
+                    }
+                }
+                // Quantise the chunk back to Q7.8: same `(acc + 128) >> 8`
+                // round-and-saturate as `MacAccumulator::finish`, counting
+                // railed words for the saturation-anomaly signal.
+                let ch_out = &mut out_data[m * vol + row0 * ow..][..len];
+                for (o, &a) in ch_out.iter_mut().zip(acc.iter()) {
+                    let rounded = (a + (1 << (FRAC_BITS - 1))) >> FRAC_BITS;
+                    if rounded > i16::MAX as i64 || rounded < i16::MIN as i64 {
+                        stats.saturated_words += 1;
+                    }
+                    *o = Fixed16::from_bits(rounded.clamp(i16::MIN as i64, i16::MAX as i64) as i16);
                 }
             }
-            let n0 = bj * t.tn;
-            let n1 = (n0 + t.tn).min(n_ch);
-            for n in n0..n1 {
-                let w_base = (w_m + n) * ktaps;
-                let i_base = n * di * hi * wi;
-                for (kdi, &(d_lo, d_hi)) in d_ranges.iter().enumerate() {
-                    for (kri, &(r_lo, r_hi)) in r_ranges.iter().enumerate() {
-                        let w_row = w_base + (kdi * kr + kri) * kc;
-                        for (kci, &(c_lo, c_hi)) in c_ranges.iter().enumerate() {
-                            let wv = w_bits[w_row + kci];
-                            if wv == 0 || c_lo >= c_hi {
-                                continue; // zero product: exact skip
-                            }
-                            for d in d_lo..d_hi {
-                                let dz = d * sd + kdi - pd;
-                                for r in r_lo..r_hi {
-                                    let hz = r * sr + kri - pr;
-                                    let i_row = i_base + (dz * hi + hz) * wi;
-                                    let o_row = (d * oh + r) * ow;
-                                    // x column for output c: c*sc + kci - pc.
-                                    let x_off = i_row + c_lo * sc + kci - pc;
-                                    row_axpy(
-                                        &mut acc[o_row + c_lo..o_row + c_hi],
-                                        &x_bits[x_off..],
-                                        sc,
-                                        wv,
-                                        use_avx2,
-                                    );
-                                }
+        }
+    });
+    (out, stats)
+}
+
+/// Lowers output rows `chunk` (flattened `(d, r)` indices) of `x` into
+/// `tile`: for each lowered channel in order, one row per kernel tap
+/// holding, for every output position of the chunk, the input word the
+/// tap reads there — zero where it reads padding.
+fn lower_chunk(
+    tile: &mut [i16],
+    x: &[i16],
+    inst: &ConvInstance,
+    first_row: &[Option<usize>],
+    chunk: Range<usize>,
+) {
+    let (_, di, hi, wi) = inst.input;
+    let (_, od, oh, ow) = inst.output;
+    let (kd, kr, kc) = inst.spec.kernel;
+    let (sd, sr, sc) = inst.spec.stride;
+    let (pd, pr, pc) = inst.spec.pad;
+    let mut tap_rows = tile.chunks_exact_mut(chunk.len() * ow);
+    for (n, _) in first_row.iter().enumerate().filter(|(_, row)| row.is_some()) {
+        let x_n = &x[n * di * hi * wi..][..di * hi * wi];
+        for kdi in 0..kd {
+            let d_ok = valid_range(kdi, sd, pd, di, od);
+            for kri in 0..kr {
+                let r_ok = valid_range(kri, sr, pr, hi, oh);
+                for kci in 0..kc {
+                    let (c_lo, c_hi) = valid_range(kci, sc, pc, wi, ow);
+                    let tap_row = tap_rows.next().expect("tile holds every lowered tap");
+                    for (seg, o) in tap_row.chunks_exact_mut(ow).zip(chunk.clone()) {
+                        let (d, r) = (o / oh, o % oh);
+                        if !(d_ok.0..d_ok.1).contains(&d) || !(r_ok.0..r_ok.1).contains(&r) {
+                            seg.fill(0);
+                            continue;
+                        }
+                        let x_row =
+                            &x_n[((d * sd + kdi - pd) * hi + r * sr + kri - pr) * wi..][..wi];
+                        seg[..c_lo].fill(0);
+                        seg[c_hi..].fill(0);
+                        if c_lo == c_hi {
+                            continue;
+                        }
+                        // x column for output c: c*sc + kci - pc.
+                        let src = &x_row[c_lo * sc + kci - pc..];
+                        let dst = &mut seg[c_lo..c_hi];
+                        if sc == 1 {
+                            dst.copy_from_slice(&src[..dst.len()]);
+                        } else {
+                            for (v, &xv) in dst.iter_mut().zip(src.iter().step_by(sc)) {
+                                *v = xv;
                             }
                         }
                     }
                 }
             }
         }
-        // Quantise the channel back to Q7.8: same `(acc + 128) >> 8`
-        // round-and-saturate as `MacAccumulator::finish`, counting
-        // railed words for the saturation-anomaly signal.
-        let ch_out = &mut out_data[m * vol..(m + 1) * vol];
-        for (o, &a) in ch_out.iter_mut().zip(acc.iter()) {
-            let rounded = (a + (1 << (FRAC_BITS - 1))) >> FRAC_BITS;
-            if rounded > i16::MAX as i64 || rounded < i16::MIN as i64 {
-                stats.saturated_words += 1;
-            }
-            *o = Fixed16::from_bits(rounded.clamp(i16::MIN as i64, i16::MAX as i64) as i16);
-        }
     }
-    (out, stats)
 }
 
-/// One row update `acc[j] += wv * x[j * sc]`, vectorized for the
-/// unit-stride case. Products of two i16-range values are exact in
-/// `i64`, so the scalar and AVX2 bodies are bitwise identical by
-/// construction.
+/// One row update `acc[j] += wv * x[j]`. Products of two i16-range
+/// values are exact in `i64`, so the scalar and AVX2 bodies are bitwise
+/// identical by construction.
 #[inline]
-fn row_axpy(acc: &mut [i64], x: &[i16], sc: usize, wv: i16, use_avx2: bool) {
-    if sc == 1 {
-        let x = &x[..acc.len()];
-        #[cfg(target_arch = "x86_64")]
-        if use_avx2 {
-            // SAFETY: use_avx2 came from simd::use_avx2(), which is true
-            // only when runtime detection proved AVX2 support.
-            unsafe { avx2::axpy_i16_i64(acc, x, wv as i32) };
-            return;
-        }
-        let _ = use_avx2;
-        for (a, &xv) in acc.iter_mut().zip(x) {
-            *a += wv as i64 * xv as i64;
-        }
-    } else {
-        for (j, a) in acc.iter_mut().enumerate() {
-            *a += wv as i64 * x[j * sc] as i64;
-        }
+fn axpy(acc: &mut [i64], x: &[i16], wv: i16, use_avx2: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2 {
+        // SAFETY: use_avx2 came from simd::use_avx2(), which is true
+        // only when runtime detection proved AVX2 support; the caller
+        // slices `x` to `acc.len()`.
+        unsafe { avx2::axpy_i16_i64(acc, x, wv as i32) };
+        return;
+    }
+    let _ = use_avx2;
+    for (a, &xv) in acc.iter_mut().zip(x) {
+        *a += wv as i64 * xv as i64;
     }
 }
 

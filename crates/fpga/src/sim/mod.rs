@@ -11,9 +11,10 @@
 //!   Algorithm 2's exact loop nest and accounts cycles alongside the
 //!   arithmetic; kept for latency-model validation,
 //! * [`functional`] — the **fast functional** path serving goes
-//!   through: flat i64 accumulation, hoisted padding tests, AVX2
-//!   integer kernels (with a bitwise-identical scalar fallback), and
-//!   statistics reproduced analytically from the same tile walk.
+//!   through: the input lowered once per bounded tile of output rows,
+//!   one exact AVX2 integer row kernel for every stride and tap (with a
+//!   bitwise-identical scalar fallback), and statistics reproduced
+//!   analytically from the same tile walk.
 //!
 //! The simulator computes real outputs in the paper's Q7.8 fixed point,
 //! so it validates three things the analytic models cannot:

@@ -24,8 +24,8 @@ use std::collections::BTreeMap;
 /// suites); the choice only trades speed for loop-level fidelity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimPath {
-    /// The fast functional Q7.8 path (flat i64 accumulation, AVX2
-    /// integer kernels, analytic statistics) — the serving default.
+    /// The fast functional Q7.8 path (lowered input tiles, one AVX2
+    /// integer row kernel, analytic statistics) — the serving default.
     #[default]
     Functional,
     /// The cycle-approximate tile-loop engine that executes Algorithm
@@ -36,10 +36,14 @@ pub enum SimPath {
 /// Reusable per-worker scratch for repeated simulated forwards.
 ///
 /// Holds the tile-accumulator buffer the cycle engine fills per (volume
-/// tile x channel block) and the flat i64 accumulator of the functional
-/// engine. One `SimScratch` per serving worker turns per-layer
-/// allocations into buffer reuse across every layer of every clip;
-/// outputs are bitwise identical to the scratch-free path.
+/// tile x channel block) and the functional engine's `i64` accumulator
+/// for one lowered chunk of output rows. (The functional engine's
+/// lowered `i16` input tile is a per-thread buffer of its own.) Every
+/// contribution is summed exactly in `i64` and rounded once, so the
+/// chunk boundaries cannot change a bit. One `SimScratch` per serving
+/// worker turns per-layer allocations into buffer reuse across every
+/// layer of every clip; outputs are bitwise identical to the
+/// scratch-free path.
 #[derive(Default)]
 pub struct SimScratch {
     acc: Vec<MacAccumulator>,

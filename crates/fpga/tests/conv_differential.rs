@@ -39,6 +39,36 @@ fn cfg() -> AcceleratorConfig {
     }
 }
 
+/// A bias-free conv instance with its output shape derived.
+fn conv_inst(
+    name: &str,
+    (m, n): (usize, usize),
+    kernel: (usize, usize, usize),
+    stride: (usize, usize, usize),
+    pad: (usize, usize, usize),
+    (di, hi, wi): (usize, usize, usize),
+) -> ConvInstance {
+    ConvInstance {
+        spec: Conv3dSpec {
+            name: name.into(),
+            stage: "test".into(),
+            out_channels: m,
+            in_channels: n,
+            kernel,
+            stride,
+            pad,
+            bias: false,
+        },
+        input: (n, di, hi, wi),
+        output: (
+            m,
+            conv_out(di, kernel.0, stride.0, pad.0),
+            conv_out(hi, kernel.1, stride.1, pad.1),
+            conv_out(wi, kernel.2, stride.2, pad.2),
+        ),
+    }
+}
+
 struct Case {
     inst: ConvInstance,
     /// Dequantized Q7.8 weights `[M, N, Kd, Kr, Kc]` — fed to both paths.
@@ -60,25 +90,7 @@ impl Case {
         zero_blocks: impl FnOnce(&Tensor) -> Option<LayerBlockMask>,
     ) -> (Self, Option<LayerBlockMask>) {
         let (di, hi, wi) = (kernel.0 + extra.0, kernel.1 + extra.1, kernel.2 + extra.2);
-        let inst = ConvInstance {
-            spec: Conv3dSpec {
-                name: "diff".into(),
-                stage: "test".into(),
-                out_channels: m,
-                in_channels: n,
-                kernel,
-                stride,
-                pad,
-                bias: false,
-            },
-            input: (n, di, hi, wi),
-            output: (
-                m,
-                conv_out(di, kernel.0, stride.0, pad.0),
-                conv_out(hi, kernel.1, stride.1, pad.1),
-                conv_out(wi, kernel.2, stride.2, pad.2),
-            ),
-        };
+        let inst = conv_inst("diff", (m, n), kernel, stride, pad, (di, hi, wi));
         let mut rng = TensorRng::seed(seed ^ 0xd1ff);
         let mut w = rng.uniform_tensor([m, n, kernel.0, kernel.1, kernel.2], -0.45, 0.45);
         let mask = zero_blocks(&w);
@@ -300,35 +312,26 @@ fn full_range_tensor(dims: &[usize], seed: u64) -> FixedTensor {
     t
 }
 
+/// Serialises the tests that flip the process-wide scalar override.
+static SIMD_OVERRIDE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// AVX2-vs-scalar bitwise gate for the integer conv kernel, at full
 /// operand range. Runs the functional path once on the detected SIMD
 /// level and once with the scalar fallback explicitly forced; on a
 /// non-AVX2 host this degenerates to scalar-vs-scalar. Also pins the
 /// (saturation-heavy) result against the cycle engine, which never
 /// dispatches to SIMD at all.
-#[test]
-fn functional_avx2_and_forced_scalar_bitwise_identical_at_rails() {
-    let inst = ConvInstance {
-        spec: Conv3dSpec {
-            name: "rails".into(),
-            stage: "test".into(),
-            out_channels: 4,
-            in_channels: 6,
-            kernel: (2, 3, 3),
-            stride: (1, 1, 1),
-            pad: (1, 1, 1),
-            bias: false,
-        },
-        input: (6, 3, 9, 17), // W=17: vector body + odd scalar tail
-        output: (4, 4, 9, 17),
-    };
-    let qw = full_range_tensor(&[4, 6, 2, 3, 3], 0xfeed);
-    let qx = full_range_tensor(&[6, 3, 9, 17], 0xbeef);
+fn assert_avx2_equals_forced_scalar_at_rails(inst: &ConvInstance) {
+    let ((m, ..), (n, di, hi, wi)) = (inst.output, inst.input);
+    let (kd, kr, kc) = inst.spec.kernel;
+    let qw = full_range_tensor(&[m, n, kd, kr, kc], 0xfeed);
+    let qx = full_range_tensor(&[n, di, hi, wi], 0xbeef);
 
-    let (simd_out, simd_stats) = run_conv_functional(&inst, &qw, &qx, None, &cfg());
+    let _guard = SIMD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+    let (simd_out, simd_stats) = run_conv_functional(inst, &qw, &qx, None, &cfg());
     simd::force_scalar(true);
     let forced_level = simd::active();
-    let (scalar_out, scalar_stats) = run_conv_functional(&inst, &qw, &qx, None, &cfg());
+    let (scalar_out, scalar_stats) = run_conv_functional(inst, &qw, &qx, None, &cfg());
     simd::force_scalar(false);
     assert_eq!(forced_level.name(), "scalar");
     assert_eq!(
@@ -339,9 +342,110 @@ fn functional_avx2_and_forced_scalar_bitwise_identical_at_rails() {
     assert_eq!(simd_stats, scalar_stats);
 
     // Cross-check against the never-vectorized cycle engine.
-    let (cycle_out, cycle_stats) = run_conv(&inst, &qw, &qx, None, &cfg());
+    let (cycle_out, cycle_stats) = run_conv(inst, &qw, &qx, None, &cfg());
     assert_eq!(simd_out, cycle_out);
     assert_eq!(simd_stats, cycle_stats);
     // The rail-heavy operands must actually exercise saturation.
     assert!(simd_stats.saturated_words > 0, "rails did not saturate");
+}
+
+#[test]
+fn functional_avx2_and_forced_scalar_bitwise_identical_at_rails() {
+    // W=17: vector body + odd scalar tail.
+    let inst = conv_inst("rails", (4, 6), (2, 3, 3), (1, 1, 1), (1, 1, 1), (3, 9, 17));
+    assert_eq!(inst.output, (4, 4, 9, 17));
+    assert_avx2_equals_forced_scalar_at_rails(&inst);
+}
+
+/// The same gate on a stride-2 padded geometry, so strided lowering
+/// feeds the SIMD kernel too.
+#[test]
+fn functional_avx2_and_forced_scalar_bitwise_identical_at_rails_stride2() {
+    // Ow=19: two vector steps + an odd scalar tail of 3.
+    let inst = conv_inst("rails_s2", (4, 6), (1, 5, 5), (1, 2, 2), (0, 2, 2), (3, 11, 37));
+    assert_eq!(inst.output, (4, 3, 6, 19));
+    assert_avx2_equals_forced_scalar_at_rails(&inst);
+}
+
+/// The paper's tiling: 8x4 channel blocks, as the pruned workloads use.
+fn paper_cfg() -> AcceleratorConfig {
+    AcceleratorConfig {
+        tiling: Tiling::new(8, 4, 2, 8, 8),
+        ..cfg()
+    }
+}
+
+/// A block mask over `w` keeping `round(keep * blocks)` blocks (at least
+/// one), scattered over the grid: `b -> (7919 * b + offset) mod blocks`
+/// permutes the block indices (7919 is prime and exceeds every grid).
+fn scattered_mask(w: &FixedTensor, shape: BlockShape, keep: f64, offset: usize) -> LayerBlockMask {
+    let grid = BlockGrid::for_weight(&w.dequantize(), shape);
+    let blocks = grid.num_blocks();
+    let kept = ((keep * blocks as f64).round() as usize).clamp(1, blocks);
+    let keep_flags = (0..blocks).map(|b| (7919 * b + offset) % blocks < kept).collect();
+    LayerBlockMask::new(grid, keep_flags)
+}
+
+/// Every lite-wide conv geometry — stride-2 padded 1x5x5 and 1x3x3
+/// spatial, Kx1x1 temporal, the 1x1x1 stride-2 shortcut — under 8x4
+/// block masks at 100%, 50% and 10% kept: functional equals cycle,
+/// output and statistics. The disabled blocks keep their (non-zero)
+/// weights, so an engine that failed to skip one would diverge.
+#[test]
+fn functional_equals_cycle_on_every_lite_wide_layer() {
+    let insts = p3d_models::r2plus1d_lite_wide(4).conv_instances().expect("lite-wide shape-checks");
+    assert_eq!(insts.len(), 11);
+    let cfg = paper_cfg();
+    let shape = BlockShape::new(cfg.tiling.tm, cfg.tiling.tn);
+    let mut rng = TensorRng::seed(0x11fe);
+    for inst in &insts {
+        let ((m, ..), (n, di, hi, wi)) = (inst.output, inst.input);
+        let (kd, kr, kc) = inst.spec.kernel;
+        let qw = FixedTensor::quantize(&rng.uniform_tensor([m, n, kd, kr, kc], -0.6, 0.6));
+        let qx = FixedTensor::quantize(&rng.uniform_tensor([n, di, hi, wi], -1.5, 1.5));
+        for (i, keep) in [1.0, 0.5, 0.1].into_iter().enumerate() {
+            let mask = scattered_mask(&qw, shape, keep, i + 1);
+            let (a, sa) = run_conv(inst, &qw, &qx, Some(&mask), &cfg);
+            let (b, sb) = run_conv_functional(inst, &qw, &qx, Some(&mask), &cfg);
+            let name = &inst.spec.name;
+            assert_eq!(a, b, "{name} at {keep} kept: output diverged");
+            assert_eq!(sa, sb, "{name} at {keep} kept: stats diverged");
+        }
+    }
+}
+
+/// An output volume spanning several lowered tiles with a partial last
+/// one, dense and with a disabled block column (which shrinks the
+/// lowered rows and so changes the chunking), at stride 1 and 2.
+#[test]
+fn functional_equals_cycle_across_lowered_tiles() {
+    use p3d_fpga::sim::functional::TILE_WORDS;
+    let geometries = [
+        conv_inst("tiles_s1", (6, 8), (3, 3, 3), (1, 1, 1), (1, 1, 1), (4, 6, 20)),
+        conv_inst("tiles_s2", (6, 8), (3, 3, 3), (1, 2, 2), (1, 1, 1), (4, 12, 40)),
+    ];
+    let mut rng = TensorRng::seed(0x7113);
+    for inst in &geometries {
+        assert_eq!(inst.output, (6, 4, 6, 20));
+        let qw = FixedTensor::quantize(&rng.uniform_tensor([6, 8, 3, 3, 3], -0.6, 0.6));
+        let (_, di, hi, wi) = inst.input;
+        let qx = FixedTensor::quantize(&rng.uniform_tensor([8, di, hi, wi], -1.5, 1.5));
+        let grid = BlockGrid::for_weight(&qw.dequantize(), BlockShape::new(2, 2));
+        // Block column 1 (input channels 2 and 3) is disabled in every row.
+        let keep = (0..grid.num_blocks())
+            .map(|b| b % grid.cols() != 1)
+            .collect();
+        let masked = LayerBlockMask::new(grid, keep);
+        for (mask, live_channels) in [(None, 8), (Some(&masked), 6)] {
+            let (_, od, oh, ow) = inst.output;
+            let rows_per_tile = TILE_WORDS / (live_channels * 27 * ow);
+            assert!((od * oh).div_ceil(rows_per_tile) >= 3, "fewer than 3 tiles");
+            assert_ne!((od * oh) % rows_per_tile, 0, "last tile is not partial");
+            let (a, sa) = run_conv(inst, &qw, &qx, mask, &cfg());
+            let (b, sb) = run_conv_functional(inst, &qw, &qx, mask, &cfg());
+            let name = &inst.spec.name;
+            assert_eq!(a, b, "{name} with {live_channels} live channels: output diverged");
+            assert_eq!(sa, sb, "{name} with {live_channels} live channels: stats diverged");
+        }
+    }
 }

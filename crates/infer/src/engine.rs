@@ -346,10 +346,13 @@ impl InferenceEngine for F32Engine {
 /// pruned-model artifact gate computation exactly as in `p3d simulate`.
 ///
 /// Serving runs the **fast functional** Q7.8 path
-/// ([`QuantizedNetwork::forward_functional_with_scratch`]): flat i64
-/// accumulation with AVX2 integer kernels, bitwise identical in logits
-/// and statistics to the cycle-approximate engine that `p3d simulate`
-/// uses for latency validation.
+/// ([`QuantizedNetwork::forward_functional_with_scratch`]): each conv
+/// lowers its input into bounded tiles of output rows and adds every
+/// non-zero weight's tile row into exact `i64` accumulators with one
+/// AVX2 integer kernel, rounding once per output. Integer sums do not
+/// depend on order, so it is bitwise identical in logits and statistics
+/// to the cycle-approximate engine that `p3d simulate` uses for latency
+/// validation.
 ///
 /// Each worker owns a [`SimScratch`] so the conv engine's accumulator
 /// buffers are reused across clips instead of reallocated,
