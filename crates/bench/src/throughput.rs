@@ -342,8 +342,8 @@ pub struct SparsitySweepConfig {
 impl SparsitySweepConfig {
     /// The headline sweep: a deeper-layer conv shape (`16 -> 64`
     /// channels — the paper's later C3D stages are the wide, heavily
-    /// pruned ones, and a wider `M` amortises the sparsity-independent
-    /// im2col/packing work over more skippable GEMM rows), `4x4`
+    /// pruned ones, and a wider `M` amortises the input lowering, which
+    /// every output row shares, over more skippable GEMM rows), `4x4`
     /// blocks, 0/50/70/90 % of blocks pruned.
     pub fn standard() -> Self {
         SparsitySweepConfig {

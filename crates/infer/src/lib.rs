@@ -4,8 +4,8 @@
 //! The paper's deployment story ends at the accelerator, but measuring
 //! it honestly needs a host-side serving layer: this crate batches clip
 //! requests, fans them out clip-parallel across worker replicas, and
-//! reuses every per-layer activation/im2col buffer across forwards so
-//! the steady-state hot path performs no heap allocation.
+//! reuses every per-layer activation and GEMM pack buffer across
+//! forwards so the steady-state hot path performs no heap allocation.
 //!
 //! Two backends sit behind one [`InferenceEngine`] trait:
 //!

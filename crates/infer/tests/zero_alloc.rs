@@ -2,7 +2,7 @@
 //!
 //! After a warm-up batch has sized every arena buffer, running further
 //! batches through [`F32Engine::infer_batch_into`] must perform **zero**
-//! heap allocations: activations, im2col scratch, and result logits all
+//! heap allocations: activations, GEMM pack scratch, and result logits all
 //! come from preallocated, reused storage.
 //!
 //! The same contract extends to *pooled* parallel execution: once the
@@ -94,8 +94,8 @@ fn steady_state_f32_batch_is_allocation_free() {
     assert_eq!(out, baseline);
 
     // Contrast: the same stream through the plain per-clip `forward`
-    // path allocates fresh im2col scratch and per-layer activation
-    // tensors for every clip. The count documents what the arena saves.
+    // path allocates fresh per-layer activation tensors for every
+    // clip. The count documents what the arena saves.
     let mut seq_net = build_network(&spec, 33);
     let reshaped: Vec<_> = clips.iter().map(|c| c.reshape([1, 1, 6, 16, 16])).collect();
     let _ = seq_net.forward(&reshaped[0], Mode::Eval); // warm-up, like the engine's

@@ -1,12 +1,13 @@
-//! Preallocated activation/scratch buffers for allocation-free inference.
+//! Preallocated activation buffers for allocation-free inference.
 //!
 //! The training stack allocates a fresh tensor per layer per forward —
 //! fine for training, ruinous for a serving hot loop. [`EvalArena`] is a
-//! small free-list of `f32` buffers plus one shared im2col scratch
-//! buffer. Layers implementing [`crate::Layer::eval_into`] acquire output
-//! buffers from the arena, compute in place or via the `*_into` kernels
-//! (`p3d_tensor::gemm_into`, [`crate::im2col::im2col_into`]), and release
-//! their inputs back for reuse.
+//! small free-list of `f32` buffers. Layers implementing
+//! [`crate::Layer::eval_into`] acquire output buffers from the arena,
+//! compute in place or via the allocation-free kernels, and release
+//! their inputs back for reuse. Convolutions need no scratch of their
+//! own here: they lower their input straight into the GEMM's
+//! thread-local pack buffer (see [`crate::im2col::im2col_panels`]).
 //!
 //! The first clip through a network grows every buffer to its high-water
 //! mark (each growth recorded in [`ArenaStats::grow_events`]); because a
@@ -34,22 +35,21 @@ struct Buf {
 /// Cumulative allocation statistics for one arena.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Times any buffer (or the scratch) had to grow — i.e. heap
-    /// allocations attributable to the arena. Stable after warmup.
+    /// Times any buffer had to grow — i.e. heap allocations
+    /// attributable to the arena. Stable after warmup.
     pub grow_events: usize,
     /// Calls that fell back to the default allocating `eval_into` path
     /// (a layer without an arena-aware override).
     pub fallback_events: usize,
     /// Buffers currently held by the arena.
     pub buffers: usize,
-    /// Total `f32` capacity across all buffers plus scratch.
+    /// Total `f32` capacity across all buffers.
     pub capacity: usize,
 }
 
-/// A reusable pool of activation buffers plus one im2col scratch buffer.
+/// A reusable pool of activation buffers.
 pub struct EvalArena {
     bufs: Vec<Buf>,
-    scratch: Vec<f32>,
     grow_events: usize,
     fallback_events: usize,
 }
@@ -59,7 +59,6 @@ impl EvalArena {
     pub fn new() -> Self {
         EvalArena {
             bufs: Vec::new(),
-            scratch: Vec::new(),
             grow_events: 0,
             fallback_events: 0,
         }
@@ -79,8 +78,7 @@ impl EvalArena {
             grow_events: self.grow_events,
             fallback_events: self.fallback_events,
             buffers: self.bufs.len(),
-            capacity: self.bufs.iter().map(|b| b.data.len()).sum::<usize>()
-                + self.scratch.len(),
+            capacity: self.bufs.iter().map(|b| b.data.len()).sum(),
         }
     }
 
@@ -203,50 +201,6 @@ impl EvalArena {
             let d = &mut head[dst.0];
             (&s.data[..s.len], &mut d.data[..d.len])
         }
-    }
-
-    /// Grows the shared scratch buffer to at least `len` elements.
-    /// Contents are unspecified; kernels must overwrite what they read.
-    pub fn ensure_scratch(&mut self, len: usize) {
-        if self.scratch.len() < len {
-            self.grow_events += 1;
-            self.scratch.resize(len, 0.0);
-        }
-    }
-
-    /// `(src, scratch, dst)` views for the Conv3d hot path: read the
-    /// input buffer, unfold into scratch, GEMM into the output buffer.
-    ///
-    /// Call [`EvalArena::ensure_scratch`] first; `scratch_len` selects
-    /// the prefix handed out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` or the scratch is too short.
-    pub fn conv_views(
-        &mut self,
-        src: BufId,
-        dst: BufId,
-        scratch_len: usize,
-    ) -> (&[f32], &mut [f32], &mut [f32]) {
-        assert_ne!(src.0, dst.0, "conv_views requires distinct buffers");
-        assert!(
-            self.scratch.len() >= scratch_len,
-            "conv_views: call ensure_scratch first"
-        );
-        let EvalArena { bufs, scratch, .. } = self;
-        let (s, d) = if src.0 < dst.0 {
-            let (head, tail) = bufs.split_at_mut(dst.0);
-            let s = &head[src.0];
-            let d = &mut tail[0];
-            (&s.data[..s.len], &mut d.data[..d.len])
-        } else {
-            let (head, tail) = bufs.split_at_mut(src.0);
-            let s = &tail[0];
-            let d = &mut head[dst.0];
-            (&s.data[..s.len], &mut d.data[..d.len])
-        };
-        (s, &mut scratch[..scratch_len], d)
     }
 
     /// Copies `src` into a newly acquired buffer of the same shape

@@ -1,10 +1,20 @@
-//! 3D convolution layer with im2col-based forward and backward passes.
+//! 3D convolution layer: conv-as-GEMM forward and backward passes.
+//!
+//! Forward and arena evaluation share one per-clip body
+//! (`Conv3d::conv_clip`): the clip is lowered straight into the packed
+//! panel image the GEMM kernels read — on the block-sparse path only the
+//! rows some enabled block reads — so no im2col matrix is built. The
+//! backward pass still unfolds the cached input with [`im2col`], which
+//! `dL/dW` needs as a matrix.
 
 use crate::arena::{BufId, EvalArena};
-use crate::im2col::{col2im, im2col, im2col_into, ConvGeometry};
+use crate::im2col::{col2im, im2col, im2col_panels, ConvGeometry};
 use crate::layer::{Layer, Mode, Param, ParamKind};
 use p3d_tensor::parallel::{parallel_chunk_map, parallel_chunk_map_collect};
-use p3d_tensor::{gemm_bs_into, gemm_into, BlockPattern, BlockSparseWeights, Shape, Tensor, TensorRng};
+use p3d_tensor::{
+    gemm_bs_with_packer, gemm_with_packer, BlockPattern, BlockSparseWeights, Shape, Tensor,
+    TensorRng,
+};
 
 /// A 3D convolution: weights `[M, N, Kd, Kr, Kc]`, optional bias `[M]`.
 ///
@@ -140,6 +150,43 @@ impl Conv3d {
             pad: self.pad,
         }
     }
+
+    /// The per-clip conv body behind both `forward` and `eval_into`:
+    /// `dst [M, Do*Ho*Wo] = W x lowered(src) + bias` for one clip `src`
+    /// (`[N, Di, Hi, Wi]`).
+    ///
+    /// The clip is lowered by [`im2col_panels`] directly into the GEMM's
+    /// packed panel image. The dense kernel asks for every row; the
+    /// block-sparse kernel asks only for the rows some enabled block
+    /// reads, so a pruned block column's input channels are neither
+    /// lowered nor loaded. The weight tensor is row-major
+    /// `[M, N, Kd, Kr, Kc]`, i.e. already the `[M, rows]` matrix. Both
+    /// kernels accumulate in the canonical order (see `p3d_tensor::gemm`),
+    /// so the two paths are bitwise identical on the masked weights.
+    fn conv_clip(&self, geom: &ConvGeometry, src: &[f32], dst: &mut [f32]) {
+        let cols_n = geom.col_cols();
+        let lower = |ranges: &[(usize, usize)], packed: &mut [f32]| {
+            im2col_panels(src, geom, ranges, packed)
+        };
+        match &self.sparse {
+            Some(bs) => gemm_bs_with_packer(bs, cols_n, dst, lower),
+            None => gemm_with_packer(
+                self.weight.value.data(),
+                self.out_channels(),
+                geom.col_rows(),
+                cols_n,
+                dst,
+                lower,
+            ),
+        }
+        if let Some(bias) = &self.bias {
+            for (ch, &bv) in bias.value.data().iter().enumerate() {
+                for x in &mut dst[ch * cols_n..(ch + 1) * cols_n] {
+                    *x += bv;
+                }
+            }
+        }
+    }
 }
 
 impl Layer for Conv3d {
@@ -147,37 +194,15 @@ impl Layer for Conv3d {
         self.refresh_sparse();
         let geom = self.geometry(input.shape());
         let batch = input.shape().dim(0);
-        let m = self.out_channels();
         let (od, oh, ow) = geom.output();
         let per_in = input.len() / batch;
-        let rows = geom.col_rows();
-        let cols_n = geom.col_cols();
-
-        // The weight tensor is row-major [M, N, Kd, Kr, Kc], i.e. already
-        // the [M, rows] matrix — used directly, no reshape clone.
-        let w = self.weight.value.data();
-        let sparse = self.sparse.as_ref();
-        let mut out = Tensor::zeros(Shape::d5(batch, m, od, oh, ow));
-        let per_out = m * cols_n;
-        let bias_data = self.bias.as_ref().map(|b| b.value.data());
+        let mut out = Tensor::zeros(Shape::d5(batch, self.out_channels(), od, oh, ow));
+        let per_out = self.out_channels() * geom.col_cols();
         // Batch-parallel: each worker owns one clip's output slice. The
         // inner GEMM detects the nesting and runs serially, so this
         // never oversubscribes (see `p3d_tensor::parallel`).
         parallel_chunk_map(out.data_mut(), per_out, |b, dst| {
-            let cols = im2col(&input.data()[b * per_in..(b + 1) * per_in], &geom);
-            match sparse {
-                // Block-sparse: visit only enabled Tm x Tn blocks. Bitwise
-                // identical to the dense kernel on the masked weights.
-                Some(bs) => gemm_bs_into(bs, cols.data(), cols_n, dst),
-                None => gemm_into(w, m, rows, cols.data(), cols_n, dst),
-            }
-            if let Some(bd) = bias_data {
-                for (ch, &bv) in bd.iter().enumerate() {
-                    for x in &mut dst[ch * cols_n..(ch + 1) * cols_n] {
-                        *x += bv;
-                    }
-                }
-            }
+            self.conv_clip(&geom, &input.data()[b * per_in..(b + 1) * per_in], dst);
         });
         if mode == Mode::Train {
             self.cached_input = Some(input.clone());
@@ -295,39 +320,22 @@ impl Layer for Conv3d {
         let in_shape = arena.shape(input);
         let geom = self.geometry(in_shape);
         let batch = in_shape.dim(0);
-        let m = self.out_channels();
         let (od, oh, ow) = geom.output();
         let per_in = in_shape.len() / batch;
-        let rows = geom.col_rows();
-        let cols_n = geom.col_cols();
-        let per_out = m * cols_n;
+        let per_out = self.out_channels() * geom.col_cols();
 
-        let out = arena.acquire(Shape::d5(batch, m, od, oh, ow));
-        arena.ensure_scratch(rows * cols_n);
-        // The weight tensor is row-major [M, N, Kd, Kr, Kc], i.e. already
-        // the [M, rows] matrix — used directly, exactly as in `forward`.
-        let w = self.weight.value.data();
-        let sparse = self.sparse.as_ref();
-        let bias_data = self.bias.as_ref().map(|b| b.value.data());
-        let (src, scratch, dst) = arena.conv_views(input, out, rows * cols_n);
+        let out = arena.acquire(Shape::d5(batch, self.out_channels(), od, oh, ow));
+        let (src, dst) = arena.pair(input, out);
         // Serial over clips: the batched engine parallelises over clips
-        // one level up (one worker per clip), and each clip's arithmetic
-        // here is identical to `forward`'s per-clip kernel, so outputs
-        // are bitwise equal to the allocating path.
+        // one level up (one worker per clip), and each clip runs the
+        // same `conv_clip` body as `forward`, so outputs are bitwise
+        // equal to the allocating path.
         for b in 0..batch {
-            im2col_into(&src[b * per_in..(b + 1) * per_in], &geom, scratch);
-            let dst_b = &mut dst[b * per_out..(b + 1) * per_out];
-            match sparse {
-                Some(bs) => gemm_bs_into(bs, scratch, cols_n, dst_b),
-                None => gemm_into(w, m, rows, scratch, cols_n, dst_b),
-            }
-            if let Some(bd) = bias_data {
-                for (ch, &bv) in bd.iter().enumerate() {
-                    for x in &mut dst_b[ch * cols_n..(ch + 1) * cols_n] {
-                        *x += bv;
-                    }
-                }
-            }
+            self.conv_clip(
+                &geom,
+                &src[b * per_in..(b + 1) * per_in],
+                &mut dst[b * per_out..(b + 1) * per_out],
+            );
         }
         arena.release(input);
         out

@@ -5,7 +5,15 @@
 //! into a `[N*Kd*Kr*Kc, Do*Ho*Wo]` column matrix, the weights are viewed
 //! as `[M, N*Kd*Kr*Kc]`, and the product is the `[M, Do*Ho*Wo]` output.
 //! `col2im` is the adjoint (scatter-add) used by the backward pass.
+//!
+//! The inference and forward paths never build that column matrix:
+//! [`im2col_panels`] lowers the input straight into the packed panel
+//! image the GEMM kernels read (`p3d_tensor::gemm`), and only the rows
+//! the product needs. `im2col`, `im2col_panels` and `col2im` share one
+//! run-by-run walk over a column-matrix row, so they cannot disagree
+//! about which input element feeds which `(row, column)`.
 
+use p3d_tensor::gemm::pack_rows;
 use p3d_tensor::{Shape, Tensor};
 
 /// Geometry of one 3D convolution, shared by forward and backward.
@@ -52,125 +60,140 @@ impl ConvGeometry {
     }
 }
 
+/// A stretch of one column-matrix row that reads the input: columns
+/// `col .. col + len` read `src`, `src + Sc`, `src + 2 Sc`, ...
+struct Run {
+    col: usize,
+    len: usize,
+    src: usize,
+}
+
+/// Walks the non-padding positions of row `p` (input channel
+/// `p / taps`, kernel tap `p % taps`) of the column matrix in ascending
+/// column order, indexing the flat `[N, Di, Hi, Wi]` input. Every other
+/// position of the row reads padding. Each output line contributes one
+/// run; at stride 1, a line that continues the previous run in both the
+/// row and the input is merged into it, so a `3x1x1` temporal or
+/// `1x1x1` row becomes a few long copies.
+fn walk_row(geom: &ConvGeometry, p: usize, mut f: impl FnMut(Run)) {
+    let (in_d, in_h, in_w) = geom.input;
+    let (kd, kr, kc) = geom.kernel;
+    let (sd, sr, sc) = geom.stride;
+    let (pd, pr, pc) = geom.pad;
+    let (od, oh, ow) = geom.output();
+    let taps = kd * kr * kc;
+    let (ch, tap) = (p / taps, p % taps);
+    let (kd_i, kr_i, kc_i) = (tap / (kr * kc), tap / kc % kr, tap % kc);
+    // Output columns whose tap lands inside the input width, the same
+    // for every line of the row: `0 <= o * sc + kc_i - pc < in_w`.
+    let lo = pc.saturating_sub(kc_i).div_ceil(sc).min(ow);
+    let hi = (in_w + pc).saturating_sub(kc_i).div_ceil(sc).clamp(lo, ow);
+    if lo == hi {
+        return;
+    }
+
+    let mut pending: Option<Run> = None;
+    for od_i in 0..od {
+        let Some(d) = (od_i * sd + kd_i).checked_sub(pd).filter(|&d| d < in_d) else {
+            continue;
+        };
+        for oh_i in 0..oh {
+            let Some(h) = (oh_i * sr + kr_i).checked_sub(pr).filter(|&h| h < in_h) else {
+                continue;
+            };
+            let line = Run {
+                col: (od_i * oh + oh_i) * ow + lo,
+                len: hi - lo,
+                src: ((ch * in_d + d) * in_h + h) * in_w + lo * sc + kc_i - pc,
+            };
+            match &mut pending {
+                Some(run)
+                    if sc == 1
+                        && run.col + run.len == line.col
+                        && run.src + run.len == line.src =>
+                {
+                    run.len += line.len;
+                }
+                _ => {
+                    if let Some(run) = pending.replace(line) {
+                        f(run);
+                    }
+                }
+            }
+        }
+    }
+    if let Some(run) = pending {
+        f(run);
+    }
+}
+
+/// Writes row `p` of the column matrix into `row` (`col_cols()` long),
+/// every position explicitly — padding gets zero.
+fn lower_row(input: &[f32], geom: &ConvGeometry, p: usize, row: &mut [f32]) {
+    let sc = geom.stride.2;
+    row.fill(0.0);
+    walk_row(geom, p, |r| {
+        let dst = &mut row[r.col..r.col + r.len];
+        if sc == 1 {
+            dst.copy_from_slice(&input[r.src..r.src + r.len]);
+        } else {
+            for (t, v) in dst.iter_mut().enumerate() {
+                *v = input[r.src + t * sc];
+            }
+        }
+    });
+}
+
 /// Unfolds one `[N, Di, Hi, Wi]` volume (flat slice) into a column matrix
 /// `[N*Kd*Kr*Kc, Do*Ho*Wo]`. Out-of-bounds (padding) positions read zero.
 pub fn im2col(input: &[f32], geom: &ConvGeometry) -> Tensor {
     let rows = geom.col_rows();
     let cols = geom.col_cols();
+    debug_assert_eq!(input.len(), geom.channels * geom.input.0 * geom.input.1 * geom.input.2);
     let mut out = vec![0.0f32; rows * cols];
-    im2col_into(input, geom, &mut out);
+    for p in 0..rows {
+        lower_row(input, geom, p, &mut out[p * cols..(p + 1) * cols]);
+    }
     Tensor::from_vec(Shape::d2(rows, cols), out)
 }
 
-/// Allocation-free [`im2col`] into a caller-provided buffer of length
-/// `col_rows() * col_cols()`.
+/// Lowers the column-matrix rows `ranges` of one `[N, Di, Hi, Wi]`
+/// volume straight into the packed panel image of a
+/// `[col_rows(), col_cols()]` right operand (`packed` holds
+/// `ceil(col_cols() / NR) * col_rows() * NR` floats; see
+/// `p3d_tensor::gemm::pack_rows`). The values are exactly those
+/// [`im2col`] puts in the same rows.
 ///
-/// Every position is written — padding positions get an **explicit**
-/// zero rather than relying on a pre-zeroed buffer — so a scratch buffer
-/// reused across forwards (the inference arena's steady state) needs no
-/// clearing between calls.
+/// Every position of a requested row is written — padding positions
+/// and the lanes past `col_cols()` get an **explicit** zero — so a
+/// reused scratch needs no clearing. Rows outside `ranges` are left as
+/// they were.
 ///
 /// # Panics
 ///
-/// Panics if `out` has the wrong length.
-pub fn im2col_into(input: &[f32], geom: &ConvGeometry, out: &mut [f32]) {
-    let (n, (di, hi, wi)) = (geom.channels, geom.input);
-    let (kd, kr, kc) = geom.kernel;
-    let (sd, sr, sc) = geom.stride;
-    let (pd, pr, pc) = geom.pad;
-    let (od, oh, ow) = geom.output();
-    debug_assert_eq!(input.len(), n * di * hi * wi);
-
-    let cols = geom.col_cols();
-    assert_eq!(
-        out.len(),
-        geom.col_rows() * cols,
-        "im2col_into: out buffer length mismatch"
-    );
-
-    let mut row = 0usize;
-    for ch in 0..n {
-        let ch_base = ch * di * hi * wi;
-        for kd_i in 0..kd {
-            for kr_i in 0..kr {
-                for kc_i in 0..kc {
-                    let row_base = row * cols;
-                    let mut col = 0usize;
-                    for od_i in 0..od {
-                        let d = (od_i * sd + kd_i) as isize - pd as isize;
-                        let d_ok = d >= 0 && (d as usize) < di;
-                        for oh_i in 0..oh {
-                            let h = (oh_i * sr + kr_i) as isize - pr as isize;
-                            let h_ok = h >= 0 && (h as usize) < hi;
-                            if !(d_ok && h_ok) {
-                                out[row_base + col..row_base + col + ow].fill(0.0);
-                                col += ow;
-                                continue;
-                            }
-                            let plane = ch_base + d as usize * hi * wi + h as usize * wi;
-                            for ow_i in 0..ow {
-                                let w = (ow_i * sc + kc_i) as isize - pc as isize;
-                                out[row_base + col] = if w >= 0 && (w as usize) < wi {
-                                    input[plane + w as usize]
-                                } else {
-                                    0.0
-                                };
-                                col += 1;
-                            }
-                        }
-                    }
-                    row += 1;
-                }
-            }
-        }
-    }
+/// Panics if `packed` has the wrong length or a range exceeds
+/// `col_rows()`.
+pub fn im2col_panels(input: &[f32], geom: &ConvGeometry, ranges: &[(usize, usize)], packed: &mut [f32]) {
+    debug_assert_eq!(input.len(), geom.channels * geom.input.0 * geom.input.1 * geom.input.2);
+    pack_rows(geom.col_rows(), geom.col_cols(), ranges, packed, |p, row| {
+        lower_row(input, geom, p, row)
+    });
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a column-matrix gradient back into
 /// an input-shaped gradient buffer (flat `[N, Di, Hi, Wi]`).
 pub fn col2im(cols_grad: &Tensor, geom: &ConvGeometry, input_grad: &mut [f32]) {
-    let (n, (di, hi, wi)) = (geom.channels, geom.input);
-    let (kd, kr, kc) = geom.kernel;
-    let (sd, sr, sc) = geom.stride;
-    let (pd, pr, pc) = geom.pad;
-    let (od, oh, ow) = geom.output();
     let cols = geom.col_cols();
+    let sc = geom.stride.2;
     debug_assert_eq!(cols_grad.shape().dims(), &[geom.col_rows(), cols]);
-    debug_assert_eq!(input_grad.len(), n * di * hi * wi);
-    let data = cols_grad.data();
-
-    let mut row = 0usize;
-    for ch in 0..n {
-        let ch_base = ch * di * hi * wi;
-        for kd_i in 0..kd {
-            for kr_i in 0..kr {
-                for kc_i in 0..kc {
-                    let row_base = row * cols;
-                    let mut col = 0usize;
-                    for od_i in 0..od {
-                        let d = (od_i * sd + kd_i) as isize - pd as isize;
-                        let d_ok = d >= 0 && (d as usize) < di;
-                        for oh_i in 0..oh {
-                            let h = (oh_i * sr + kr_i) as isize - pr as isize;
-                            let h_ok = h >= 0 && (h as usize) < hi;
-                            if !(d_ok && h_ok) {
-                                col += ow;
-                                continue;
-                            }
-                            let plane = ch_base + d as usize * hi * wi + h as usize * wi;
-                            for ow_i in 0..ow {
-                                let w = (ow_i * sc + kc_i) as isize - pc as isize;
-                                if w >= 0 && (w as usize) < wi {
-                                    input_grad[plane + w as usize] += data[row_base + col];
-                                }
-                                col += 1;
-                            }
-                        }
-                    }
-                    row += 1;
-                }
+    debug_assert_eq!(input_grad.len(), geom.channels * geom.input.0 * geom.input.1 * geom.input.2);
+    for p in 0..geom.col_rows() {
+        let row = &cols_grad.data()[p * cols..(p + 1) * cols];
+        walk_row(geom, p, |r| {
+            for (t, &g) in row[r.col..r.col + r.len].iter().enumerate() {
+                input_grad[r.src + t * sc] += g;
             }
-        }
+        });
     }
 }
 
@@ -251,21 +274,36 @@ mod tests {
     }
 
     #[test]
-    fn im2col_into_overwrites_stale_buffer() {
-        // A reused (dirty) buffer must produce exactly the same matrix as
-        // a fresh allocation — padding positions are written explicitly.
+    fn im2col_panels_matches_im2col_on_a_stale_buffer() {
+        // Each requested row of the panel image holds exactly im2col's
+        // values (padding and the lanes past the last column written as
+        // explicit zeros over NaN); unrequested rows stay untouched.
+        use p3d_tensor::gemm::NR;
         let g = ConvGeometry {
             channels: 2,
-            input: (2, 3, 3),
+            input: (2, 3, 4),
             kernel: (2, 2, 2),
-            stride: (1, 1, 1),
+            stride: (1, 2, 1),
             pad: (1, 1, 1),
         };
-        let input: Vec<f32> = (0..2 * 2 * 3 * 3).map(|x| x as f32 - 7.0).collect();
+        let input: Vec<f32> = (0..2 * 2 * 3 * 4).map(|x| x as f32 - 7.0).collect();
+        let (rows, cols) = (g.col_rows(), g.col_cols());
+        assert_ne!(cols % NR, 0, "the case must have padding lanes");
         let fresh = im2col(&input, &g);
-        let mut dirty = vec![f32::NAN; g.col_rows() * g.col_cols()];
-        im2col_into(&input, &g, &mut dirty);
-        assert_eq!(dirty.as_slice(), fresh.data());
+        let mut packed = vec![f32::NAN; cols.div_ceil(NR) * rows * NR];
+        let ranges = [(1, 4), (9, rows)];
+        im2col_panels(&input, &g, &ranges, &mut packed);
+        for p in 0..rows {
+            let wanted = ranges.iter().any(|&(p0, p1)| (p0..p1).contains(&p));
+            for j in 0..cols.div_ceil(NR) * NR {
+                let v = packed[(j / NR) * rows * NR + p * NR + j % NR];
+                match (wanted, j < cols) {
+                    (false, _) => assert!(v.is_nan(), "row {p} was written"),
+                    (true, true) => assert_eq!(v.to_bits(), fresh.data()[p * cols + j].to_bits()),
+                    (true, false) => assert_eq!(v.to_bits(), 0.0f32.to_bits()),
+                }
+            }
+        }
     }
 
     #[test]

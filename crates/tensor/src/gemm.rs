@@ -38,17 +38,32 @@
 //!
 //! # Packing scheme
 //!
-//! The right operand is repacked into column panels of [`NR`] columns,
-//! laid out `packed[jp][p][j]` (`jp` = panel, `p` = inner dimension,
-//! `j` = column within panel), zero-padded past `n`. Within a panel the
-//! `NR` values of one `p` step are contiguous, and any `k` sub-range of
-//! a panel is contiguous too — which is exactly what lets the
-//! block-sparse kernel stream the same packed buffer while visiting
-//! only enabled `k` ranges. Packing is pure data movement (no
-//! arithmetic), so it cannot affect results. The pack buffer is a
-//! thread-local, growable scratch: steady-state calls perform **zero
-//! heap allocations** once the scratch has grown to the largest shape
-//! seen on that thread.
+//! The right operand `[k, n]` reaches the microkernels as a *packed
+//! panel image*: column panels of [`NR`] columns laid out
+//! `packed[jp][p][j]` (`jp` = panel, `p` = inner dimension, `j` = column
+//! within panel), so element `(p, j)` lives at
+//! `(j / NR) * k * NR + p * NR + j % NR`, with the lanes past `n` of the
+//! last panel zeroed. Within a panel the `NR` values of one `p` step are
+//! contiguous, and any `k` sub-range of a panel is contiguous too —
+//! which is what lets the block-sparse kernel stream the same image
+//! while visiting only enabled `k` ranges.
+//!
+//! The kernels do not care where the image comes from: both
+//! [`gemm_with_packer`] and [`gemm_bs_with_packer`] take the right
+//! operand as a pack callback `pack(ranges, packed)` that must write the
+//! rows `ranges` of the image. The dense product asks for every row; the
+//! block-sparse product asks only for [`BlockSparseWeights::read_ranges`],
+//! the rows some enabled block reads. [`pack_rows`] is the one
+//! range-aware helper behind every callback: it walks the requested
+//! rows, has the caller write one row's values into a small reused row
+//! buffer, and copies them `NR` at a time into the panels, zeroing the
+//! padding lanes. A row-major matrix packs through it
+//! ([`gemm_into`], [`gemm_bs_into`]); a 3D convolution lowers its input
+//! window straight through it, so no im2col matrix is ever materialised.
+//! Packing is pure data movement (no arithmetic), so it cannot affect
+//! results. The pack buffer is a thread-local, growable scratch:
+//! steady-state calls perform **zero heap allocations** once the scratch
+//! has grown to the largest shape seen on that thread.
 
 use crate::parallel::{max_threads, parallel_chunk_map};
 use std::cell::RefCell;
@@ -81,6 +96,10 @@ thread_local! {
     /// the duration of a GEMM so re-entrant calls cannot conflict —
     /// a nested call simply starts from an empty buffer.
     static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+
+    /// One right-operand row on its way into the panels (see
+    /// [`pack_rows`]), one per thread.
+    static ROW_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` with a zero-filled-on-growth scratch slice of exactly `len`
@@ -204,18 +223,66 @@ fn panel_count(n: usize) -> usize {
     n.div_ceil(NR)
 }
 
-/// Packs row-major `b [k, n]` into `NR`-column panels
-/// (`packed[jp*k*NR + p*NR + j]`), zero-padding columns past `n`.
-/// Panels are independent, so packing parallelises freely — it is pure
-/// data movement and cannot affect numeric results.
-fn pack_b_nn(b: &[f32], k: usize, n: usize, packed: &mut [f32]) {
-    parallel_chunk_map(packed, k * NR, |jp, panel| {
-        let j0 = jp * NR;
-        let jw = NR.min(n - j0);
-        for (p, prow) in panel.chunks_mut(NR).enumerate() {
-            prow[..jw].copy_from_slice(&b[p * n + j0..p * n + j0 + jw]);
-            prow[jw..].fill(0.0);
+/// Writes the rows `ranges` of the packed panel image of a `[k, n]`
+/// right operand into `packed` (`panel_count(n) * k * NR` floats):
+/// `fill(p, row)` must write all `n` values of row `p` into `row` (a
+/// reused buffer that still holds an earlier row), which are then
+/// copied into their panels with the lanes past `n` zeroed. Rows
+/// outside `ranges` are left untouched.
+///
+/// This is the one range-aware pack helper every right-operand kind
+/// goes through, so the pack callbacks of [`gemm_with_packer`] and
+/// [`gemm_bs_with_packer`] only say how to produce one row's values.
+/// The row buffer is thread-local and only grows, so steady-state calls
+/// do not allocate.
+///
+/// # Panics
+///
+/// Panics if `packed` has the wrong length or a range exceeds `k`.
+pub fn pack_rows(
+    k: usize,
+    n: usize,
+    ranges: &[(usize, usize)],
+    packed: &mut [f32],
+    mut fill: impl FnMut(usize, &mut [f32]),
+) {
+    assert_eq!(packed.len(), panel_count(n) * k * NR, "pack_rows: packed length mismatch");
+    ROW_SCRATCH.with(|cell| {
+        let mut buf = cell.take();
+        if buf.len() < n {
+            buf.resize(n, 0.0);
         }
+        let row = &mut buf[..n];
+        for &(p0, p1) in ranges {
+            assert!(p0 <= p1 && p1 <= k, "pack_rows: range ({p0}, {p1}) outside k = {k}");
+            for p in p0..p1 {
+                fill(p, row);
+                // Whole NR-wide chunks as fixed-size copies, then the
+                // zero-padded last panel.
+                let panels = packed.chunks_exact_mut(k * NR);
+                let chunks = row.chunks(NR);
+                for (panel, chunk) in panels.zip(chunks) {
+                    let dst: &mut [f32; NR] = (&mut panel[p * NR..(p + 1) * NR])
+                        .try_into()
+                        .expect("NR lanes");
+                    match <&[f32; NR]>::try_from(chunk) {
+                        Ok(full) => *dst = *full,
+                        Err(_) => {
+                            dst[..chunk.len()].copy_from_slice(chunk);
+                            dst[chunk.len()..].fill(0.0);
+                        }
+                    }
+                }
+            }
+        }
+        cell.replace(buf);
+    });
+}
+
+/// Packs the rows `ranges` of row-major `b [k, n]` through [`pack_rows`].
+fn pack_b_nn(b: &[f32], k: usize, n: usize, ranges: &[(usize, usize)], packed: &mut [f32]) {
+    pack_rows(k, n, ranges, packed, |p, row| {
+        row.copy_from_slice(&b[p * n..(p + 1) * n]);
     });
 }
 
@@ -391,8 +458,15 @@ fn packed_tile_into(
     }
 }
 
-/// Shared driver for both packed orientations: packs `b` with `pack`,
-/// then sweeps the panels with the microkernel.
+/// Packed register-tiled GEMM whose right operand comes from a pack
+/// callback: `[m, k] (row-major a) x [k, n] (packed by pack) -> out
+/// [m, n]`.
+///
+/// `pack(ranges, packed)` must write the rows `ranges` (here always the
+/// whole `[(0, k)]`) of the right operand's packed panel image (layout in
+/// the module docs; [`pack_rows`] does the bookkeeping). `out` is fully
+/// overwritten, and the result is bitwise identical to
+/// [`gemm_naive_into`] on the same operand.
 ///
 /// Each worker owns a contiguous band of output rows and walks the loop
 /// nest **panel-outer, row-tile-inner**: one `k x NR` panel (a few KB)
@@ -405,20 +479,26 @@ fn packed_tile_into(
 /// Every output element is computed wholly inside one worker with the
 /// canonical accumulation order, so band boundaries (and therefore
 /// `P3D_THREADS`) cannot affect results bitwise.
-fn gemm_packed_driver(
+///
+/// # Panics
+///
+/// Panics if `a` or `out` disagree with the stated dimensions.
+pub fn gemm_with_packer(
     a: &[f32],
     m: usize,
     k: usize,
     n: usize,
     out: &mut [f32],
-    pack: impl Fn(&mut [f32]),
+    pack: impl FnOnce(&[(usize, usize)], &mut [f32]),
 ) {
+    assert_eq!(a.len(), m * k, "gemm_with_packer: lhs length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_with_packer: out length mismatch");
     if m == 0 || n == 0 {
         return;
     }
     let packed_len = panel_count(n) * k * NR;
     with_pack_scratch(packed_len, |packed| {
-        pack(packed);
+        pack(&[(0, k)], packed);
         // Split the row blocks evenly over the available workers; each
         // band is a whole number of MR-row tiles (bar the ragged end).
         let blocks = m.div_ceil(MR);
@@ -464,10 +544,8 @@ fn gemm_packed_driver(
 ///
 /// Panics if any slice length disagrees with the stated dimensions.
 pub fn gemm_packed_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_packed_into: lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_packed_into: rhs length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_packed_into: out length mismatch");
-    gemm_packed_driver(a, m, k, n, out, |packed| pack_b_nn(b, k, n, packed));
+    gemm_with_packer(a, m, k, n, out, |ranges, packed| pack_b_nn(b, k, n, ranges, packed));
 }
 
 /// Packed register-tiled `A * B^T`:
@@ -482,10 +560,10 @@ pub fn gemm_packed_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out:
 ///
 /// Panics if any slice length disagrees with the stated dimensions.
 pub fn gemm_packed_nt_into(a: &[f32], m: usize, k: usize, b_nk: &[f32], n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_packed_nt_into: lhs length mismatch");
     assert_eq!(b_nk.len(), n * k, "gemm_packed_nt_into: rhs length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_packed_nt_into: out length mismatch");
-    gemm_packed_driver(a, m, k, n, out, |packed| pack_b_nt(b_nk, k, n, packed));
+    // The dense product always asks for every row, which is all the
+    // transposed packer knows how to write.
+    gemm_with_packer(a, m, k, n, out, |_, packed| pack_b_nt(b_nk, k, n, packed));
 }
 
 /// `true` when panel packing pays for itself: enough output rows to
@@ -603,8 +681,13 @@ impl BlockPattern {
     /// At high enabled fractions block-CSR only adds overhead — the
     /// per-block-row column walk, the packed-panel indirection, and the
     /// loss of the dense kernel's long contiguous `k` streams — without
-    /// skipping meaningful work: BENCH_conv3d.json measured the sparse
-    /// path at 0.874x dense throughput on a fully-enabled pattern.
+    /// skipping meaningful work: on a fully-enabled `4x4` pattern at the
+    /// `conv3d_throughput` sweep shape (16 -> 64 channels, `3x3x3`,
+    /// `8x14x14` input, lowered operands, one thread) the sparse kernel
+    /// ran at 0.81x dense (median of 40 paired reps on a 2-vCPU AVX2
+    /// VM). The sweep's own fully-enabled row in BENCH_conv3d.json times
+    /// this fallback on both sides, so it reads parity (1.15x best
+    /// paired ratio).
     /// Because the masked dense weights and the compiled sparse form
     /// accumulate the same products in the same `k` order, dense and
     /// sparse execution are bitwise identical on such patterns, so the
@@ -616,9 +699,10 @@ impl BlockPattern {
 
 /// Enabled-block fraction at or above which [`BlockPattern::prefers_dense`]
 /// routes a layer to the dense kernel. At 95%+ enabled, at most ~5% of
-/// MACs can be skipped — less than the ~13% overhead the sparse path
-/// showed on dense patterns — while every workload the paper targets
-/// prunes far below this (the sweep's lightest setting keeps 50%).
+/// MACs can be skipped — less than the ~20% overhead the sparse path
+/// showed on a fully-enabled pattern — while every workload the paper
+/// targets prunes far below this (the sweep's lightest setting keeps
+/// 50%).
 pub const DENSE_FALLBACK_ENABLED_FRACTION: f32 = 0.95;
 
 /// A pruned weight matrix compiled to block-CSR: per block row, the
@@ -645,6 +729,9 @@ pub struct BlockSparseWeights {
     /// `col_idx`. Ascending within a row — this is what pins the
     /// canonical accumulation order.
     col_ranges: Vec<(usize, usize)>,
+    /// The ascending, merged union of every enabled block's `k` range:
+    /// the only right-operand rows the kernel ever reads.
+    read_ranges: Vec<(usize, usize)>,
     /// Packed enabled values (see type docs for layout).
     values: Vec<f32>,
     /// Offset of each block row's packed values; `len = block_rows + 1`.
@@ -692,6 +779,18 @@ impl BlockSparseWeights {
             values_len += rows_in.div_ceil(MR) * ks * MR;
             row_values_ofs.push(values_len);
         }
+        let mut read_ranges: Vec<(usize, usize)> = Vec::new();
+        for bj in 0..bcols {
+            if !(0..brows).any(|bi| pattern.keep[bi * bcols + bj]) {
+                continue;
+            }
+            let p0 = bj * pattern.tk;
+            let p1 = (p0 + pattern.tk).min(pattern.k);
+            match read_ranges.last_mut() {
+                Some(last) if last.1 == p0 => last.1 = p1,
+                _ => read_ranges.push((p0, p1)),
+            }
+        }
         let mut bs = BlockSparseWeights {
             m: pattern.m,
             k: pattern.k,
@@ -699,6 +798,7 @@ impl BlockSparseWeights {
             row_ptr,
             col_idx,
             col_ranges,
+            read_ranges,
             values: vec![0.0; values_len],
             row_values_ofs,
             total_blocks: brows * bcols,
@@ -761,6 +861,13 @@ impl BlockSparseWeights {
         self.row_ptr.len() - 1
     }
 
+    /// The right-operand rows the kernel reads: the ascending, merged
+    /// union of every enabled block's `[p0, p1)` `k` range. A pack
+    /// callback of [`gemm_bs_with_packer`] is asked for exactly these.
+    pub fn read_ranges(&self) -> &[(usize, usize)] {
+        &self.read_ranges
+    }
+
     /// Number of enabled blocks (block-CSR entries).
     pub fn enabled_blocks(&self) -> usize {
         self.col_idx.len()
@@ -775,16 +882,41 @@ impl BlockSparseWeights {
 /// Block-sparse GEMM: `w (compiled [m, k]) x b [k, n] -> out [m, n]`,
 /// visiting **only enabled blocks**.
 ///
-/// The right operand is packed exactly as in [`gemm_packed_into`]; each
-/// block row then streams its compacted value panels against the
-/// enabled `k` sub-ranges of the packed panels. Because disabled blocks
-/// of the compiled weights are exactly zero and enabled ranges are
-/// visited in ascending `k` order, the output is **bitwise identical**
-/// to [`gemm_into`] on the masked dense weights — the CPU mirror of the
+/// [`gemm_bs_with_packer`] with a row-major matrix operand: only the
+/// rows of `b` inside [`BlockSparseWeights::read_ranges`] are packed.
+/// Bitwise identical to [`gemm_into`] on the masked dense weights.
+///
+/// # Panics
+///
+/// Panics if slice lengths disagree with the compiled dimensions.
+pub fn gemm_bs_into(w: &BlockSparseWeights, b: &[f32], n: usize, out: &mut [f32]) {
+    assert_eq!(b.len(), w.k * n, "gemm_bs_into: rhs length mismatch");
+    gemm_bs_with_packer(w, n, out, |ranges, packed| pack_b_nn(b, w.k, n, ranges, packed));
+}
+
+/// `true` when `[p0, p1)` lies inside one of the merged `ranges`.
+fn covered(ranges: &[(usize, usize)], (p0, p1): (usize, usize)) -> bool {
+    ranges.iter().any(|&(r0, r1)| r0 <= p0 && p1 <= r1)
+}
+
+/// Block-sparse GEMM whose right operand comes from a pack callback:
+/// `w (compiled [m, k]) x (packed by pack) [k, n] -> out [m, n]`,
+/// visiting **only enabled blocks**.
+///
+/// `pack(ranges, packed)` is asked for the rows
+/// [`BlockSparseWeights::read_ranges`] of the packed panel image (layout
+/// in the module docs); rows a pruned block column would have read are
+/// neither packed nor loaded, so a pruned block saves its load as well
+/// as its compute, as on the accelerator. Each block row then
+/// streams its compacted value panels against the enabled `k`
+/// sub-ranges of the packed panels. Because disabled blocks of the
+/// compiled weights are exactly zero and enabled ranges are visited in
+/// ascending `k` order, the output is **bitwise identical** to
+/// [`gemm_into`] on the masked dense weights — the CPU mirror of the
 /// accelerator's lossless block skip. Work scales with the enabled
 /// fraction, which is where the pruning speedup comes from.
 ///
-/// Parallelism mirrors the dense packed driver: each worker owns a
+/// Parallelism mirrors [`gemm_with_packer`]: each worker owns a
 /// contiguous band of whole block rows and walks **panel-outer,
 /// block-row-inner**, so one packed panel stays L1-resident across the
 /// band and the packed image is streamed at most once per worker.
@@ -793,16 +925,26 @@ impl BlockSparseWeights {
 ///
 /// # Panics
 ///
-/// Panics if slice lengths disagree with the compiled dimensions.
-pub fn gemm_bs_into(w: &BlockSparseWeights, b: &[f32], n: usize, out: &mut [f32]) {
-    assert_eq!(b.len(), w.k * n, "gemm_bs_into: rhs length mismatch");
-    assert_eq!(out.len(), w.m * n, "gemm_bs_into: out length mismatch");
+/// Panics if `out` disagrees with the compiled dimensions.
+pub fn gemm_bs_with_packer(
+    w: &BlockSparseWeights,
+    n: usize,
+    out: &mut [f32],
+    pack: impl FnOnce(&[(usize, usize)], &mut [f32]),
+) {
+    assert_eq!(out.len(), w.m * n, "gemm_bs_with_packer: out length mismatch");
     if w.m == 0 || n == 0 {
         return;
     }
     let packed_len = panel_count(n) * w.k * NR;
     with_pack_scratch(packed_len, |packed| {
-        pack_b_nn(b, w.k, n, packed);
+        pack(&w.read_ranges, packed);
+        // The scratch is reused across calls, so rows outside
+        // `read_ranges` still hold whatever an earlier product on this
+        // thread left there (NaN included). They are never read: the
+        // kernel walks only each block row's enabled ranges, and every
+        // one of those lies inside `read_ranges`.
+        debug_assert!(w.col_ranges.iter().all(|&r| covered(&w.read_ranges, r)));
         let brows = w.block_rows();
         let workers = max_threads().clamp(1, brows);
         let band_brows = brows.div_ceil(workers);

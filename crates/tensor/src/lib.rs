@@ -42,7 +42,10 @@ pub mod simd;
 pub mod tensor;
 
 pub use fixed::{div_round_nearest, Fixed16, FixedTensor};
-pub use gemm::{gemm_bs_into, gemm_into, gemm_nt_into, BlockPattern, BlockSparseWeights};
+pub use gemm::{
+    gemm_bs_into, gemm_bs_with_packer, gemm_into, gemm_nt_into, gemm_with_packer, BlockPattern,
+    BlockSparseWeights,
+};
 pub use rng::TensorRng;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -38,6 +38,49 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Zeroes every weight outside an enabled block: the pruned-checkpoint
+/// precondition under which skipping blocks is exact.
+fn zero_disabled_blocks(a: &mut [f32], pattern: &BlockPattern) {
+    let (k, tm, tk) = (pattern.k, pattern.tm, pattern.tk);
+    for (i, v) in a.iter_mut().enumerate() {
+        let (r, c) = (i / k, i % k);
+        if !pattern.keep[(r / tm) * k.div_ceil(tk) + c / tk] {
+            *v = 0.0;
+        }
+    }
+}
+
+/// A random block pattern over a ragged `[m, k]` grid of `tm x tk`
+/// blocks, its keep bits drawn cyclically from `keep`.
+fn ragged_pattern(
+    (tm, tk, brows, bcols): (usize, usize, usize, usize),
+    (ragged_m, ragged_k): (usize, usize),
+    keep: &[bool],
+) -> BlockPattern {
+    let m = (brows * tm).saturating_sub(ragged_m).max(1);
+    let k = (bcols * tk).saturating_sub(ragged_k).max(1);
+    BlockPattern {
+        m,
+        k,
+        tm,
+        tk,
+        keep: (0..m.div_ceil(tm) * k.div_ceil(tk))
+            .map(|i| keep[i % keep.len()])
+            .collect(),
+    }
+}
+
+/// Fills the first `len` floats (or more) of this thread's GEMM pack
+/// scratch with NaN by running a dense product against an all-NaN
+/// right operand.
+fn poison_pack_scratch(len: usize) {
+    let (m, n) = (MR, NR);
+    let k = len.div_ceil(n);
+    let mut out = vec![0.0f32; m * n];
+    gemm_into(&vec![1.0; m * k], m, k, &vec![f32::NAN; k * n], n, &mut out);
+    assert!(out.iter().all(|v| v.is_nan()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -147,31 +190,10 @@ proptest! {
         seed in any::<u64>(),
         keep in prop::collection::vec(any::<bool>(), 16),
     ) {
-        let m = (brows * tm).saturating_sub(ragged_m).max(1);
-        let k = (bcols * tk).saturating_sub(ragged_k).max(1);
-        let pattern = BlockPattern {
-            m,
-            k,
-            tm,
-            tk,
-            keep: (0..m.div_ceil(tm) * k.div_ceil(tk))
-                .map(|i| keep[i % keep.len()])
-                .collect(),
-        };
+        let pattern = ragged_pattern((tm, tk, brows, bcols), (ragged_m, ragged_k), &keep);
+        let (m, k) = (pattern.m, pattern.k);
         let mut a = values(m * k, seed, 0);
-        // Enforce the precondition: disabled blocks hold exact zeros.
-        for bi in 0..m.div_ceil(tm) {
-            for bj in 0..k.div_ceil(tk) {
-                if pattern.keep[bi * k.div_ceil(tk) + bj] {
-                    continue;
-                }
-                for r in bi * tm..((bi + 1) * tm).min(m) {
-                    for c in bj * tk..((bj + 1) * tk).min(k) {
-                        a[r * k + c] = 0.0;
-                    }
-                }
-            }
-        }
+        zero_disabled_blocks(&mut a, &pattern);
         let b = values(k * n, seed ^ 0xfeed, 0);
         let w = BlockSparseWeights::compile(&a, &pattern);
         let mut dense = vec![f32::NAN; m * n];
@@ -218,6 +240,69 @@ proptest! {
         let mut sparse = vec![f32::NAN; m * n];
         gemm_into(&a2, m, k, &b, n, &mut dense);
         gemm_bs_into(&w, &b, n, &mut sparse);
+        prop_assert_eq!(bits(&dense), bits(&sparse));
+    }
+
+    /// `read_ranges` is exactly the set of `k` rows some enabled block
+    /// covers, as ascending, merged (non-touching) half-open ranges.
+    #[test]
+    fn read_ranges_are_the_merged_ascending_union(
+        tm in 1usize..6,
+        tk in 1usize..7,
+        brows in 1usize..4,
+        bcols in 1usize..6,
+        ragged_m in 0usize..3,
+        ragged_k in 0usize..4,
+        keep in prop::collection::vec(any::<bool>(), 1..16),
+    ) {
+        let pattern = ragged_pattern((tm, tk, brows, bcols), (ragged_m, ragged_k), &keep);
+        let (k, bc) = (pattern.k, pattern.block_cols());
+        let w = BlockSparseWeights::compile(&vec![0.0; pattern.m * k], &pattern);
+        let ranges = w.read_ranges();
+        for pair in ranges.windows(2) {
+            prop_assert!(pair[0].1 < pair[1].0, "ranges not ascending and merged: {:?}", ranges);
+        }
+        for p in 0..k {
+            let read = (0..pattern.block_rows()).any(|bi| pattern.keep[bi * bc + p / tk]);
+            let listed = ranges.iter().any(|&(p0, p1)| (p0..p1).contains(&p));
+            prop_assert_eq!(read, listed, "row {} of {:?}", p, ranges);
+        }
+        prop_assert!(ranges.iter().all(|&(p0, p1)| p0 < p1 && p1 <= k));
+    }
+
+    /// Rows of `b` outside `read_ranges` are never packed nor read: NaN
+    /// placed there — and NaN left in this thread's pack scratch by an
+    /// earlier product — never reaches the block-sparse output, which
+    /// stays bitwise equal to the dense kernel on a clean operand.
+    #[test]
+    fn unread_rows_of_b_never_reach_the_output(
+        tm in 1usize..6,
+        tk in 1usize..7,
+        brows in 1usize..4,
+        bcols in 1usize..6,
+        ragged_k in 0usize..4,
+        n in 1usize..2 * NR + 3,
+        seed in any::<u64>(),
+        keep in prop::collection::vec(any::<bool>(), 1..16),
+    ) {
+        let pattern = ragged_pattern((tm, tk, brows, bcols), (0, ragged_k), &keep);
+        let (m, k) = (pattern.m, pattern.k);
+        let mut a = values(m * k, seed, 0);
+        zero_disabled_blocks(&mut a, &pattern);
+        let w = BlockSparseWeights::compile(&a, &pattern);
+        let clean = values(k * n, seed ^ 0x0dd, 0);
+        let mut poisoned = clean.clone();
+        for p in 0..k {
+            if !w.read_ranges().iter().any(|&(p0, p1)| (p0..p1).contains(&p)) {
+                poisoned[p * n..(p + 1) * n].fill(f32::NAN);
+            }
+        }
+        let mut dense = vec![f32::NAN; m * n];
+        gemm_into(&a, m, k, &clean, n, &mut dense);
+        poison_pack_scratch(n.div_ceil(NR) * k * NR);
+        let mut sparse = vec![f32::NAN; m * n];
+        gemm_bs_into(&w, &poisoned, n, &mut sparse);
+        prop_assert!(sparse.iter().all(|v| v.is_finite()), "an unread row leaked");
         prop_assert_eq!(bits(&dense), bits(&sparse));
     }
 }
@@ -269,18 +354,7 @@ fn avx2_and_forced_scalar_f32_kernels_bitwise_identical() {
         keep: (0..brows * bcols).map(|i| i % 3 != 1).collect(),
     };
     let mut am = a.clone();
-    for bi in 0..brows {
-        for bj in 0..bcols {
-            if pattern.keep[bi * bcols + bj] {
-                continue;
-            }
-            for r in bi * tm..((bi + 1) * tm).min(m) {
-                for c in bj * tk..((bj + 1) * tk).min(k) {
-                    am[r * k + c] = 0.0;
-                }
-            }
-        }
-    }
+    zero_disabled_blocks(&mut am, &pattern);
     let w = BlockSparseWeights::compile(&am, &pattern);
     let mut bs_simd = vec![f32::NAN; m * n];
     let mut bs_scalar = vec![f32::NAN; m * n];
