@@ -11,22 +11,29 @@
 use p3d_bench::throughput::{
     run_conv3d_throughput, run_sparsity_sweep, Conv3dBenchConfig, SparsitySweepConfig,
 };
-use p3d_bench::TableWriter;
+use p3d_bench::{spread_cell, TableWriter};
 
 fn main() {
     let cfg = Conv3dBenchConfig::standard();
     println!(
-        "conv3d train step: batch {}, {}->{} channels, kernel {:?}, input {:?}, best of {} reps\n",
+        "conv3d train step: batch {}, {}->{} channels, kernel {:?}, input {:?}, {} paired reps\n",
         cfg.batch, cfg.in_channels, cfg.out_channels, cfg.kernel, cfg.input, cfg.reps
     );
     let report = run_conv3d_throughput(&cfg);
 
-    let mut t = TableWriter::new(&["Threads", "Step (ms)", "Speedup", "Max |diff| vs serial"]);
+    let mut t = TableWriter::new(&[
+        "Threads",
+        "Step (ms)",
+        "Speedup",
+        "Median [min-max]",
+        "Max |diff| vs serial",
+    ]);
     for r in &report.results {
         t.row(&[
             r.threads.to_string(),
             format!("{:.2}", r.step_ms),
             format!("{:.2}x", r.speedup_vs_serial),
+            spread_cell(&r.speedup_spread),
             format!("{:.1e}", r.max_abs_diff_vs_serial),
         ]);
     }
@@ -34,7 +41,7 @@ fn main() {
 
     let sweep_cfg = SparsitySweepConfig::standard();
     println!(
-        "\nblock-sparse forward sweep: tile {:?}, 1 thread, best of {} reps\n",
+        "\nblock-sparse forward sweep: tile {:?}, 1 thread, {} paired reps\n",
         sweep_cfg.tile, sweep_cfg.conv.reps
     );
     let sweep = run_sparsity_sweep(&sweep_cfg);
@@ -44,6 +51,7 @@ fn main() {
         "Dense (ms)",
         "Sparse (ms)",
         "Speedup",
+        "Median [min-max]",
         "Eff. GFLOP/s",
         "Bitwise",
     ]);
@@ -54,13 +62,14 @@ fn main() {
             format!("{:.2}", r.dense_ms),
             format!("{:.2}", r.sparse_ms),
             format!("{:.2}x", r.speedup_vs_dense),
+            spread_cell(&r.speedup_spread),
             format!("{:.2}", r.effective_gflops),
             r.bitwise_equal.to_string(),
         ]);
     }
     println!("{}", t.render());
 
-    let json = report.to_json_with_sweep(Some(&sweep));
+    let json = report.to_json(Some(&sweep));
     let path = "BENCH_conv3d.json";
     std::fs::write(path, &json).expect("failed to write BENCH_conv3d.json");
     println!("\nwrote {path}");

@@ -6,12 +6,12 @@
 //! into the current directory (next to `BENCH_conv3d.json`).
 
 use p3d_bench::infer::{run_inference_throughput, InferBenchConfig};
-use p3d_bench::TableWriter;
+use p3d_bench::{spread_cell, TableWriter};
 
 fn main() {
     let cfg = InferBenchConfig::standard();
     println!(
-        "batched inference: {} clips of r2plus1d_micro in batches of {}, best of {} reps\n",
+        "batched inference: {} clips of r2plus1d_micro in batches of {}, {} paired reps\n",
         cfg.clips, cfg.batch, cfg.reps
     );
     let report = run_inference_throughput(&cfg);
@@ -25,6 +25,7 @@ fn main() {
         "p99 (ms)",
         "Seq clips/s",
         "Speedup",
+        "Median [min-max]",
     ]);
     for r in &report.results {
         t.row(&[
@@ -36,6 +37,7 @@ fn main() {
             format!("{:.3}", r.latency.p99_ms),
             format!("{:.1}", r.sequential_clips_per_s),
             format!("{:.2}x", r.batched_speedup),
+            spread_cell(&r.speedup_spread),
         ]);
     }
     println!("{}", t.render());

@@ -8,13 +8,13 @@
 //! `BENCH_inference.json`).
 
 use p3d_bench::ingest::{run_ingest_throughput, IngestBenchConfig};
-use p3d_bench::TableWriter;
+use p3d_bench::{spread_cell, TableWriter};
 
 fn main() {
     let cfg = IngestBenchConfig::standard();
     println!(
         "streaming ingest: {} clips of {} frames at {}x{} gray8, batches of {}, \
-         {} decode workers, prefetch depth {}, best of {} reps\n",
+         {} decode workers, prefetch depth {}, {} paired reps\n",
         cfg.clips,
         cfg.clip_depth,
         cfg.src_w,
@@ -31,6 +31,7 @@ fn main() {
         "Pipelined clips/s",
         "Serial clips/s",
         "Speedup",
+        "Median [min-max]",
         "Overlap eff.",
         "Grow events",
     ]);
@@ -40,6 +41,7 @@ fn main() {
             format!("{:.1}", r.pipelined_clips_per_s),
             format!("{:.1}", r.serial_clips_per_s),
             format!("{:.2}x", r.ingest_speedup),
+            spread_cell(&r.speedup_spread),
             format!("{:.2}", r.overlap_efficiency),
             r.grow_events.to_string(),
         ]);

@@ -3,9 +3,13 @@
 //! Streams synthetic clips through the [`p3d_infer`] serving layer —
 //! the arena-backed f32 engine and the Q7.8 accelerator simulator —
 //! at several thread counts, compares every batched run bitwise against
-//! a per-clip sequential loop, and renders the result as a hand-rolled
-//! JSON document (`BENCH_inference.json`), mirroring `BENCH_conv3d.json`
-//! from the training-step benchmark.
+//! a per-clip sequential loop, and renders the result as JSON
+//! (`BENCH_inference.json`), mirroring `BENCH_conv3d.json` from the
+//! training-step benchmark.
+//!
+//! Each backend is timed with the paired harness in [`crate::measure`]:
+//! every rep runs the sequential loop and then a batched drain, and the
+//! row reports the best per-rep ratio plus the spread of all of them.
 //!
 //! The sim backend serves through the fast **functional** Q7.8 engine
 //! (lowered input tiles + an exact AVX2 integer row kernel when the
@@ -20,15 +24,17 @@
 //! cargo run --release -p p3d-bench --bin inference_throughput
 //! ```
 
+use crate::measure::{paired, Spread};
+use crate::{bench_header, json_rows};
 use p3d_core::PrunedModel;
 use p3d_fpga::sim::SimScratch;
 use p3d_fpga::{AcceleratorConfig, Ports, QuantizedNetwork, Tiling};
+use p3d_infer::json::Obj;
 use p3d_infer::{BatchScheduler, F32Engine, InferenceEngine, LatencyStats, SimEngine};
 use p3d_models::{build_network, r2plus1d_micro, NetworkSpec};
 use p3d_nn::{Layer, Mode, Sequential};
 use p3d_tensor::parallel::set_thread_override;
 use p3d_tensor::{simd, Tensor, TensorRng};
-use std::time::Instant;
 
 /// Stream and repetition parameters for one benchmark run.
 #[derive(Clone, Debug)]
@@ -37,8 +43,8 @@ pub struct InferBenchConfig {
     pub clips: usize,
     /// Maximum batch size the scheduler forms.
     pub batch: usize,
-    /// Timed stream repetitions (best run reported, after one untimed
-    /// warm-up that also sizes the arenas).
+    /// Timed sequential/batched stream pairs (after one untimed warm-up
+    /// that also sizes the arenas).
     pub reps: usize,
     /// Thread counts to measure; must start with `1`.
     pub threads: Vec<usize>,
@@ -104,10 +110,12 @@ pub struct BackendResult {
     /// count (best rep).
     pub sequential_clips_per_s: f64,
     /// Best *paired* batched/sequential throughput ratio: each rep times
-    /// one batched drain and one sequential loop back-to-back, and the
+    /// one sequential loop and one batched drain back-to-back, and the
     /// best rep's ratio is reported. On a quiet host this converges to
     /// the true ratio; co-tenant interference can only lower it.
     pub batched_speedup: f64,
+    /// Spread of the per-rep batched/sequential ratios.
+    pub speedup_spread: Spread,
     /// `true` when every batched logit bit-matched the sequential loop.
     pub bitwise_equal: bool,
     /// Compute engine behind the backend: `"arena"` for the f32 rows,
@@ -130,82 +138,67 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// One backend's timing over interleaved batched/sequential pairs.
-struct PairedTiming {
-    /// Best batched-drain throughput across reps.
-    batched_cps: f64,
-    /// Latency stats of the best batched rep.
-    latency: LatencyStats,
-    /// Batched logits bits (bitwise identical across reps by
-    /// construction; taken from the best rep).
-    batched_logits: Vec<Vec<u32>>,
-    /// Best sequential-loop throughput across reps.
-    sequential_cps: f64,
-    /// Sequential logits bits.
-    sequential_logits: Vec<Vec<u32>>,
-    /// Best *paired* ratio: max over reps of (batched / sequential
-    /// throughput measured back-to-back within the same rep).
-    best_paired_ratio: f64,
-}
-
-/// Times `reps` interleaved pairs of (batched drain, sequential per-clip
-/// loop) and returns per-side bests plus the best paired ratio.
+/// Times `cfg.reps` pairs of (sequential per-clip loop, batched drain)
+/// on one backend and returns its row.
 ///
-/// Interleaving matters on small shared hosts: timing all batched reps
-/// and then all sequential reps puts the two sides in different
-/// interference windows, so frequency drift or a co-tenant burst shows
-/// up as a phantom speedup or slowdown. A *paired* rep times both sides
-/// back-to-back under the same conditions; the best pair is the cleanest
-/// head-to-head the host allowed, and external noise can only lower it.
-fn time_paired(
-    engine: &mut dyn InferenceEngine,
-    mut seq_step: impl FnMut(&Tensor, &mut Vec<Vec<u32>>),
+/// Both sides read freshly cloned tensors inside their timed region:
+/// the batched drain consumes per-rep clones via `submit`, so the
+/// sequential loop clones its clip set too. Without the symmetry, one
+/// side reads warm long-lived buffers while the other reads fresh
+/// allocations, and allocator layout luck becomes a systematic per-run
+/// bias in the ratio.
+///
+/// # Panics
+///
+/// Panics if the fastest batched rep's logits are not bitwise equal to
+/// the fastest sequential rep's.
+fn measure_backend(
+    backend: &str,
+    engine_name: &str,
+    threads: usize,
+    cfg: &InferBenchConfig,
     clips: &[Tensor],
-    batch: usize,
-    reps: usize,
-) -> PairedTiming {
-    let mut out = PairedTiming {
-        batched_cps: 0.0,
-        latency: LatencyStats::from_latencies_ms(&[]),
-        batched_logits: Vec::new(),
-        sequential_cps: 0.0,
-        sequential_logits: Vec::new(),
-        best_paired_ratio: 0.0,
-    };
-    for _ in 0..reps.max(1) {
-        // Both sides read freshly cloned tensors: the batched drain
-        // consumes per-rep clones via `submit`, so the sequential loop
-        // gets a per-rep clone set too. Without the symmetry, one side
-        // reads warm long-lived buffers while the other reads fresh
-        // allocations, and allocator layout luck becomes a systematic
-        // per-run bias in the ratio.
-        let seq_clips: Vec<Tensor> = clips.to_vec();
-        // Batched side.
-        let mut sched = BatchScheduler::new(batch);
-        for c in clips {
-            sched.submit(c.clone());
-        }
-        let run = sched.drain(engine);
-        let bcps = run.clips_per_s();
-        if bcps > out.batched_cps {
-            out.batched_cps = bcps;
-            out.latency = run.latency_stats();
-            out.batched_logits = run.results.iter().map(|r| bits(&r.logits)).collect();
-        }
-        // Sequential side, immediately after, same conditions.
-        let mut seq = Vec::with_capacity(clips.len());
-        let t0 = Instant::now();
-        for c in &seq_clips {
-            seq_step(c, &mut seq);
-        }
-        let scps = clips.len() as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-        if scps > out.sequential_cps {
-            out.sequential_cps = scps;
-            out.sequential_logits = seq;
-        }
-        out.best_paired_ratio = out.best_paired_ratio.max(bcps / scps.max(1e-12));
+    engine: &mut dyn InferenceEngine,
+    mut seq_step: impl FnMut(&Tensor) -> Vec<u32>,
+) -> BackendResult {
+    let mut seq_logits: Vec<Vec<Vec<u32>>> = Vec::with_capacity(cfg.reps);
+    let mut batched: Vec<(LatencyStats, Vec<Vec<u32>>)> = Vec::with_capacity(cfg.reps);
+    let t = paired(
+        cfg.reps,
+        &mut (),
+        |_| {
+            let seq_clips = clips.to_vec();
+            seq_logits.push(seq_clips.iter().map(&mut seq_step).collect());
+        },
+        |_| {
+            let mut sched = BatchScheduler::new(cfg.batch);
+            for c in clips {
+                sched.submit(c.clone());
+            }
+            let run = sched.drain(engine);
+            let logits = run.results.iter().map(|r| bits(&r.logits)).collect();
+            batched.push((run.latency_stats(), logits));
+        },
+    );
+    let (latency, batched_logits) = batched.swap_remove(t.fastest_b());
+    let bitwise_equal = batched_logits == seq_logits[t.fastest_a()];
+    assert!(
+        bitwise_equal,
+        "{backend} batched run diverged from sequential at {threads} threads"
+    );
+    let n = clips.len() as f64;
+    BackendResult {
+        backend: backend.into(),
+        threads,
+        clips_per_s: n / t.b.min.max(1e-12),
+        latency,
+        sequential_clips_per_s: n / t.a.min.max(1e-12),
+        batched_speedup: t.ratio.max,
+        speedup_spread: t.ratio,
+        bitwise_equal,
+        engine: engine_name.into(),
+        kernel_path: simd::active().name().into(),
     }
-    out
 }
 
 fn micro_cfg() -> AcceleratorConfig {
@@ -240,29 +233,10 @@ pub fn run_inference_throughput(cfg: &InferBenchConfig) -> InferBenchReport {
         let mut engine = F32Engine::new(t.min(cfg.batch).max(1), || build_network(&spec, cfg.seed));
         let _ = engine.infer_batch(&clips[..cfg.batch.min(clips.len())]); // warm arenas
         let mut seq_net: Sequential = build_network(&spec, cfg.seed);
-        let pt = time_paired(
-            &mut engine,
-            |c, out| {
-                let batch = c.reshape([1, 1, 6, 16, 16]);
-                out.push(bits(seq_net.forward(&batch, Mode::Eval).data()));
-            },
-            &clips,
-            cfg.batch,
-            cfg.reps,
-        );
-        let equal = pt.batched_logits == pt.sequential_logits;
-        assert!(equal, "f32 batched run diverged from sequential at {t} threads");
-        results.push(BackendResult {
-            backend: "f32".into(),
-            threads: t,
-            clips_per_s: pt.batched_cps,
-            latency: pt.latency,
-            sequential_clips_per_s: pt.sequential_cps,
-            batched_speedup: pt.best_paired_ratio,
-            bitwise_equal: equal,
-            engine: "arena".into(),
-            kernel_path: simd::active().name().into(),
-        });
+        results.push(measure_backend("f32", "arena", t, cfg, &clips, &mut engine, |c| {
+            let batch = c.reshape([1, 1, 6, 16, 16]);
+            bits(seq_net.forward(&batch, Mode::Eval).data())
+        }));
 
         // Q7.8 simulator backend. The sequential baseline runs the same
         // fast functional engine serving uses (with a reused scratch),
@@ -276,32 +250,9 @@ pub fn run_inference_throughput(cfg: &InferBenchConfig) -> InferBenchReport {
         let _ = engine.infer_batch(&clips[..cfg.batch.min(clips.len())]); // warm scratches
         let dense = PrunedModel::dense();
         let mut seq_scratch = SimScratch::new();
-        let pt = time_paired(
-            &mut engine,
-            |c, out| {
-                out.push(bits(
-                    &q_seq
-                        .forward_functional_with_scratch(c, &dense, &mut seq_scratch)
-                        .logits,
-                ));
-            },
-            &clips,
-            cfg.batch,
-            cfg.reps,
-        );
-        let equal = pt.batched_logits == pt.sequential_logits;
-        assert!(equal, "sim batched run diverged from sequential at {t} threads");
-        results.push(BackendResult {
-            backend: "sim".into(),
-            threads: t,
-            clips_per_s: pt.batched_cps,
-            latency: pt.latency,
-            sequential_clips_per_s: pt.sequential_cps,
-            batched_speedup: pt.best_paired_ratio,
-            bitwise_equal: equal,
-            engine: "functional".into(),
-            kernel_path: simd::active().name().into(),
-        });
+        results.push(measure_backend("sim", "functional", t, cfg, &clips, &mut engine, |c| {
+            bits(&q_seq.forward_functional_with_scratch(c, &dense, &mut seq_scratch).logits)
+        }));
     }
     set_thread_override(None);
     InferBenchReport {
@@ -311,47 +262,38 @@ pub fn run_inference_throughput(cfg: &InferBenchConfig) -> InferBenchReport {
 }
 
 impl InferBenchReport {
-    /// Renders the report as pretty-printed JSON.
+    /// Renders `BENCH_inference.json`.
     pub fn to_json(&self) -> String {
         let c = &self.config;
-        let host_cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut s = String::new();
-        let feats = simd::cpu_features();
-        let feats = if feats.is_empty() { "none" } else { feats };
-        s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"batched_inference\",\n");
-        s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-        s.push_str(&format!("  \"cpu_features\": \"{feats}\",\n"));
-        s.push_str("  \"config\": {\n");
-        s.push_str("    \"model\": \"r2plus1d_micro\",\n");
-        s.push_str(&format!("    \"clips\": {},\n", c.clips));
-        s.push_str(&format!("    \"batch\": {},\n", c.batch));
-        s.push_str(&format!("    \"num_classes\": {},\n", c.num_classes));
-        s.push_str(&format!("    \"reps\": {}\n", c.reps));
-        s.push_str("  },\n");
-        s.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"backend\": \"{}\", \"engine\": \"{}\", \"kernel_path\": \"{}\", \"threads\": {}, \"clips_per_s\": {:.2}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \"sequential_clips_per_s\": {:.2}, \"batched_speedup\": {:.3}, \"bitwise_equal\": {}}}{}\n",
-                r.backend,
-                r.engine,
-                r.kernel_path,
-                r.threads,
-                r.clips_per_s,
-                r.latency.p50_ms,
-                r.latency.p95_ms,
-                r.latency.p99_ms,
-                r.latency.mean_ms,
-                r.sequential_clips_per_s,
-                r.batched_speedup,
-                r.bitwise_equal,
-                if i + 1 < self.results.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let config = Obj::new()
+            .str("model", "r2plus1d_micro")
+            .u64("clips", c.clips as u64)
+            .u64("batch", c.batch as u64)
+            .u64("num_classes", c.num_classes as u64)
+            .u64("reps", c.reps as u64)
+            .build();
+        let rows = self.results.iter().map(|r| {
+            Obj::new()
+                .str("backend", &r.backend)
+                .str("engine", &r.engine)
+                .str("kernel_path", &r.kernel_path)
+                .u64("threads", r.threads as u64)
+                .f64("clips_per_s", r.clips_per_s, 2)
+                .f64("p50_ms", r.latency.p50_ms, 3)
+                .f64("p95_ms", r.latency.p95_ms, 3)
+                .f64("p99_ms", r.latency.p99_ms, 3)
+                .f64("mean_ms", r.latency.mean_ms, 3)
+                .f64("sequential_clips_per_s", r.sequential_clips_per_s, 2)
+                .f64("batched_speedup", r.batched_speedup, 3)
+                .raw("speedup_spread", &r.speedup_spread.json(3))
+                .bool("bitwise_equal", r.bitwise_equal)
+                .build()
+        });
+        bench_header("batched_inference")
+            .raw("config", &config)
+            .raw("results", &json_rows(rows))
+            .build()
+            + "\n"
     }
 }
 
@@ -368,6 +310,8 @@ mod tests {
             assert!(r.clips_per_s.is_finite() && r.clips_per_s > 0.0);
             assert!(r.latency.p99_ms >= r.latency.p50_ms);
             assert!(r.bitwise_equal);
+            let s = r.speedup_spread;
+            assert!(s.reps >= 1 && s.min <= s.median && s.median <= s.max, "{s:?}");
         }
         let json = report.to_json();
         assert!(json.contains("\"benchmark\": \"batched_inference\""));
@@ -376,6 +320,10 @@ mod tests {
         assert!(json.contains("\"p99_ms\""));
         assert!(json.contains("\"cpu_features\""));
         assert!(json.contains("\"engine\": \"functional\""));
+        assert_eq!(json.matches("\"speedup_spread\": {\"reps\": ").count(), 4);
+        for key in ["\"min\": ", "\"median\": ", "\"max\": "] {
+            assert_eq!(json.matches(key).count(), 4, "{key}");
+        }
         let path = p3d_tensor::simd::active().name();
         assert!(json.contains(&format!("\"kernel_path\": \"{path}\"")));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

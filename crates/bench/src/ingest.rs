@@ -12,11 +12,9 @@
 //! would. Both sides produce bitwise identical logits, so the measured
 //! ratio is pure data-plane engineering, not numerics drift.
 //!
-//! Timing is *paired interleaved* exactly as in
-//! [`crate::infer::run_inference_throughput`]: each rep times one
-//! pipelined run and one serial run back to back and the best per-rep
-//! ratio is reported, so co-tenant noise can only lower the measured
-//! speedup.
+//! Timing uses the paired harness in [`crate::measure`]: each rep times
+//! one serial run and then one pipelined run back to back, and the row
+//! reports the best per-rep ratio plus the spread of all of them.
 //!
 //! Run the full benchmark with:
 //!
@@ -24,6 +22,9 @@
 //! cargo run --release -p p3d-bench --bin ingest_throughput
 //! ```
 
+use crate::measure::{paired, Spread};
+use crate::{bench_header, json_rows};
+use p3d_infer::json::Obj;
 use p3d_infer::{ClipResult, F32Engine, InferenceEngine};
 use p3d_models::{build_network, r2plus1d_micro, NetworkSpec};
 use p3d_nn::{Layer, Mode, Sequential};
@@ -34,7 +35,6 @@ use p3d_video_data::io::{
     PreprocessConfig, VidHeader,
 };
 use std::path::Path;
-use std::time::Instant;
 
 /// Source-container and pipeline parameters for one benchmark run.
 #[derive(Clone, Debug)]
@@ -55,7 +55,7 @@ pub struct IngestBenchConfig {
     pub depth: usize,
     /// Decode worker threads.
     pub workers: usize,
-    /// Timed repetitions (best paired ratio reported).
+    /// Timed serial/pipelined pairs (best paired ratio reported).
     pub reps: usize,
     /// Forced engine thread counts to measure.
     pub threads: Vec<usize>,
@@ -146,6 +146,8 @@ pub struct IngestResult {
     pub serial_clips_per_s: f64,
     /// Best *paired* pipelined/serial throughput ratio.
     pub ingest_speedup: f64,
+    /// Spread of the per-rep pipelined/serial ratios.
+    pub speedup_spread: Spread,
     /// Fraction of decode-busy time hidden behind inference in the
     /// best pipelined rep (0 on a single hardware thread, honestly).
     pub overlap_efficiency: f64,
@@ -273,36 +275,30 @@ pub fn run_ingest_throughput(cfg: &IngestBenchConfig) -> IngestBenchReport {
         );
         let grow_baseline = arena.stats().grow_events;
 
-        let mut best_pipe_cps = 0.0f64;
-        let mut best_serial_cps = 0.0f64;
-        let mut best_ratio = 0.0f64;
-        let mut best_overlap = 0.0f64;
-        for _ in 0..cfg.reps.max(1) {
-            let t0 = Instant::now();
-            let (logits, stats) =
-                run_pipelined(&path, cfg, &mut engine, &arena).expect("pipelined run");
-            let pipe_cps = cfg.clips as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-            assert_eq!(logits, serial_logits, "pipelined rep diverged");
+        let mut overlaps = Vec::with_capacity(cfg.reps);
+        let timing = paired(
+            cfg.reps,
+            &mut (),
+            |_| {
+                let logits = run_serial(&path, cfg, &mut seq_net).expect("serial run");
+                assert_eq!(logits, serial_logits, "serial rep diverged");
+            },
+            |_| {
+                let (logits, stats) =
+                    run_pipelined(&path, cfg, &mut engine, &arena).expect("pipelined run");
+                assert_eq!(logits, serial_logits, "pipelined rep diverged");
+                overlaps.push(stats.overlap_efficiency());
+            },
+        );
 
-            let t1 = Instant::now();
-            let logits = run_serial(&path, cfg, &mut seq_net).expect("serial run");
-            let serial_cps = cfg.clips as f64 / t1.elapsed().as_secs_f64().max(1e-12);
-            assert_eq!(logits, serial_logits, "serial rep diverged");
-
-            if pipe_cps > best_pipe_cps {
-                best_pipe_cps = pipe_cps;
-                best_overlap = stats.overlap_efficiency();
-            }
-            best_serial_cps = best_serial_cps.max(serial_cps);
-            best_ratio = best_ratio.max(pipe_cps / serial_cps.max(1e-12));
-        }
-
+        let n = cfg.clips as f64;
         results.push(IngestResult {
             threads: t,
-            pipelined_clips_per_s: best_pipe_cps,
-            serial_clips_per_s: best_serial_cps,
-            ingest_speedup: best_ratio,
-            overlap_efficiency: best_overlap,
+            pipelined_clips_per_s: n / timing.b.min.max(1e-12),
+            serial_clips_per_s: n / timing.a.min.max(1e-12),
+            ingest_speedup: timing.ratio.max,
+            speedup_spread: timing.ratio,
+            overlap_efficiency: overlaps[timing.fastest_b()],
             grow_events: (arena.stats().grow_events - grow_baseline) as u64,
             bitwise_equal: equal,
             kernel_path: simd::active().name().into(),
@@ -318,54 +314,43 @@ pub fn run_ingest_throughput(cfg: &IngestBenchConfig) -> IngestBenchReport {
 }
 
 impl IngestBenchReport {
-    /// Renders the report as pretty-printed JSON.
+    /// Renders `BENCH_ingest.json`.
     pub fn to_json(&self) -> String {
         let c = &self.config;
-        let host_cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let feats = simd::cpu_features();
-        let feats = if feats.is_empty() { "none" } else { feats };
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"streaming_ingest\",\n");
-        s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-        s.push_str(&format!("  \"cpu_features\": \"{feats}\",\n"));
-        s.push_str("  \"config\": {\n");
-        s.push_str("    \"model\": \"r2plus1d_micro\",\n");
-        s.push_str(&format!("    \"clips\": {},\n", c.clips));
-        s.push_str(&format!("    \"clip_depth\": {},\n", c.clip_depth));
-        s.push_str(&format!(
-            "    \"source\": \"{}x{} gray8\",\n",
-            c.src_w, c.src_h
-        ));
-        s.push_str(&format!(
-            "    \"preprocess\": \"resize {}x{}, crop {}x{}\",\n",
-            c.preprocess.resize_h, c.preprocess.resize_w, c.preprocess.crop_h, c.preprocess.crop_w
-        ));
-        s.push_str(&format!("    \"container_bytes\": {},\n", self.container_bytes));
-        s.push_str(&format!("    \"batch\": {},\n", c.batch));
-        s.push_str(&format!("    \"prefetch_depth\": {},\n", c.depth));
-        s.push_str(&format!("    \"decode_workers\": {},\n", c.workers));
-        s.push_str(&format!("    \"reps\": {}\n", c.reps));
-        s.push_str("  },\n");
-        s.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"threads\": {}, \"kernel_path\": \"{}\", \"pipelined_clips_per_s\": {:.2}, \"serial_clips_per_s\": {:.2}, \"ingest_speedup\": {:.3}, \"overlap_efficiency\": {:.3}, \"grow_events\": {}, \"bitwise_equal\": {}}}{}\n",
-                r.threads,
-                r.kernel_path,
-                r.pipelined_clips_per_s,
-                r.serial_clips_per_s,
-                r.ingest_speedup,
-                r.overlap_efficiency,
-                r.grow_events,
-                r.bitwise_equal,
-                if i + 1 < self.results.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let p = &c.preprocess;
+        let config = Obj::new()
+            .str("model", "r2plus1d_micro")
+            .u64("clips", c.clips as u64)
+            .u64("clip_depth", c.clip_depth as u64)
+            .str("source", &format!("{}x{} gray8", c.src_w, c.src_h))
+            .str(
+                "preprocess",
+                &format!("resize {}x{}, crop {}x{}", p.resize_h, p.resize_w, p.crop_h, p.crop_w),
+            )
+            .u64("container_bytes", self.container_bytes)
+            .u64("batch", c.batch as u64)
+            .u64("prefetch_depth", c.depth as u64)
+            .u64("decode_workers", c.workers as u64)
+            .u64("reps", c.reps as u64)
+            .build();
+        let rows = self.results.iter().map(|r| {
+            Obj::new()
+                .u64("threads", r.threads as u64)
+                .str("kernel_path", &r.kernel_path)
+                .f64("pipelined_clips_per_s", r.pipelined_clips_per_s, 2)
+                .f64("serial_clips_per_s", r.serial_clips_per_s, 2)
+                .f64("ingest_speedup", r.ingest_speedup, 3)
+                .raw("speedup_spread", &r.speedup_spread.json(3))
+                .f64("overlap_efficiency", r.overlap_efficiency, 3)
+                .u64("grow_events", r.grow_events)
+                .bool("bitwise_equal", r.bitwise_equal)
+                .build()
+        });
+        bench_header("streaming_ingest")
+            .raw("config", &config)
+            .raw("results", &json_rows(rows))
+            .build()
+            + "\n"
     }
 }
 
@@ -383,11 +368,17 @@ mod tests {
             assert!(r.bitwise_equal);
             assert_eq!(r.grow_events, 0, "arena grew after warm-up");
             assert!((0.0..=1.0).contains(&r.overlap_efficiency));
+            let s = r.speedup_spread;
+            assert!(s.reps >= 1 && s.min <= s.median && s.median <= s.max, "{s:?}");
         }
         let json = report.to_json();
         assert!(json.contains("\"benchmark\": \"streaming_ingest\""));
         assert!(json.contains("\"ingest_speedup\""));
         assert!(json.contains("\"overlap_efficiency\""));
+        assert_eq!(json.matches("\"speedup_spread\": {\"reps\": ").count(), 2);
+        for key in ["\"min\": ", "\"median\": ", "\"max\": "] {
+            assert_eq!(json.matches(key).count(), 2, "{key}");
+        }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

@@ -3,19 +3,13 @@
 //! Measures forward+backward wall time of a batch of clips through one
 //! `Conv3d` layer at several `P3D_THREADS` settings (forced via
 //! [`p3d_tensor::parallel::set_thread_override`]), checks every parallel
-//! result against the serial baseline, and renders the result as a small
-//! hand-rolled JSON document (the workspace's serde stand-in is
-//! derive-only, so no JSON backend exists to lean on).
+//! result against the serial baseline, and renders the result as JSON.
 //!
-//! Speedups use the **paired interleaved estimator** of the inference
-//! bench (`infer::time_paired`): each rep times the two sides under
-//! comparison back-to-back — serial vs `t`-thread for the scaling rows,
-//! dense vs block-sparse for the sparsity sweep — and the best per-rep
-//! ratio is reported. Timing the sides in separate phases put them in
-//! different interference windows on a small shared host, which showed
-//! up as ~25% phantom variance in identical-work measurements; a paired
-//! rep cancels drift, and co-tenant noise can only make the best pair
-//! look *worse*, never better.
+//! Speedups come from the paired harness in [`crate::measure`]: each
+//! rep times the two sides under comparison back-to-back — serial vs
+//! `t`-thread for the scaling rows, dense vs block-sparse for the
+//! sparsity sweep — and each row reports the best per-rep ratio plus
+//! the spread of all of them.
 //!
 //! Run the full benchmark with:
 //!
@@ -25,10 +19,12 @@
 //!
 //! which writes `BENCH_conv3d.json` into the current directory.
 
+use crate::measure::{paired, Paired, Spread};
+use crate::{bench_header, json_rows};
+use p3d_infer::json::Obj;
 use p3d_nn::{Conv3d, Layer, Mode};
 use p3d_tensor::parallel::set_thread_override;
 use p3d_tensor::{BlockPattern, Tensor, TensorRng};
-use std::time::Instant;
 
 /// Shape and repetition parameters for one benchmark run.
 #[derive(Clone, Debug)]
@@ -43,8 +39,8 @@ pub struct Conv3dBenchConfig {
     pub kernel: (usize, usize, usize),
     /// Input volume `(D, H, W)`.
     pub input: (usize, usize, usize),
-    /// Timed forward+backward repetitions per thread count (the best of
-    /// these is reported, after one untimed warm-up).
+    /// Timed serial/threaded pairs per thread count (after one untimed
+    /// warm-up).
     pub reps: usize,
     /// Thread counts to measure; must start with `1` (the serial
     /// baseline all other rows are validated against).
@@ -91,6 +87,9 @@ pub struct ThreadResult {
     /// reps that each time a 1-thread and a `threads`-thread step
     /// back-to-back (`1.0` by definition on the serial row).
     pub speedup_vs_serial: f64,
+    /// Spread of the per-rep serial/threaded ratios. On the serial row
+    /// both sides run one thread, so it shows the estimator's noise.
+    pub speedup_spread: Spread,
     /// Largest absolute output/gradient deviation from the serial run
     /// (forward output, input gradient, and weight gradient).
     pub max_abs_diff_vs_serial: f64,
@@ -155,15 +154,12 @@ impl StepBench {
         (y, grad_in, self.conv.weight.grad.clone())
     }
 
-    /// One timed forward+backward step, milliseconds.
-    fn time_step(&mut self) -> f64 {
+    /// One forward+backward step at the current thread count.
+    fn step(&mut self) {
         self.zero_grads();
-        let t0 = Instant::now();
         let y = self.conv.forward(&self.x, Mode::Train);
         let gi = self.conv.backward(&self.g);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box((y, gi));
-        ms
     }
 
     fn zero_grads(&mut self) {
@@ -178,44 +174,36 @@ struct StepOutput {
     forward: Tensor,
     grad_in: Tensor,
     grad_w: Tensor,
-    best_ms: f64,
-    /// Best paired serial/threaded ratio (`1.0` for the serial row,
-    /// whose pairs are degenerate).
-    paired_speedup: f64,
+    timing: Paired,
 }
 
-/// Measures one thread count with paired interleaved reps: every rep
-/// times a 1-thread step and a `threads`-thread step back-to-back on
-/// the same prepared layer, and the speedup is the best per-rep ratio
-/// (see the module docs for why pairing beats separate phases).
+/// Measures one thread count with paired reps: every rep times a
+/// 1-thread step and then a `threads`-thread step on the same prepared
+/// layer.
 fn run_at(cfg: &Conv3dBenchConfig, threads: usize) -> StepOutput {
-    let mut bench = StepBench::new(cfg);
+    // Force the worker count before `StepBench::new` runs its warm-up
+    // forward, so a 1-thread run never reaches the pool.
     set_thread_override(Some(threads));
+    let mut bench = StepBench::new(cfg);
     let (forward, grad_in, grad_w) = bench.outputs();
-    let mut best_ms = f64::INFINITY;
-    let mut paired_speedup: f64 = if threads == 1 { 1.0 } else { 0.0 };
-    for _ in 0..cfg.reps.max(1) {
-        let serial_ms = if threads == 1 {
-            f64::INFINITY // the threaded side below *is* the serial side
-        } else {
+    let t = paired(
+        cfg.reps,
+        &mut bench,
+        |b| {
             set_thread_override(Some(1));
-            let ms = bench.time_step();
+            b.step();
+        },
+        |b| {
             set_thread_override(Some(threads));
-            ms
-        };
-        let ms = bench.time_step();
-        best_ms = best_ms.min(ms);
-        if threads > 1 {
-            paired_speedup = paired_speedup.max(serial_ms / ms.max(1e-12));
-        }
-    }
+            b.step();
+        },
+    );
     set_thread_override(None);
     StepOutput {
         forward,
         grad_in,
         grad_w,
-        best_ms,
-        paired_speedup,
+        timing: t,
     }
 }
 
@@ -250,8 +238,9 @@ pub fn run_conv3d_throughput(cfg: &Conv3dBenchConfig) -> Conv3dBenchReport {
         };
         results.push(ThreadResult {
             threads: t,
-            step_ms: out.best_ms,
-            speedup_vs_serial: out.paired_speedup,
+            step_ms: out.timing.b.min * 1e3,
+            speedup_vs_serial: if t == 1 { 1.0 } else { out.timing.ratio.max },
+            speedup_spread: out.timing.ratio,
             max_abs_diff_vs_serial: diff,
         });
         if serial.is_none() {
@@ -265,57 +254,34 @@ pub fn run_conv3d_throughput(cfg: &Conv3dBenchConfig) -> Conv3dBenchReport {
 }
 
 impl Conv3dBenchReport {
-    /// Renders the report as pretty-printed JSON, embedding the
-    /// block-sparsity sweep (when provided) under `"sparsity_sweep"`.
-    pub fn to_json_with_sweep(&self, sweep: Option<&SparsitySweepReport>) -> String {
-        let mut s = self.to_json();
-        if let Some(sw) = sweep {
-            let tail = "  ]\n}\n";
-            debug_assert!(s.ends_with(tail));
-            s.truncate(s.len() - tail.len());
-            s.push_str("  ],\n");
-            s.push_str(&format!("  \"sparsity_sweep\": {}\n}}\n", sw.to_json_fragment()));
-        }
-        s
-    }
-
-    /// Renders the report as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
+    /// Renders `BENCH_conv3d.json`, embedding the block-sparsity sweep
+    /// (when provided) under `"sparsity_sweep"`.
+    pub fn to_json(&self, sweep: Option<&SparsitySweepReport>) -> String {
         let c = &self.config;
-        let host_cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"conv3d_train_step\",\n");
-        s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-        s.push_str("  \"config\": {\n");
-        s.push_str(&format!("    \"batch\": {},\n", c.batch));
-        s.push_str(&format!("    \"in_channels\": {},\n", c.in_channels));
-        s.push_str(&format!("    \"out_channels\": {},\n", c.out_channels));
-        s.push_str(&format!(
-            "    \"kernel\": [{}, {}, {}],\n",
-            c.kernel.0, c.kernel.1, c.kernel.2
-        ));
-        s.push_str(&format!(
-            "    \"input\": [{}, {}, {}],\n",
-            c.input.0, c.input.1, c.input.2
-        ));
-        s.push_str(&format!("    \"reps\": {}\n", c.reps));
-        s.push_str("  },\n");
-        s.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"threads\": {}, \"step_ms\": {:.4}, \"speedup_vs_serial\": {:.3}, \"max_abs_diff_vs_serial\": {:.3e}}}{}\n",
-                r.threads,
-                r.step_ms,
-                r.speedup_vs_serial,
-                r.max_abs_diff_vs_serial,
-                if i + 1 < self.results.len() { "," } else { "" }
-            ));
+        let config = Obj::new()
+            .u64("batch", c.batch as u64)
+            .u64("in_channels", c.in_channels as u64)
+            .u64("out_channels", c.out_channels as u64)
+            .raw("kernel", &format!("[{}, {}, {}]", c.kernel.0, c.kernel.1, c.kernel.2))
+            .raw("input", &format!("[{}, {}, {}]", c.input.0, c.input.1, c.input.2))
+            .u64("reps", c.reps as u64)
+            .build();
+        let rows = self.results.iter().map(|r| {
+            Obj::new()
+                .u64("threads", r.threads as u64)
+                .f64("step_ms", r.step_ms, 4)
+                .f64("speedup_vs_serial", r.speedup_vs_serial, 3)
+                .raw("speedup_spread", &r.speedup_spread.json(3))
+                .raw("max_abs_diff_vs_serial", &format!("{:.3e}", r.max_abs_diff_vs_serial))
+                .build()
+        });
+        let mut doc = bench_header("conv3d_train_step")
+            .raw("config", &config)
+            .raw("results", &json_rows(rows));
+        if let Some(sw) = sweep {
+            doc = doc.raw("sparsity_sweep", &sw.to_json());
         }
-        s.push_str("  ]\n}\n");
-        s
+        doc.build() + "\n"
     }
 }
 
@@ -387,6 +353,8 @@ pub struct SparsityResult {
     /// ratio is immune to the cross-rep drift that whipsawed the
     /// per-side minima this field used to be derived from).
     pub speedup_vs_dense: f64,
+    /// Spread of the per-rep dense/sparse ratios.
+    pub speedup_spread: Spread,
     /// Dense-equivalent throughput of the sparse forward: the full
     /// (unpruned) MAC count divided by the sparse wall time. This is the
     /// paper's "effective GFLOP/s" — it rises with sparsity because
@@ -410,10 +378,11 @@ pub struct SparsitySweepReport {
 /// For each requested fraction the weight's `Tm x Tk` blocks are ranked
 /// by squared Frobenius norm, the smallest are zeroed (the block-prune
 /// precondition under which skipping is exact), and the same masked
-/// layer is forwarded through both compute paths — dense GEMM on the
+/// weights are forwarded through both compute paths — dense GEMM on the
 /// zero-laden weights vs the block-CSR kernel that visits only enabled
-/// blocks. Dense and sparse reps are interleaved so drift hits both
-/// alike, and the reported speedup is the best paired per-rep ratio.
+/// blocks, each on its own identically built layer so no timed rep
+/// recompiles a pattern. Dense and sparse reps are paired, and the
+/// reported speedup is the best per-rep ratio.
 ///
 /// The 0%-pruned row now exercises the dense-fallback policy: a
 /// fully-enabled pattern makes `install_block_patterns` keep the dense
@@ -436,17 +405,23 @@ pub fn run_sparsity_sweep(cfg: &SparsitySweepConfig) -> SparsitySweepReport {
     let bcols = rows.div_ceil(tk);
     let total = m.div_ceil(tm) * bcols;
 
+    let (d, h, w) = c.input;
+    let build = || {
+        let mut rng = TensorRng::seed(2020);
+        let conv = Conv3d::new("sweep", m, c.in_channels, c.kernel, (1, 1, 1), pad, true, &mut rng);
+        let x = rng.uniform_tensor([c.batch, c.in_channels, d, h, w], -1.0, 1.0);
+        (conv, x)
+    };
+
     let mut results = Vec::with_capacity(cfg.pruned_fractions.len());
     for &frac in &cfg.pruned_fractions {
-        // Fresh identically-seeded layer per fraction: every row prunes
+        // Fresh identically-seeded layers per fraction: every row prunes
         // the same underlying weights, so rows differ only in sparsity.
-        let mut rng = TensorRng::seed(2020);
-        let mut conv = Conv3d::new("sweep", m, c.in_channels, c.kernel, (1, 1, 1), pad, true, &mut rng);
-        let (d, h, w) = c.input;
-        let x = rng.uniform_tensor([c.batch, c.in_channels, d, h, w], -1.0, 1.0);
+        let (mut dense, x) = build();
+        let (mut sparse, _) = build();
 
         // Rank blocks by squared Frobenius norm; keep the largest.
-        let wdata = conv.weight.value.data();
+        let wdata = dense.weight.value.data();
         let mut norms = vec![0.0f64; total];
         for r in 0..m {
             for col in 0..rows {
@@ -460,13 +435,15 @@ pub fn run_sparsity_sweep(cfg: &SparsitySweepConfig) -> SparsitySweepReport {
         for &i in order.iter().take(kept) {
             keep[i] = true;
         }
-        // Zero the pruned blocks — dense and sparse paths then agree
-        // bitwise (the canonical-order zero-skip argument).
-        let wmut = conv.weight.value.data_mut();
-        for r in 0..m {
-            for col in 0..rows {
-                if !keep[(r / tm) * bcols + col / tk] {
-                    wmut[r * rows + col] = 0.0;
+        // Zero the pruned blocks in both layers — dense and sparse paths
+        // then agree bitwise (the canonical-order zero-skip argument).
+        for conv in [&mut dense, &mut sparse] {
+            let wmut = conv.weight.value.data_mut();
+            for r in 0..m {
+                for col in 0..rows {
+                    if !keep[(r / tm) * bcols + col / tk] {
+                        wmut[r * rows + col] = 0.0;
+                    }
                 }
             }
         }
@@ -475,15 +452,14 @@ pub fn run_sparsity_sweep(cfg: &SparsitySweepConfig) -> SparsitySweepReport {
             k: rows,
             tm,
             tk,
-            keep: keep.clone(),
+            keep,
         };
+        sparse.install_block_patterns(&mut |_| Some(pattern.clone()));
 
         // Warm both paths once (and capture outputs for the bitwise
-        // check), then interleave timed reps.
-        conv.install_block_patterns(&mut |_| None);
-        let y_dense = conv.forward(&x, Mode::Eval);
-        conv.install_block_patterns(&mut |_| Some(pattern.clone()));
-        let y_sparse = conv.forward(&x, Mode::Eval);
+        // check), then time paired reps.
+        let y_dense = dense.forward(&x, Mode::Eval);
+        let y_sparse = sparse.forward(&x, Mode::Eval);
         let bitwise_equal = y_dense
             .data()
             .iter()
@@ -493,37 +469,28 @@ pub fn run_sparsity_sweep(cfg: &SparsitySweepConfig) -> SparsitySweepReport {
             bitwise_equal,
             "sparse forward diverged from dense at pruned fraction {frac}"
         );
+        let t = paired(
+            c.reps,
+            &mut (),
+            |_| {
+                std::hint::black_box(dense.forward(&x, Mode::Eval));
+            },
+            |_| {
+                std::hint::black_box(sparse.forward(&x, Mode::Eval));
+            },
+        );
 
-        let mut dense_ms = f64::INFINITY;
-        let mut sparse_ms = f64::INFINITY;
-        let mut speedup = 0.0f64;
-        for _ in 0..c.reps.max(1) {
-            conv.install_block_patterns(&mut |_| None);
-            let t0 = Instant::now();
-            std::hint::black_box(conv.forward(&x, Mode::Eval));
-            let d_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-            conv.install_block_patterns(&mut |_| Some(pattern.clone()));
-            let t0 = Instant::now();
-            std::hint::black_box(conv.forward(&x, Mode::Eval));
-            let s_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-            dense_ms = dense_ms.min(d_ms);
-            sparse_ms = sparse_ms.min(s_ms);
-            // Paired ratio: both sides of one rep saw the same host
-            // conditions, so the best pair is drift-free.
-            speedup = speedup.max(d_ms / s_ms.max(1e-12));
-        }
-
+        let sparse_ms = t.b.min * 1e3;
         let cols_n = d * h * w; // stride 1, same-padding: output == input volume
         let dense_flops = 2.0 * c.batch as f64 * m as f64 * rows as f64 * cols_n as f64;
         results.push(SparsityResult {
             pruned_fraction: frac,
             enabled_blocks: kept,
             total_blocks: total,
-            dense_ms,
+            dense_ms: t.a.min * 1e3,
             sparse_ms,
-            speedup_vs_dense: speedup,
+            speedup_vs_dense: t.ratio.max,
+            speedup_spread: t.ratio,
             effective_gflops: dense_flops / (sparse_ms * 1e-3) / 1e9,
             bitwise_equal,
         });
@@ -536,32 +503,28 @@ pub fn run_sparsity_sweep(cfg: &SparsitySweepConfig) -> SparsitySweepReport {
 }
 
 impl SparsitySweepReport {
-    /// Renders the sweep as a JSON fragment (an object, no trailing
-    /// newline) for embedding under `"sparsity_sweep"` in
-    /// `BENCH_conv3d.json`.
-    pub fn to_json_fragment(&self) -> String {
+    /// Renders the sweep as the JSON object `BENCH_conv3d.json` embeds
+    /// under `"sparsity_sweep"`.
+    pub fn to_json(&self) -> String {
         let (tm, tk) = self.config.tile;
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("    \"tile\": [{tm}, {tk}],\n"));
-        s.push_str("    \"threads\": 1,\n");
-        s.push_str("    \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"pruned_fraction\": {:.2}, \"enabled_blocks\": {}, \"total_blocks\": {}, \"dense_ms\": {:.4}, \"sparse_ms\": {:.4}, \"speedup_vs_dense\": {:.3}, \"effective_gflops\": {:.3}, \"bitwise_equal\": {}}}{}\n",
-                r.pruned_fraction,
-                r.enabled_blocks,
-                r.total_blocks,
-                r.dense_ms,
-                r.sparse_ms,
-                r.speedup_vs_dense,
-                r.effective_gflops,
-                r.bitwise_equal,
-                if i + 1 < self.results.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("    ]\n  }");
-        s
+        let rows = self.results.iter().map(|r| {
+            Obj::new()
+                .f64("pruned_fraction", r.pruned_fraction, 2)
+                .u64("enabled_blocks", r.enabled_blocks as u64)
+                .u64("total_blocks", r.total_blocks as u64)
+                .f64("dense_ms", r.dense_ms, 4)
+                .f64("sparse_ms", r.sparse_ms, 4)
+                .f64("speedup_vs_dense", r.speedup_vs_dense, 3)
+                .raw("speedup_spread", &r.speedup_spread.json(3))
+                .f64("effective_gflops", r.effective_gflops, 3)
+                .bool("bitwise_equal", r.bitwise_equal)
+                .build()
+        });
+        Obj::new()
+            .raw("tile", &format!("[{tm}, {tk}]"))
+            .u64("threads", 1)
+            .raw("results", &json_rows(rows))
+            .build()
     }
 }
 
@@ -577,9 +540,15 @@ mod tests {
         for r in &report.results {
             assert!(r.step_ms.is_finite() && r.step_ms > 0.0);
             assert!(r.max_abs_diff_vs_serial <= 1e-5);
+            let s = r.speedup_spread;
+            assert!(s.reps >= 1 && s.min <= s.median && s.median <= s.max, "{s:?}");
         }
-        let json = report.to_json();
+        let json = report.to_json(None);
         assert!(json.contains("\"benchmark\": \"conv3d_train_step\""));
+        assert_eq!(json.matches("\"speedup_spread\": {\"reps\": ").count(), 2);
+        for key in ["\"min\": ", "\"median\": ", "\"max\": "] {
+            assert_eq!(json.matches(key).count(), 2, "{key}");
+        }
         assert!(json.contains("\"threads\": 1"));
         assert!(json.contains("\"threads\": 2"));
         // Balanced braces / brackets — cheap structural sanity.
@@ -599,12 +568,15 @@ mod tests {
             assert!(r.bitwise_equal);
             assert!(r.dense_ms.is_finite() && r.sparse_ms.is_finite());
             assert!(r.enabled_blocks >= 1 && r.enabled_blocks <= r.total_blocks);
+            let s = r.speedup_spread;
+            assert!(s.min <= s.median && s.median <= s.max, "{s:?}");
         }
         // The 0.0 row keeps every block.
         assert_eq!(sweep.results[0].enabled_blocks, sweep.results[0].total_blocks);
         let report = run_conv3d_throughput(&Conv3dBenchConfig::smoke());
-        let json = report.to_json_with_sweep(Some(&sweep));
+        let json = report.to_json(Some(&sweep));
         assert!(json.contains("\"sparsity_sweep\""));
+        assert_eq!(json.matches("\"speedup_spread\": {\"reps\": ").count(), 4);
         assert!(json.contains("\"pruned_fraction\": 0.50"));
         assert_eq!(
             json.matches('{').count(),

@@ -59,7 +59,7 @@ fn batched_engine_beats_sequential_at_8_threads() {
 /// the engines dispatched one pool chunk *per clip* (per-clip closure
 /// dispatch, and adjacent workers interleaving writes to neighboring
 /// `ClipResult` slots — false sharing on the results array), and
-/// `time_paired`'s sequential side read long-lived warm tensors while
+/// the paired timing's sequential side read long-lived warm tensors while
 /// the batched side read per-rep clones, letting allocator layout luck
 /// bias whole runs. The engines now dispatch one contiguous slab per
 /// worker and both sides of a pair read per-rep clones.

@@ -5,11 +5,12 @@
 //! ~235 clips/s; the functional path must push the sim backend past
 //! ~3x that).
 //!
-//! The ratio is the best *paired interleaved* estimate: each rep times
-//! one cycle-engine forward and one functional forward back to back and
-//! the gate takes the best per-rep ratio, so co-tenant noise can only
-//! lower the measured speedup — a failure means the fast path actually
-//! regressed, not that a neighbour was busy.
+//! The ratio is the best *paired interleaved* estimate from
+//! `p3d_bench::measure`: each rep times one cycle-engine forward and one
+//! functional forward back to back and the gate takes the best per-rep
+//! ratio, so co-tenant noise can only lower the measured speedup — a
+//! failure means the fast path actually regressed, not that a neighbour
+//! was busy.
 //!
 //! Debug builds skip the timing (`gemm_perf` precedent) but still pin
 //! the bitwise identity of the two engines end to end — logits,
@@ -57,26 +58,23 @@ fn functional_sim_path_at_least_3x_cycle_engine() {
 
     #[cfg(not(debug_assertions))]
     {
-        let mut best = 0.0f64;
-        let mut t_cycle_best = f64::INFINITY;
-        let mut t_fast_best = f64::INFINITY;
-        for _ in 0..7 {
-            let t0 = std::time::Instant::now();
-            std::hint::black_box(q.forward_with_scratch(&clip, &dense, &mut scratch));
-            let t_cycle = t0.elapsed().as_secs_f64();
-            let t1 = std::time::Instant::now();
-            std::hint::black_box(q.forward_functional_with_scratch(&clip, &dense, &mut scratch));
-            let t_fast = t1.elapsed().as_secs_f64();
-            best = best.max(t_cycle / t_fast.max(1e-12));
-            t_cycle_best = t_cycle_best.min(t_cycle);
-            t_fast_best = t_fast_best.min(t_fast);
-        }
+        let t = p3d_bench::measure::paired(
+            7,
+            &mut scratch,
+            |s| {
+                std::hint::black_box(q.forward_with_scratch(&clip, &dense, s));
+            },
+            |s| {
+                std::hint::black_box(q.forward_functional_with_scratch(&clip, &dense, s));
+            },
+        );
+        let best = t.ratio.max;
         assert!(
             best >= MIN_SPEEDUP,
             "functional sim path only {best:.2}x the cycle engine \
              ({:.3} ms vs {:.3} ms per clip, kernel path {})",
-            t_fast_best * 1e3,
-            t_cycle_best * 1e3,
+            t.b.min * 1e3,
+            t.a.min * 1e3,
             p3d_tensor::simd::active().name(),
         );
     }

@@ -13,8 +13,8 @@
 //!    made the training step *slower* as threads grew (35.4 ms @1t →
 //!    46.5 ms @4t, 0.76x). On the 1-CPU CI host extra workers cannot
 //!    help, but they must never hurt beyond measurement noise: the
-//!    paired speedup at 2 and 4 threads must stay ≥ 0.90x of the
-//!    1-thread step. Timing asserts are release-only (`gemm_perf`
+//!    paired speedup at 2 and 4 threads must stay ≥ 0.85x
+//!    (`NOISE_FLOOR`) of the 1-thread step. Timing asserts are release-only (`gemm_perf`
 //!    precedent: debug timings measure the optimiser, not the layer);
 //!    the bitwise checks run in both profiles.
 //!
