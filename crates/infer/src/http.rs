@@ -47,7 +47,7 @@ use crate::json::{self, Obj};
 use crate::registry::{ModelRegistry, RegistryError};
 use crate::resilience::{InferError, Request, ResilientServer, Response, ServerConfig};
 use crate::respcache::{clip_hash, model_key, ResponseCache};
-use crate::stats::ErrorBudget;
+use crate::stats::{ErrorBudget, Resolution};
 use crate::swap::{canary_verdict, smoke_test, CanaryPolicy, CanaryVerdict, SwapStats};
 use crate::wire::{
     self, read_body, read_request_head, write_response, BodyReader, HttpRequest, WireLimits,
@@ -602,12 +602,7 @@ fn engine_loop(
         let mut canary_responses: Vec<Response> = Vec::new();
         if let Some(tr) = trial.as_mut() {
             tr.incumbent_budget.accumulate(&run.budget);
-            tr.incumbent_lat.extend(
-                run.responses
-                    .iter()
-                    .filter(|r| r.outcome.is_ok())
-                    .map(|r| r.latency_ms),
-            );
+            tr.incumbent_lat.extend(run.completed_latencies_ms());
             let crun = {
                 let inner = &mut *inner;
                 let lane = inner.canary.as_mut().expect("active trial implies a lane");
@@ -620,12 +615,7 @@ fn engine_loop(
             inner.budget.accumulate(&crun.budget);
             inner.batches += crun.batches as u64;
             tr.canary_budget.accumulate(&crun.budget);
-            tr.canary_lat.extend(
-                crun.responses
-                    .iter()
-                    .filter(|r| r.outcome.is_ok())
-                    .map(|r| r.latency_ms),
-            );
+            tr.canary_lat.extend(crun.completed_latencies_ms());
             canary_responses = crun.responses;
         }
 
@@ -811,15 +801,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
             // A malformed request poisons the framing; answer when
             // possible, always close.
             if let Some((status, reason)) = e.status() {
-                let body = Obj::new().str("error", &e.to_string()).build();
-                let _ = write_response(
-                    writer,
-                    status,
-                    reason,
-                    "application/json",
-                    body.as_bytes(),
-                    true,
-                );
+                let _ = write_error(writer, status, reason, &e.to_string(), true);
             }
         };
         let (mut req, framing) = match read_request_head(&mut reader, &mut carry, &shared.limits) {
@@ -878,14 +860,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
             }
             ("GET", "/stats") => {
                 let body = stats_json(shared);
-                write_response(
-                    &mut writer,
-                    200,
-                    "OK",
-                    "application/json",
-                    body.as_bytes(),
-                    !keep_alive,
-                )?;
+                write_json(&mut writer, 200, "OK", &body, !keep_alive)?;
             }
             ("POST", "/v1/infer") => {
                 serve_infer(shared, &req, &mut writer, keep_alive)?;
@@ -897,24 +872,20 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
                 serve_model_list(shared, &mut writer, keep_alive)?;
             }
             (_, "/healthz" | "/stats" | "/v1/models") | ("GET" | "HEAD", "/v1/infer") => {
-                let body = Obj::new().str("error", "method not allowed").build();
-                write_response(
+                write_error(
                     &mut writer,
                     405,
                     "Method Not Allowed",
-                    "application/json",
-                    body.as_bytes(),
+                    "method not allowed",
                     !keep_alive,
                 )?;
             }
             _ => {
-                let body = Obj::new().str("error", "no such endpoint").build();
-                write_response(
+                write_error(
                     &mut writer,
                     404,
                     "Not Found",
-                    "application/json",
-                    body.as_bytes(),
+                    "no such endpoint",
                     !keep_alive,
                 )?;
             }
@@ -936,52 +907,83 @@ fn serve_infer(
     let client = req.header(CLIENT_HEADER).unwrap_or("anonymous").to_string();
 
     // Fairness first: a rate-limited request must not cost queue
-    // capacity (or decode work). The shed is budgeted so the aggregate
-    // stays balanced: submitted = ... + rate_limited.
+    // capacity (or decode work).
     if !shared.gate.admit(&client) {
-        {
-            let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.budget.submitted += 1;
-            inner.budget.rate_limited += 1;
-        }
-        let body = Obj::new()
-            .str("error", "rate limited")
-            .str("client", &client)
-            .build();
-        return write_response(
-            writer,
-            429,
-            "Too Many Requests",
-            "application/json",
-            body.as_bytes(),
-            !keep_alive,
-        );
+        return shed_rate_limited(shared, &client, writer, !keep_alive);
     }
+    match wire::decode_clip(req) {
+        Ok(clip) => submit_and_respond(shared, clip, writer, keep_alive),
+        Err(e) => reject_undecodable(shared, &e, writer, !keep_alive),
+    }
+}
 
-    let clip = match wire::decode_clip(req) {
-        Ok(clip) => clip,
-        Err(e) => {
-            let (status, reason) = e.status().unwrap_or((400, "Bad Request"));
-            {
-                // A clip that never decoded still consumed a submission
-                // slot in the ledger, as an invalid one.
-                let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                inner.budget.submitted += 1;
-                inner.budget.rejected_invalid += 1;
-            }
-            let body = Obj::new().str("error", &e.to_string()).build();
-            return write_response(
-                writer,
-                status,
-                reason,
-                "application/json",
-                body.as_bytes(),
-                !keep_alive,
-            );
-        }
-    };
+/// Answers HTTP 429 for a request its client's token bucket shed, and
+/// counts it in the budget as `rate_limited`: it never reached the queue.
+fn shed_rate_limited(
+    shared: &Shared,
+    client: &str,
+    writer: &mut impl Write,
+    close: bool,
+) -> std::io::Result<()> {
+    shared
+        .inner
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .budget
+        .resolve(Resolution::RateLimited);
+    let body = Obj::new()
+        .str("error", "rate limited")
+        .str("client", client)
+        .build();
+    write_json(writer, 429, "Too Many Requests", &body, close)
+}
 
-    submit_and_respond(shared, clip, writer, keep_alive)
+/// Answers a request whose body never decoded into a clip. It still
+/// counts as one submission in the budget, an invalid one.
+fn reject_undecodable(
+    shared: &Shared,
+    e: &wire::WireError,
+    writer: &mut impl Write,
+    close: bool,
+) -> std::io::Result<()> {
+    shared
+        .inner
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .budget
+        .resolve(Resolution::Invalid);
+    let (status, reason) = e.status().unwrap_or((400, "Bad Request"));
+    write_error(writer, status, reason, &e.to_string(), close)
+}
+
+/// Writes a JSON response; `close` adds `Connection: close`.
+fn write_json(
+    writer: &mut impl Write,
+    status: u16,
+    reason: &str,
+    body: &str,
+    close: bool,
+) -> std::io::Result<()> {
+    write_response(
+        writer,
+        status,
+        reason,
+        "application/json",
+        body.as_bytes(),
+        close,
+    )
+}
+
+/// Writes a `{"error": message}` JSON response.
+fn write_error(
+    writer: &mut impl Write,
+    status: u16,
+    reason: &str,
+    message: &str,
+    close: bool,
+) -> std::io::Result<()> {
+    let body = Obj::new().str("error", message).build();
+    write_json(writer, status, reason, &body, close)
 }
 
 /// Handles one streamed `POST /v1/infer` with a P3DVID1 body: fairness
@@ -1004,54 +1006,22 @@ fn serve_infer_vid(
 ) -> std::io::Result<bool> {
     let client = req.header(CLIENT_HEADER).unwrap_or("anonymous").to_string();
     if !shared.gate.admit(&client) {
-        {
-            let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.budget.submitted += 1;
-            inner.budget.rate_limited += 1;
-        }
-        let body = Obj::new()
-            .str("error", "rate limited")
-            .str("client", &client)
-            .build();
         // The body was never read, so the framing is unusable: close.
-        write_response(
-            writer,
-            429,
-            "Too Many Requests",
-            "application/json",
-            body.as_bytes(),
-            true,
-        )?;
+        shed_rate_limited(shared, &client, writer, true)?;
         return Ok(false);
     }
-
-    fn reject(
-        shared: &Shared,
-        writer: &mut impl Write,
-        e: &wire::WireError,
-    ) -> std::io::Result<()> {
-        {
-            let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.budget.submitted += 1;
-            inner.budget.rejected_invalid += 1;
-        }
-        let (status, reason) = e.status().unwrap_or((400, "Bad Request"));
-        let body = Obj::new().str("error", &e.to_string()).build();
-        write_response(writer, status, reason, "application/json", body.as_bytes(), true)
-    }
-
     let Some(declared) = framing.declared else {
         let e = wire::WireError::BadContentLength(
             "streamed video requires Content-Length".to_string(),
         );
-        reject(shared, writer, &e)?;
+        reject_undecodable(shared, &e, writer, true)?;
         return Ok(false);
     };
     let mut body = BodyReader::new(reader, framing);
     let clip = match wire::decode_vid_body(req, &mut body, declared, &shared.limits) {
         Ok(clip) => clip,
         Err(e) => {
-            reject(shared, writer, &e)?;
+            reject_undecodable(shared, &e, writer, true)?;
             return Ok(false);
         }
     };
@@ -1077,12 +1047,14 @@ fn serve_model_push(
     writer: &mut impl Write,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let answer = |mut writer: &mut dyn Write, status: u16, reason: &str, body: String| {
-        write_response(&mut writer, status, reason, "application/json", body.as_bytes(), !keep_alive)
-    };
     let Some(models) = shared.models.as_ref() else {
-        let body = Obj::new().str("error", "model registry disabled").build();
-        return answer(writer, 404, "Not Found", body);
+        return write_error(
+            writer,
+            404,
+            "Not Found",
+            "model registry disabled",
+            !keep_alive,
+        );
     };
     let published = match models.registry.publish(&req.body) {
         Ok(p) => p,
@@ -1096,11 +1068,11 @@ fn serve_model_push(
                 .str("error", &format!("checkpoint rejected: {reason}"))
                 .str("model_hash", &hash)
                 .build();
-            return answer(writer, 422, "Unprocessable Entity", body);
+            return write_json(writer, 422, "Unprocessable Entity", &body, !keep_alive);
         }
         Err(e) => {
-            let body = Obj::new().str("error", &e.to_string()).build();
-            return answer(writer, 500, "Internal Server Error", body);
+            let message = e.to_string();
+            return write_error(writer, 500, "Internal Server Error", &message, !keep_alive);
         }
     };
     let (mut new_primary, new_fallback) = match (models.factory)(&published.checkpoint) {
@@ -1116,7 +1088,7 @@ fn serve_model_push(
                 .str("error", &format!("unservable model: {e}"))
                 .str("model_hash", &published.hash)
                 .build();
-            return answer(writer, 422, "Unprocessable Entity", body);
+            return write_json(writer, 422, "Unprocessable Entity", &body, !keep_alive);
         }
     };
     if let Err(e) = smoke_test(new_primary.as_mut(), &models.golden) {
@@ -1129,7 +1101,7 @@ fn serve_model_push(
             .str("error", &format!("smoke test failed: {e}"))
             .str("model_hash", &published.hash)
             .build();
-        return answer(writer, 422, "Unprocessable Entity", body);
+        return write_json(writer, 422, "Unprocessable Entity", &body, !keep_alive);
     }
     // The push is committed from here: the swap begins its drain the
     // moment this handler starts competing for the engine lock (the
@@ -1149,7 +1121,7 @@ fn serve_model_push(
             .str("error", "a swap is already in progress")
             .str("model_hash", &published.hash)
             .build();
-        return answer(writer, 409, "Conflict", body);
+        return write_json(writer, 409, "Conflict", &body, !keep_alive);
     }
     inner.swap_stats.models_published += 1;
     if inner.serving_hash == published.hash {
@@ -1159,7 +1131,7 @@ fn serve_model_push(
             .str("model_hash", &published.hash)
             .str("status", "already serving")
             .build();
-        return answer(writer, 200, "OK", body);
+        return write_json(writer, 200, "OK", &body, !keep_alive);
     }
     let canary = models.canary.is_some();
     inner.pending_swap = Some(PendingSwap {
@@ -1175,7 +1147,7 @@ fn serve_model_push(
         .str("status", if canary { "canary started" } else { "swapping" })
         .bool("canary", canary)
         .build();
-    answer(writer, 202, "Accepted", body)
+    write_json(writer, 202, "Accepted", &body, !keep_alive)
 }
 
 /// Handles one `GET /v1/models`: serving hash, the canary in trial (if
@@ -1186,13 +1158,11 @@ fn serve_model_list(
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let Some(models) = shared.models.as_ref() else {
-        let body = Obj::new().str("error", "model registry disabled").build();
-        return write_response(
+        return write_error(
             writer,
             404,
             "Not Found",
-            "application/json",
-            body.as_bytes(),
+            "model registry disabled",
             !keep_alive,
         );
     };
@@ -1227,14 +1197,7 @@ fn serve_model_list(
         .raw("models", &format!("[{model_rows}]"))
         .raw("rejected", &format!("[{rejected_rows}]"))
         .build();
-    write_response(
-        writer,
-        200,
-        "OK",
-        "application/json",
-        body.as_bytes(),
-        !keep_alive,
-    )
+    write_json(writer, 200, "OK", &body, !keep_alive)
 }
 
 /// How `submit_and_respond` resolved its admission step.
@@ -1283,23 +1246,10 @@ fn submit_and_respond(
             let serving = inner.resilient.model_hash().to_string();
             if let Some(cache) = inner.cache.as_mut() {
                 if let Some(result) = cache.get(model_key(&serving), ch) {
-                    // A cache hit is a completed request: submitted,
-                    // admitted, completed — the partition identity
-                    // holds with no engine involvement.
-                    inner.budget.submitted += 1;
-                    inner.budget.admitted += 1;
-                    inner.budget.completed += 1;
-                    hit = Some(Response {
-                        index: 0,
-                        outcome: Ok(result),
-                        backend: "cache".to_string(),
-                        fell_back: false,
-                        attempts: 0,
-                        latency_ms: 0.0,
-                        deadline_missed: false,
-                        saturation: 0.0,
-                        model_hash: serving,
-                    });
+                    // A cache hit is a completed request with no engine
+                    // involvement.
+                    inner.budget.resolve(Resolution::Completed);
+                    hit = Some(Response::served(0, result, "cache".to_string(), serving));
                 }
             }
         }
@@ -1342,15 +1292,7 @@ fn submit_and_respond(
                 InferError::Overloaded { .. } => (503, "Service Unavailable"),
                 _ => (400, "Bad Request"),
             };
-            let body = Obj::new().str("error", &e.to_string()).build();
-            return write_response(
-                writer,
-                status,
-                reason,
-                "application/json",
-                body.as_bytes(),
-                !keep_alive,
-            );
+            return write_error(writer, status, reason, &e.to_string(), !keep_alive);
         }
     };
 
@@ -1360,15 +1302,7 @@ fn submit_and_respond(
     let resp = match rx.recv() {
         Ok(resp) => resp,
         Err(_) => {
-            let body = Obj::new().str("error", "server shutting down").build();
-            return write_response(
-                writer,
-                503,
-                "Service Unavailable",
-                "application/json",
-                body.as_bytes(),
-                true,
-            );
+            return write_error(writer, 503, "Service Unavailable", "server shutting down", true);
         }
     };
     // Fill the cache from engine answers. Provenance keys the entry,
@@ -1410,14 +1344,7 @@ fn render_response(
         simd::active().name(),
         if feats.is_empty() { "none" } else { feats },
     );
-    write_response(
-        writer,
-        status,
-        reason,
-        "application/json",
-        body.as_bytes(),
-        !keep_alive,
-    )
+    write_json(writer, status, reason, &body, !keep_alive)
 }
 
 /// Renders the `GET /stats` document.

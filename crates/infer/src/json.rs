@@ -159,8 +159,8 @@ pub fn budget_json(b: &ErrorBudget) -> String {
 pub struct BackendReport<'a> {
     /// Backend short name (`"f32"`, `"sim"`).
     pub backend: &'a str,
-    /// `"batch"` for the plain scheduler, `"resilient"` for the
-    /// hardened path, `"http"` for the network front door.
+    /// `"batch"` for a run with the serving policies off, `"resilient"`
+    /// for the hardened path, `"http"` for the network front door.
     pub mode: &'a str,
     /// Completed clips per wall-clock second.
     pub clips_per_s: f64,
@@ -170,13 +170,13 @@ pub struct BackendReport<'a> {
     pub accuracy: f64,
     /// Engine batches dispatched.
     pub batches: usize,
-    /// The run's error accounting (for batch mode, the degenerate
-    /// [`ErrorBudget::all_completed`] budget).
+    /// The run's error accounting. Every mode serves through
+    /// [`crate::ResilientServer`], so each request in it was counted
+    /// once, where its response was emitted.
     pub budget: ErrorBudget,
 }
 
-/// Renders a [`BackendReport`]. One schema for every mode — the batch
-/// path emits the same keys the resilient path does.
+/// Renders a [`BackendReport`]. One schema for every mode.
 pub fn backend_row(r: &BackendReport<'_>) -> String {
     Obj::new()
         .str("backend", r.backend)
@@ -226,6 +226,7 @@ pub fn response_json(resp: &Response, kernel_path: &str, cpu_features: &str) -> 
 mod tests {
     use super::*;
     use crate::engine::ClipResult;
+    use crate::stats::Resolution;
 
     #[test]
     fn escaping_covers_quotes_controls_and_backslashes() {
@@ -271,7 +272,10 @@ mod tests {
 
     #[test]
     fn budget_json_reports_balance() {
-        let b = ErrorBudget::all_completed(5);
+        let mut b = ErrorBudget::default();
+        for _ in 0..5 {
+            b.resolve(Resolution::Completed);
+        }
         let s = budget_json(&b);
         assert!(s.contains("\"submitted\": 5"));
         assert!(s.contains("\"rate_limited\": 0"));

@@ -26,7 +26,13 @@
 //! workers (`catch_unwind` + restart), retry with seeded backoff,
 //! poison-request quarantine, and automatic Q7.8→f32 degradation on
 //! saturation anomalies — all exercised by the deterministic
-//! fault-injection harness in [`chaos`].
+//! fault-injection harness in [`chaos`]. Each request is counted once
+//! in the run's [`ErrorBudget`], where its response is emitted:
+//! [`ErrorBudget::resolve`] is the only code that counts a request
+//! into the budget's partition, so the partition balances by
+//! construction. `p3d infer`
+//! serves both its batch and resilient modes through
+//! [`ResilientServer`]; [`BatchScheduler`] remains for the benches.
 //!
 //! The network front door is [`HttpServer`] ([`http`]): a std-only,
 //! thread-per-connection HTTP/1.1 server whose request framing
@@ -87,6 +93,6 @@ pub use resilience::{
 };
 pub use respcache::{clip_hash, model_key, ResponseCache};
 pub use scheduler::{BatchScheduler, StreamRun};
-pub use stats::{percentile, ErrorBudget, LatencyStats};
+pub use stats::{percentile, ErrorBudget, LatencyStats, Resolution};
 pub use swap::{canary_verdict, smoke_test, CanaryPolicy, CanaryVerdict, SwapStats};
 pub use wire::{HttpRequest, WireError, WireLimits};

@@ -26,15 +26,17 @@
 //!   (`fell_back`, `backend`).
 //!
 //! Every submitted request resolves **exactly once** — as a success, a
-//! typed rejection, or a quarantine — and the run's [`ErrorBudget`]
-//! partitions that lifecycle ([`ErrorBudget::balanced`]). Responses for
+//! typed rejection, or a quarantine. Every response is emitted through
+//! one place, which also counts it in the run's [`ErrorBudget`]
+//! ([`ErrorBudget::resolve`]), so the budget's partition balances by
+//! construction ([`ErrorBudget::balanced`]). Responses for
 //! non-faulted requests are bitwise identical to an unsupervised run at
 //! any thread count, because each clip is still computed in full by one
 //! worker and collected by index.
 
 use crate::chaos::FaultPlan;
 use crate::engine::{ClipResult, InferenceEngine, SlotCtx, SupervisedSlot};
-use crate::stats::{ErrorBudget, LatencyStats};
+use crate::stats::{ErrorBudget, LatencyStats, Resolution};
 use p3d_tensor::Tensor;
 use std::collections::VecDeque;
 use std::fmt;
@@ -245,6 +247,47 @@ pub struct Response {
     pub model_hash: String,
 }
 
+impl Response {
+    /// A response no engine answered: a rejection, an expiry or a
+    /// quarantine. Backend and model hash are `"none"`; the flag
+    /// `deadline_missed` is set for an expiry only.
+    fn unserved(index: usize, error: InferError, attempts: u32, latency_ms: f64) -> Response {
+        let deadline_missed = error == InferError::DeadlineExpired;
+        Response {
+            index,
+            outcome: Err(error),
+            backend: "none".to_string(),
+            fell_back: false,
+            attempts,
+            latency_ms,
+            deadline_missed,
+            saturation: 0.0,
+            model_hash: "none".to_string(),
+        }
+    }
+
+    /// A completed response with no attempts, latency, fallback or
+    /// saturation recorded yet (a response-cache hit needs none).
+    pub(crate) fn served(
+        index: usize,
+        result: ClipResult,
+        backend: String,
+        model_hash: String,
+    ) -> Response {
+        Response {
+            index,
+            outcome: Ok(result),
+            backend,
+            fell_back: false,
+            attempts: 0,
+            latency_ms: 0.0,
+            deadline_missed: false,
+            saturation: 0.0,
+            model_hash,
+        }
+    }
+}
+
 /// Everything a drained resilient run produced.
 #[derive(Clone, Debug, Default)]
 pub struct ResilientRun {
@@ -259,14 +302,17 @@ pub struct ResilientRun {
 }
 
 impl ResilientRun {
-    /// Latency summary over *completed* requests.
-    pub fn latency_stats(&self) -> LatencyStats {
-        let lats: Vec<f64> = self
-            .responses
+    /// Latencies of the *completed* requests, in submission order.
+    pub fn completed_latencies_ms(&self) -> impl Iterator<Item = f64> + '_ {
+        self.responses
             .iter()
             .filter(|r| r.outcome.is_ok())
             .map(|r| r.latency_ms)
-            .collect();
+    }
+
+    /// Latency summary over *completed* requests.
+    pub fn latency_stats(&self) -> LatencyStats {
+        let lats: Vec<f64> = self.completed_latencies_ms().collect();
         LatencyStats::from_latencies_ms(&lats)
     }
 }
@@ -292,6 +338,13 @@ struct Pending {
     not_before: Instant,
 }
 
+impl Pending {
+    /// Milliseconds since submission.
+    fn latency_ms(&self) -> f64 {
+        self.submitted.elapsed().as_secs_f64() * 1e3
+    }
+}
+
 /// A bounded, deadline-aware, fault-tolerant request server.
 ///
 /// Submit requests with [`ResilientServer::submit`], then resolve them
@@ -303,9 +356,9 @@ pub struct ResilientServer {
     queue: VecDeque<Pending>,
     next_index: usize,
     budget: ErrorBudget,
-    /// Requests resolved before reaching an engine (validation and
-    /// overload rejections), emitted with the drained responses.
-    early: Vec<Response>,
+    /// Responses emitted since the last drain, each already counted in
+    /// `budget`; rejections at submission wait here for the next drain.
+    resolved: Vec<Response>,
     rng_state: u64,
     /// Content hash stamped on completed responses as provenance.
     model_hash: String,
@@ -320,7 +373,7 @@ impl ResilientServer {
             queue: VecDeque::new(),
             next_index: 0,
             budget: ErrorBudget::default(),
-            early: Vec::new(),
+            resolved: Vec::new(),
             rng_state: seed,
             model_hash: "unkeyed".to_string(),
         }
@@ -360,30 +413,15 @@ impl ResilientServer {
     pub fn submit(&mut self, request: Request) -> Result<usize, InferError> {
         let index = self.next_index;
         self.next_index += 1;
-        self.budget.submitted += 1;
-        let err = if let Err(e) = validate_clip(&request.clip, self.cfg.expected_shape) {
-            self.budget.rejected_invalid += 1;
-            Some(e)
-        } else if self.queue.len() >= self.cfg.capacity {
-            self.budget.shed_overload += 1;
-            Some(InferError::Overloaded {
+        let rejection = match validate_clip(&request.clip, self.cfg.expected_shape) {
+            Err(e) => Some(e),
+            Ok(()) if self.queue.len() >= self.cfg.capacity => Some(InferError::Overloaded {
                 capacity: self.cfg.capacity,
-            })
-        } else {
-            None
+            }),
+            Ok(()) => None,
         };
-        if let Some(e) = err {
-            self.early.push(Response {
-                index,
-                outcome: Err(e.clone()),
-                backend: "none".to_string(),
-                fell_back: false,
-                attempts: 0,
-                latency_ms: 0.0,
-                deadline_missed: false,
-                saturation: 0.0,
-                model_hash: "none".to_string(),
-            });
+        if let Some(e) = rejection {
+            self.resolve(Response::unserved(index, e.clone(), 0, 0.0));
             return Err(e);
         }
         let now = Instant::now();
@@ -391,7 +429,6 @@ impl ResilientServer {
             .deadline
             .or(self.cfg.default_deadline)
             .map(|d| now + d);
-        self.budget.admitted += 1;
         self.queue.push_back(Pending {
             index,
             clip: request.clip,
@@ -436,7 +473,6 @@ impl ResilientServer {
         chaos: Option<&FaultPlan>,
     ) -> ResilientRun {
         let start = Instant::now();
-        let mut responses = std::mem::take(&mut self.early);
         let mut batches = 0usize;
         let mut slots: Vec<SupervisedSlot> = Vec::new();
         while !self.queue.is_empty() {
@@ -451,18 +487,12 @@ impl ResilientServer {
                 if p.deadline.is_some_and(|d| now >= d) {
                     // Shed without computing: the deadline passed while
                     // the request sat in the queue.
-                    self.budget.deadline_expired += 1;
-                    responses.push(Response {
-                        index: p.index,
-                        outcome: Err(InferError::DeadlineExpired),
-                        backend: "none".to_string(),
-                        fell_back: false,
-                        attempts: p.attempts,
-                        latency_ms: p.submitted.elapsed().as_secs_f64() * 1e3,
-                        deadline_missed: true,
-                        saturation: 0.0,
-                        model_hash: "none".to_string(),
-                    });
+                    self.resolve(Response::unserved(
+                        p.index,
+                        InferError::DeadlineExpired,
+                        p.attempts,
+                        p.latency_ms(),
+                    ));
                 } else if p.not_before > now {
                     deferred.push(p);
                 } else {
@@ -516,7 +546,7 @@ impl ResilientServer {
                             } else {
                                 (result, primary.name().to_string(), false)
                             };
-                        self.complete(&mut responses, p, result, backend, fell_back, saturation);
+                        self.complete(p, result, backend, fell_back, saturation);
                     }
                     Err(fault) => {
                         self.budget.worker_failures += 1;
@@ -530,10 +560,10 @@ impl ResilientServer {
                                     self.budget.fallbacks += 1;
                                     let r = Self::serve_on_fallback(fb, &p.clip);
                                     let backend = fb.name().to_string();
-                                    self.complete(&mut responses, p, r, backend, true, 0.0);
+                                    self.complete(p, r, backend, true, 0.0);
                                 }
                                 None => {
-                                    self.quarantine(&mut responses, p, fault.message);
+                                    self.quarantine(p, fault.message);
                                 }
                             }
                             continue;
@@ -544,7 +574,7 @@ impl ResilientServer {
                         if p.workers_killed >= self.cfg.quarantine_after
                             || p.attempts > p.max_retries
                         {
-                            self.quarantine(&mut responses, p, fault.message);
+                            self.quarantine(p, fault.message);
                         } else {
                             self.budget.retries += 1;
                             p.not_before = Instant::now() + self.backoff(p.attempts);
@@ -554,6 +584,7 @@ impl ResilientServer {
                 }
             }
         }
+        let mut responses = std::mem::take(&mut self.resolved);
         responses.sort_by_key(|r| r.index);
         ResilientRun {
             responses,
@@ -573,53 +604,48 @@ impl ResilientServer {
         result
     }
 
+    /// Emits a response: the one place a request is counted in the
+    /// budget, exactly once, by its outcome.
+    fn resolve(&mut self, response: Response) {
+        self.budget.resolve(Resolution::of(&response.outcome));
+        self.resolved.push(response);
+    }
+
     /// Emits a completed response, flagging late completion.
     fn complete(
         &mut self,
-        responses: &mut Vec<Response>,
         p: Pending,
         result: ClipResult,
         backend: String,
         fell_back: bool,
         saturation: f64,
     ) {
-        let now = Instant::now();
-        let missed = p.deadline.is_some_and(|d| now > d);
+        let missed = p.deadline.is_some_and(|d| Instant::now() > d);
         if missed {
             self.budget.deadline_missed += 1;
         }
-        self.budget.completed += 1;
-        responses.push(Response {
-            index: p.index,
-            outcome: Ok(result),
-            backend,
-            fell_back,
-            attempts: p.attempts,
-            latency_ms: p.submitted.elapsed().as_secs_f64() * 1e3,
-            deadline_missed: missed,
-            saturation,
-            model_hash: self.model_hash.clone(),
-        });
+        let mut response = Response::served(p.index, result, backend, self.model_hash.clone());
+        response.fell_back = fell_back;
+        response.attempts = p.attempts;
+        response.latency_ms = p.latency_ms();
+        response.deadline_missed = missed;
+        response.saturation = saturation;
+        self.resolve(response);
     }
 
     /// Emits a quarantine response for a poison request.
-    fn quarantine(&mut self, responses: &mut Vec<Response>, p: Pending, message: String) {
-        self.budget.quarantined += 1;
-        responses.push(Response {
-            index: p.index,
-            outcome: Err(InferError::Quarantined {
-                attempts: p.attempts,
-                workers_killed: p.workers_killed,
-                message,
-            }),
-            backend: "none".to_string(),
-            fell_back: false,
+    fn quarantine(&mut self, p: Pending, message: String) {
+        let error = InferError::Quarantined {
             attempts: p.attempts,
-            latency_ms: p.submitted.elapsed().as_secs_f64() * 1e3,
-            deadline_missed: false,
-            saturation: 0.0,
-            model_hash: "none".to_string(),
-        });
+            workers_killed: p.workers_killed,
+            message,
+        };
+        self.resolve(Response::unserved(
+            p.index,
+            error,
+            p.attempts,
+            p.latency_ms(),
+        ));
     }
 }
 

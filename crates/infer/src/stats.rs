@@ -1,11 +1,55 @@
 //! Latency/throughput accounting for batched inference runs.
 
-/// Error accounting for one resilient serving run: every request is
-/// admitted or rejected, and every admitted request resolves exactly
-/// once — these counters partition that lifecycle so the identity
-/// `submitted = admitted + shed_overload + rejected_invalid` and
-/// `admitted = completed + deadline_expired + quarantined` always hold
-/// (asserted by the chaos suite).
+use crate::engine::ClipResult;
+use crate::resilience::InferError;
+
+/// How one request ended. Every request resolves exactly once, and
+/// [`ErrorBudget::resolve`] is the only code that counts a request into
+/// the budget's partition, so the partition identities
+/// ([`ErrorBudget::balanced`]) hold by construction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Resolution {
+    /// Admitted and answered with a result.
+    Completed,
+    /// Admitted, then shed without computing: the deadline passed
+    /// while the request sat in the queue.
+    DeadlineExpired,
+    /// Admitted, then abandoned as poison.
+    Quarantined,
+    /// Rejected at admission: the queue was full.
+    ShedOverload,
+    /// Rejected at admission: the clip failed to decode or validate.
+    Invalid,
+    /// Shed at the network boundary by the client's token bucket.
+    RateLimited,
+}
+
+impl Resolution {
+    /// The resolution a response's outcome records. Rate limiting
+    /// happens before a request has an outcome, so it never maps here.
+    pub fn of(outcome: &Result<ClipResult, InferError>) -> Resolution {
+        match outcome {
+            Ok(_) => Resolution::Completed,
+            Err(InferError::Overloaded { .. }) => Resolution::ShedOverload,
+            Err(InferError::DeadlineExpired) => Resolution::DeadlineExpired,
+            Err(InferError::Quarantined { .. }) => Resolution::Quarantined,
+            Err(
+                InferError::EmptyClip
+                | InferError::BadRank { .. }
+                | InferError::ShapeMismatch { .. }
+                | InferError::NonFinite { .. },
+            ) => Resolution::Invalid,
+        }
+    }
+}
+
+/// Error accounting for one resilient serving run. Each request is
+/// counted once, by [`ErrorBudget::resolve`], where its response is
+/// emitted; so the identities
+/// `submitted = admitted + shed_overload + rejected_invalid + rate_limited`
+/// and `admitted = completed + deadline_expired + quarantined` always
+/// hold. The remaining counters record events (retries, restarts,
+/// fallbacks), not resolutions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ErrorBudget {
     /// Requests offered to the server (admitted or not).
@@ -45,6 +89,24 @@ pub struct ErrorBudget {
 }
 
 impl ErrorBudget {
+    /// Counts one request's resolution: `submitted`, `admitted` for the
+    /// three admitted outcomes, and exactly one partition counter.
+    pub fn resolve(&mut self, resolution: Resolution) {
+        self.submitted += 1;
+        let (slot, admitted) = match resolution {
+            Resolution::Completed => (&mut self.completed, true),
+            Resolution::DeadlineExpired => (&mut self.deadline_expired, true),
+            Resolution::Quarantined => (&mut self.quarantined, true),
+            Resolution::ShedOverload => (&mut self.shed_overload, false),
+            Resolution::Invalid => (&mut self.rejected_invalid, false),
+            Resolution::RateLimited => (&mut self.rate_limited, false),
+        };
+        *slot += 1;
+        if admitted {
+            self.admitted += 1;
+        }
+    }
+
     /// `true` when every submitted request is accounted for exactly
     /// once by the admission and resolution partitions.
     pub fn balanced(&self) -> bool {
@@ -82,19 +144,6 @@ impl ErrorBudget {
     /// stays marked until restart or swap-away.
     pub fn degraded(&self) -> bool {
         self.quarantined > 0 || self.sentinel_trips > 0
-    }
-
-    /// A budget describing a plain (non-resilient) stream run in which
-    /// every one of `n` requests was admitted and completed — the
-    /// degenerate balanced budget, used so batch-mode reports share the
-    /// resilient report schema.
-    pub fn all_completed(n: u64) -> ErrorBudget {
-        ErrorBudget {
-            submitted: n,
-            admitted: n,
-            completed: n,
-            ..ErrorBudget::default()
-        }
     }
 }
 
@@ -169,7 +218,82 @@ mod tests {
     }
 
     #[test]
+    fn resolve_moves_exactly_one_partition_counter() {
+        use Resolution::*;
+        // The first three are the admitted resolutions.
+        let all = [
+            Completed,
+            DeadlineExpired,
+            Quarantined,
+            ShedOverload,
+            Invalid,
+            RateLimited,
+        ];
+        for (i, r) in all.into_iter().enumerate() {
+            let mut b = ErrorBudget::default();
+            b.resolve(r);
+            let partition = [
+                b.completed,
+                b.deadline_expired,
+                b.quarantined,
+                b.shed_overload,
+                b.rejected_invalid,
+                b.rate_limited,
+            ];
+            let mut want = [0; 6];
+            want[i] = 1;
+            assert_eq!(partition, want, "{r:?}");
+            assert_eq!((b.submitted, b.admitted), (1, u64::from(i < 3)), "{r:?}");
+            // Events are not resolutions.
+            let events = [
+                b.deadline_missed,
+                b.retries,
+                b.worker_failures,
+                b.worker_restarts,
+                b.fallbacks,
+                b.sentinel_trips,
+            ];
+            assert_eq!(events, [0; 6], "{r:?}");
+        }
+    }
+
+    #[test]
+    fn resolution_of_maps_every_outcome() {
+        let quarantined = InferError::Quarantined {
+            attempts: 2,
+            workers_killed: 2,
+            message: "poison".to_string(),
+        };
+        let mismatch = InferError::ShapeMismatch {
+            expected: [1, 2, 3, 4],
+            got: vec![1],
+        };
+        let cases = [
+            (Ok(ClipResult::default()), Resolution::Completed),
+            (
+                Err(InferError::Overloaded { capacity: 4 }),
+                Resolution::ShedOverload,
+            ),
+            (
+                Err(InferError::DeadlineExpired),
+                Resolution::DeadlineExpired,
+            ),
+            (Err(quarantined), Resolution::Quarantined),
+            (Err(InferError::EmptyClip), Resolution::Invalid),
+            (Err(InferError::BadRank { got: 3 }), Resolution::Invalid),
+            (Err(mismatch), Resolution::Invalid),
+            (Err(InferError::NonFinite { index: 0 }), Resolution::Invalid),
+        ];
+        for (outcome, want) in cases {
+            assert_eq!(Resolution::of(&outcome), want, "{outcome:?}");
+        }
+    }
+
+    #[test]
     fn empty_is_zeroed() {
-        assert_eq!(LatencyStats::from_latencies_ms(&[]), LatencyStats::default());
+        assert_eq!(
+            LatencyStats::from_latencies_ms(&[]),
+            LatencyStats::default()
+        );
     }
 }

@@ -21,7 +21,7 @@ use p3d_infer::{
     Request, ResilientRun, ResilientServer, ServerConfig, SimEngine,
 };
 use p3d_models::{build_network, r2plus1d_micro};
-use p3d_nn::{Conv3d, GlobalAvgPool, Layer, Linear, Relu, Sequential};
+use p3d_nn::{Conv3d, GlobalAvgPool, Linear, Relu, Sequential};
 use p3d_tensor::parallel::set_thread_override;
 use p3d_tensor::{Tensor, TensorRng};
 use std::sync::Mutex;
@@ -72,6 +72,9 @@ fn assert_exactly_once(run: &ResilientRun, n: usize) {
         "error budget must partition: {:?}",
         run.budget
     );
+    // The partition balances by construction; the count of requests
+    // sent is what catches a dropped or double-counted one.
+    assert_eq!(run.budget.submitted, n as u64, "{:?}", run.budget);
 }
 
 #[test]
@@ -301,6 +304,8 @@ fn saturation_storm_degrades_sim_request_to_f32_fallback() {
 #[cfg(debug_assertions)]
 #[test]
 fn sentinel_trip_degrades_to_fallback_with_provenance() {
+    use p3d_nn::Layer;
+
     let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     install_quiet_panic_hook();
     set_thread_override(Some(2));
@@ -396,5 +401,6 @@ fn stalled_worker_trips_deadlines_for_queued_requests() {
     assert_eq!(run.budget.deadline_expired, 2);
     assert_eq!(run.budget.deadline_missed, 1);
     assert!(run.budget.balanced(), "{:?}", run.budget);
+    assert_eq!(run.budget.submitted, 3, "{:?}", run.budget);
     set_thread_override(None);
 }

@@ -233,6 +233,7 @@ fn wire_logits_bitwise_match_in_process_on_both_backends() {
         let snap = server.shutdown();
         assert_eq!(snap.budget.completed, 24, "3 workers x 8 clips on {name}");
         assert!(snap.budget.balanced(), "{name} budget: {:?}", snap.budget);
+        assert_eq!(snap.budget.submitted, 24, "{name}: {:?}", snap.budget);
     }
 }
 
@@ -445,6 +446,7 @@ fn chaos_behind_the_wire_keeps_the_budget_balanced() {
 
     let snap = server.shutdown();
     assert!(snap.budget.balanced(), "final budget: {:?}", snap.budget);
+    assert_eq!(snap.budget.submitted, N as u64, "{:?}", snap.budget);
 }
 
 /// Wire-level fairness: with a near-zero refill rate, a greedy client
@@ -498,6 +500,8 @@ fn greedy_client_cannot_starve_a_modest_one() {
     assert_eq!(snap.budget.rate_limited, 7);
     assert_eq!(snap.budget.completed, 5);
     assert!(snap.budget.balanced(), "budget: {:?}", snap.budget);
+    // 10 greedy + 2 modest requests.
+    assert_eq!(snap.budget.submitted, 12, "{:?}", snap.budget);
 }
 
 /// `GET /stats` carries engine provenance; `/healthz` stays trivial.

@@ -87,4 +87,5 @@ fn cache_hits_are_bitwise_and_keyed_by_model() {
     assert_eq!(misses, 2, "cache: {:?}", snap.cache);
     assert_eq!(snap.budget.completed, 6);
     assert!(snap.budget.balanced(), "budget: {:?}", snap.budget);
+    assert_eq!(snap.budget.submitted, 6, "budget: {:?}", snap.budget);
 }

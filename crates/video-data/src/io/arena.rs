@@ -92,9 +92,12 @@ impl ClipArena {
             Some(buf) => buf,
             None => {
                 self.shared.grow_events.fetch_add(1, Ordering::Relaxed);
-                self.shared.buffers.fetch_add(1, Ordering::Relaxed);
                 let mut free = lock_free(&self.shared.free);
-                free.reserve_exact(1);
+                let buffers = self.shared.buffers.fetch_add(1, Ordering::Relaxed) + 1;
+                // Room for every buffer, so releasing them all never
+                // reallocates the list.
+                let missing = buffers.saturating_sub(free.len());
+                free.reserve_exact(missing);
                 drop(free);
                 vec![0.0f32; self.shared.clip_len]
             }
@@ -215,6 +218,26 @@ mod tests {
         assert_eq!((s.buffers, s.grow_events, s.free), (1, 1, 0));
         drop(clip);
         assert_eq!(arena.stats().free, 1);
+    }
+
+    #[test]
+    fn grown_buffers_release_without_reallocating_the_free_list() {
+        let arena = ClipArena::new([1, 1, 1, 2], 1);
+        let clips: Vec<ArenaClip> = (0..5).map(|_| arena.acquire()).collect();
+        assert_eq!(arena.stats().grow_events, 4);
+        let list = |a: &ClipArena| {
+            let free = lock_free(&a.shared.free);
+            (free.as_ptr(), free.capacity())
+        };
+        let (ptr, capacity) = list(&arena);
+        assert!(capacity >= 5, "free list holds {capacity} of 5 buffers");
+        drop(clips);
+        assert_eq!(arena.stats().free, 5);
+        assert_eq!(
+            list(&arena),
+            (ptr, capacity),
+            "release reallocated the free list"
+        );
     }
 
     #[test]

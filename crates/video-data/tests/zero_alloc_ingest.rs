@@ -90,7 +90,9 @@ fn steady_state_streaming_ingest_is_allocation_free() {
         preprocess,
         fault_clip: None,
     };
-    let arena = ClipArena::new(cfg.clip_shape(), cfg.depth + 1);
+    // The prefetcher's working set: `depth` queued clips, one in each
+    // worker's hands, and the one the consumer holds.
+    let arena = ClipArena::new(cfg.clip_shape(), cfg.depth + cfg.workers + 1);
     let mut pipe = Prefetcher::open(&path, cfg, arena).unwrap();
     let total = pipe.total_clips() as usize;
     assert_eq!(total, 32);

@@ -32,11 +32,12 @@
 //! `--seed`.
 
 use p3d::fpga::{AcceleratorConfig, Ports, QuantizedNetwork, Tiling};
-use p3d::infer::json::{backend_row, BackendReport};
+use p3d::infer::http::EnginePair;
+use p3d::infer::json::{backend_row, BackendReport, Obj};
 use p3d::infer::{
-    install_quiet_panic_hook, BatchScheduler, CanaryPolicy, ErrorBudget, F32Engine, FaultMix,
-    FaultPlan, HttpServer, InferenceEngine, ModelPushConfig, ModelRegistry, RegistryError, Request,
-    ResilientRun, ResilientServer, ServeConfig, ServerConfig, SimEngine, StreamRun, WireLimits,
+    install_quiet_panic_hook, CanaryPolicy, F32Engine, FaultMix, FaultPlan, HttpServer,
+    InferenceEngine, ModelPushConfig, ModelRegistry, RegistryError, Request, ResilientServer,
+    ServeConfig, ServerConfig, SimEngine, WireLimits,
 };
 use p3d::models::{
     build_network, c3d_lite, r2plus1d_lite, r2plus1d_lite_wide, r2plus1d_micro, NetworkSpec,
@@ -86,6 +87,18 @@ impl Args {
                 .parse()
                 .map_err(|_| format!("invalid value '{v}' for --{key}")),
         }
+    }
+
+    /// [`Args::get`], rejecting values above `max` as typos.
+    fn get_at_most<T>(&self, key: &str, default: T, max: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    {
+        let value = self.get(key, default)?;
+        if value > max {
+            return Err(format!("--{key} {value} is not plausible (max {max})"));
+        }
+        Ok(value)
     }
 
     fn required(&self, key: &str) -> Result<String, String> {
@@ -143,17 +156,21 @@ fn dataset_for(spec: &NetworkSpec, clips: usize, seed: u64) -> (SyntheticVideo, 
 }
 
 fn load_into(spec: &NetworkSpec, ckpt_path: &str, seed: u64) -> Result<Sequential, String> {
-    let mut net = build_network(spec, seed);
     let ckpt = Checkpoint::load(ckpt_path).map_err(|e| format!("cannot load {ckpt_path}: {e}"))?;
-    let report = ckpt.restore(&mut net);
+    restore_into(spec, &ckpt, seed).map_err(|e| format!("checkpoint {ckpt_path} {e}"))
+}
+
+/// Builds `spec` with `ckpt`'s weights, or says why the checkpoint does
+/// not fit the model.
+fn restore_into(spec: &NetworkSpec, ckpt: &Checkpoint, seed: u64) -> Result<Sequential, String> {
+    let mut net = build_network(spec, seed);
+    let report = ckpt.try_restore(&mut net);
     if report.num_restored() == 0 {
-        return Err(format!(
-            "checkpoint {ckpt_path} matches no parameters of this model"
-        ));
+        return Err("matches no parameters of this model".to_string());
     }
     if !report.mismatched.is_empty() {
         return Err(format!(
-            "checkpoint {ckpt_path} shape mismatch for {:?} — was it written by a different model?",
+            "shape mismatch for {:?} — was it written by a different model?",
             report.mismatched
         ));
     }
@@ -331,6 +348,17 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The accelerator every command simulates: a `(tm, tn)` MAC array at
+/// 150 MHz with 16-bit data.
+fn accel_config(tm: usize, tn: usize) -> AcceleratorConfig {
+    AcceleratorConfig {
+        tiling: Tiling::new(tm, tn, 2, 8, 8),
+        ports: Ports::new(2, 2, 2),
+        freq_mhz: 150.0,
+        data_bits: 16,
+    }
+}
+
 fn cmd_simulate(args: &Args) -> Result<(), String> {
     let model = args.get("model", "lite".to_string())?;
     let spec = model_spec(&model)?;
@@ -342,12 +370,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let mut net = load_into(&spec, &ckpt, seed)?;
     let (_, test) = dataset_for(&spec, clips, seed);
 
-    let accel = AcceleratorConfig {
-        tiling: Tiling::new(tm, tn, 2, 8, 8),
-        ports: Ports::new(2, 2, 2),
-        freq_mhz: 150.0,
-        data_bits: 16,
-    };
+    let accel = accel_config(tm, tn);
     let q = QuantizedNetwork::from_network(&spec, &mut net, accel.clone());
     let mut correct = 0usize;
     let mut cycles = 0u64;
@@ -394,38 +417,6 @@ deterministic fault mix (panics, stalls, bit flips, saturation storms)
 to exercise those paths; the report gains an error budget
 (shed/retry/quarantine/fallback counters), also emitted in --json.";
 
-/// One `backend: {...}` JSON fragment for `--json`. Both the batch and
-/// resilient paths render through [`backend_row`], so the two modes
-/// emit one schema — batch mode carries the degenerate all-completed
-/// error budget rather than no budget at all.
-fn infer_json_row(backend: &str, run: &StreamRun, accuracy: f64) -> String {
-    let row = backend_row(&BackendReport {
-        backend,
-        mode: "batch",
-        clips_per_s: run.clips_per_s(),
-        latency: run.latency_stats(),
-        accuracy,
-        batches: run.batches,
-        budget: ErrorBudget::all_completed(run.results.len() as u64),
-    });
-    format!("    {row}")
-}
-
-/// One `backend: {...}` JSON fragment for a resilient `--json` report,
-/// with the run's error budget embedded.
-fn resilient_json_row(backend: &str, run: &ResilientRun, accuracy: f64) -> String {
-    let row = backend_row(&BackendReport {
-        backend,
-        mode: "resilient",
-        clips_per_s: run.budget.completed as f64 / run.wall_s.max(1e-9),
-        latency: run.latency_stats(),
-        accuracy,
-        batches: run.batches,
-        budget: run.budget,
-    });
-    format!("    {row}")
-}
-
 /// Hard sanity limits for `p3d infer` flags: values past these are
 /// almost certainly typos, and the failure modes (hour-long runs,
 /// thousands of replicas) are unpleasant.
@@ -465,11 +456,11 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     let model = args.get("model", "lite".to_string())?;
     let spec = model_spec(&model)?;
     let clips: usize = args.get("clips", 60)?;
-    let batch: usize = args.get("batch", 8)?;
+    let batch: usize = args.get_at_most("batch", 8, MAX_BATCH)?;
     let seed: u64 = args.get("seed", 42)?;
     let tm: usize = args.get("tm", 8)?;
     let tn: usize = args.get("tn", 4)?;
-    let threads: usize = args.get("threads", 0)?;
+    let threads: usize = args.get_at_most("threads", 0, MAX_THREADS_FLAG)?;
     let backend = args.get("backend", "both".to_string())?;
     let json_path = args.get("json", String::new())?;
     let run_f32 = matches!(backend.as_str(), "f32" | "both");
@@ -480,42 +471,19 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     if batch == 0 {
         return Err("--batch must be positive".into());
     }
-    if batch > MAX_BATCH {
-        return Err(format!("--batch {batch} is not plausible (max {MAX_BATCH})"));
-    }
-    if threads > MAX_THREADS_FLAG {
-        return Err(format!(
-            "--threads {threads} is not plausible (max {MAX_THREADS_FLAG})"
-        ));
-    }
-    let replicas_flag: usize = args.get("replicas", 0)?;
+    let replicas_flag: usize = args.get_at_most("replicas", 0, MAX_REPLICAS)?;
     if args.flags.contains_key("replicas") && replicas_flag == 0 {
         return Err("--replicas must be positive".into());
-    }
-    if replicas_flag > MAX_REPLICAS {
-        return Err(format!(
-            "--replicas {replicas_flag} is not plausible (max {MAX_REPLICAS})"
-        ));
     }
     let capacity: usize = args.get("capacity", 1024)?;
     if capacity == 0 {
         return Err("--capacity must be positive".into());
     }
-    let deadline_ms: u64 = args.get("deadline-ms", 0)?;
+    let deadline_ms: u64 = args.get_at_most("deadline-ms", 0, MAX_DEADLINE_MS)?;
     if args.flags.contains_key("deadline-ms") && deadline_ms == 0 {
         return Err("--deadline-ms must be positive".into());
     }
-    if deadline_ms > MAX_DEADLINE_MS {
-        return Err(format!(
-            "--deadline-ms {deadline_ms} is not plausible (max {MAX_DEADLINE_MS})"
-        ));
-    }
-    let retries: u32 = args.get("retries", 2)?;
-    if retries > MAX_RETRIES {
-        return Err(format!(
-            "--retries {retries} is not plausible (max {MAX_RETRIES})"
-        ));
-    }
+    let retries: u32 = args.get_at_most("retries", 2, MAX_RETRIES)?;
     let chaos_given = args.flags.contains_key("chaos-seed");
     let chaos_seed: u64 = args.get("chaos-seed", 0)?;
     let resilient = args.get("resilient", false)?
@@ -538,38 +506,56 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     };
     // Provenance: which SIMD path the GEMM microkernel and the Q7.8
     // functional engine dispatch to on this host.
-    let feats = {
-        let f = simd::cpu_features();
-        if f.is_empty() {
-            "none"
-        } else {
-            f
-        }
+    let feats = match simd::cpu_features() {
+        "" => "none",
+        f => f,
     };
     let kernel_path = simd::active().name();
     println!("host: cpu features {feats} | kernel path {kernel_path}");
 
-    if resilient {
-        // Resilient serving: one supervised stream. `sim` and `both`
-        // run the Q7.8 simulator as primary with the f32 network as
-        // degradation fallback; `f32` runs the float path alone.
-        let primary_is_sim = run_sim;
-        let chaos = chaos_given.then(|| {
-            // Expected injected panics should not spray backtraces.
-            install_quiet_panic_hook();
-            FaultPlan::seeded_mix(chaos_seed, test.len(), &FaultMix::default())
-        });
-        let (c, d, h, w) = spec.input;
-        let mut server = ResilientServer::new(ServerConfig {
-            capacity,
-            max_batch: batch,
-            expected_shape: Some([c, d, h, w]),
-            default_deadline: (deadline_ms > 0)
-                .then(|| std::time::Duration::from_millis(deadline_ms)),
-            max_retries: retries,
-            seed,
-            ..ServerConfig::default()
-        });
+    // Every run serves through `ResilientServer`. Batch mode runs each
+    // selected backend alone with the policies off: room for every
+    // clip, no deadline, no fallback, no chaos. Resilient mode is one
+    // supervised stream; `sim` and `both` run the Q7.8 simulator as
+    // primary with the f32 network as degradation fallback, `f32` runs
+    // the float path alone.
+    let mut backends = Vec::new();
+    if run_f32 && !(resilient && run_sim) {
+        backends.push("f32");
+    }
+    if run_sim {
+        backends.push("sim");
+    }
+    let chaos = chaos_given.then(|| {
+        // Expected injected panics should not spray backtraces.
+        install_quiet_panic_hook();
+        FaultPlan::seeded_mix(chaos_seed, test.len(), &FaultMix::default())
+    });
+    let (c, d, h, w) = spec.input;
+    let cfg = ServerConfig {
+        capacity: if resilient { capacity } else { test.len() },
+        max_batch: batch,
+        expected_shape: Some([c, d, h, w]),
+        default_deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
+        max_retries: retries,
+        seed,
+        ..ServerConfig::default()
+    };
+    let mut engine = |name: &str| -> Box<dyn InferenceEngine> {
+        if name == "sim" {
+            let q = QuantizedNetwork::from_network(&spec, &mut net, accel_config(tm, tn));
+            Box::new(SimEngine::new(q, PrunedModel::dense()))
+        } else {
+            Box::new(F32Engine::new(replicas, || {
+                load_into(&spec, &ckpt, seed).expect("checkpoint validated above")
+            }))
+        }
+    };
+    let mut rows = Vec::new();
+    for name in backends {
+        let mut primary = engine(name);
+        let mut fallback = (resilient && name == "sim").then(|| engine("f32"));
+        let mut server = ResilientServer::new(cfg.clone());
         for i in 0..test.len() {
             let (mut clip, _) = test.sample(i);
             if let Some(plan) = &chaos {
@@ -579,27 +565,10 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
             // drained responses; nothing to do with the error here.
             let _ = server.submit(Request::new(clip));
         }
-        let name = if primary_is_sim { "sim" } else { "f32" };
-        let mut fallback;
-        let run = if primary_is_sim {
-            let accel = AcceleratorConfig {
-                tiling: Tiling::new(tm, tn, 2, 8, 8),
-                ports: Ports::new(2, 2, 2),
-                freq_mhz: 150.0,
-                data_bits: 16,
-            };
-            let q = QuantizedNetwork::from_network(&spec, &mut net, accel);
-            let mut primary = SimEngine::new(q, PrunedModel::dense());
-            fallback = F32Engine::new(replicas, || {
-                load_into(&spec, &ckpt, seed).expect("checkpoint validated above")
-            });
-            server.drain(&mut primary, Some(&mut fallback), chaos.as_ref())
-        } else {
-            let mut primary = F32Engine::new(replicas, || {
-                load_into(&spec, &ckpt, seed).expect("checkpoint validated above")
-            });
-            server.drain(&mut primary, None, chaos.as_ref())
-        };
+        let fallback = fallback
+            .as_deref_mut()
+            .map(|f| f as &mut dyn InferenceEngine);
+        let run = server.drain(primary.as_mut(), fallback, chaos.as_ref());
         let b = &run.budget;
         let correct = run
             .responses
@@ -610,11 +579,11 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
                     .is_ok_and(|res| res.prediction == labels[r.index])
             })
             .count();
-        let accuracy = correct as f64 / (b.completed.max(1)) as f64;
+        let accuracy = correct as f64 / b.completed.max(1) as f64;
+        let clips_per_s = b.completed as f64 / run.wall_s.max(1e-9);
         let lat = run.latency_stats();
         println!(
-            "{name:>4}: {:>8.1} clips/s | p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms | accuracy {accuracy:.4} ({} completed of {} submitted, batch {batch})",
-            b.completed as f64 / run.wall_s.max(1e-9),
+            "{name:>4}: {clips_per_s:>8.1} clips/s | p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms | accuracy {accuracy:.4} ({} completed of {} submitted, batch {batch})",
             lat.p50_ms,
             lat.p95_ms,
             lat.p99_ms,
@@ -634,78 +603,27 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
             b.fallbacks,
             b.sentinel_trips,
         );
-        if !json_path.is_empty() {
-            let json = format!(
-                "{{\n  \"model\": \"{model}\",\n  \"clips\": {},\n  \"batch\": {batch},\n  \"cpu_features\": \"{feats}\",\n  \"kernel_path\": \"{kernel_path}\",\n  \"results\": [\n{}\n  ]\n}}\n",
-                labels.len(),
-                resilient_json_row(name, &run, accuracy)
-            );
-            std::fs::write(&json_path, json)
-                .map_err(|e| format!("cannot write {json_path}: {e}"))?;
-            println!("wrote {json_path}");
-        }
-        if threads > 0 {
-            set_thread_override(None);
-        }
-        return Ok(());
-    }
-
-    let mut json_rows = Vec::new();
-    // Prints one backend line and returns its JSON row.
-    let report = |name: &str, run: &StreamRun| -> String {
-        let correct = run
-            .results
-            .iter()
-            .zip(&labels)
-            .filter(|(r, &l)| r.prediction == l)
-            .count();
-        let accuracy = correct as f64 / labels.len().max(1) as f64;
-        let lat = run.latency_stats();
-        println!(
-            "{name:>4}: {:>8.1} clips/s | p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms | accuracy {accuracy:.4} ({} clips, batch {batch})",
-            run.clips_per_s(),
-            lat.p50_ms,
-            lat.p95_ms,
-            lat.p99_ms,
-            labels.len(),
-        );
-        infer_json_row(name, run, accuracy)
-    };
-
-    if run_f32 {
-        let mut engine = F32Engine::new(replicas, || {
-            load_into(&spec, &ckpt, seed).expect("checkpoint validated above")
-        });
-        let mut sched = BatchScheduler::new(batch);
-        for i in 0..test.len() {
-            sched.submit(test.sample(i).0);
-        }
-        let run = sched.drain(&mut engine);
-        json_rows.push(report("f32", &run));
-    }
-    if run_sim {
-        let accel = AcceleratorConfig {
-            tiling: Tiling::new(tm, tn, 2, 8, 8),
-            ports: Ports::new(2, 2, 2),
-            freq_mhz: 150.0,
-            data_bits: 16,
-        };
-        let q = QuantizedNetwork::from_network(&spec, &mut net, accel);
-        let mut engine = SimEngine::new(q, PrunedModel::dense());
-        let mut sched = BatchScheduler::new(batch);
-        for i in 0..test.len() {
-            sched.submit(test.sample(i).0);
-        }
-        let run = sched.drain(&mut engine);
-        json_rows.push(report("sim", &run));
+        rows.push(backend_row(&BackendReport {
+            backend: name,
+            mode: if resilient { "resilient" } else { "batch" },
+            clips_per_s,
+            latency: lat,
+            accuracy,
+            batches: run.batches,
+            budget: run.budget,
+        }));
     }
     if !json_path.is_empty() {
-        let json = format!(
-            "{{\n  \"model\": \"{model}\",\n  \"clips\": {},\n  \"batch\": {batch},\n  \"cpu_features\": \"{feats}\",\n  \"kernel_path\": \"{kernel_path}\",\n  \"results\": [\n{}\n  ]\n}}\n",
-            labels.len(),
-            json_rows.join(",\n")
-        );
-        std::fs::write(&json_path, json).map_err(|e| format!("cannot write {json_path}: {e}"))?;
+        let json = Obj::new()
+            .str("model", &model)
+            .u64("clips", labels.len() as u64)
+            .u64("batch", batch as u64)
+            .str("cpu_features", feats)
+            .str("kernel_path", kernel_path)
+            .raw("results", &format!("[{}]", rows.join(", ")))
+            .build();
+        std::fs::write(&json_path, json + "\n")
+            .map_err(|e| format!("cannot write {json_path}: {e}"))?;
         println!("wrote {json_path}");
     }
     if threads > 0 {
@@ -807,28 +725,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if batch == 0 || batch > MAX_BATCH {
         return Err(format!("--batch {batch} out of range (1..={MAX_BATCH})"));
     }
-    let threads: usize = args.get("threads", 0)?;
-    if threads > MAX_THREADS_FLAG {
-        return Err(format!(
-            "--threads {threads} is not plausible (max {MAX_THREADS_FLAG})"
-        ));
-    }
+    let threads: usize = args.get_at_most("threads", 0, MAX_THREADS_FLAG)?;
     let capacity: usize = args.get("capacity", 1024)?;
     if capacity == 0 {
         return Err("--capacity must be positive".into());
     }
-    let deadline_ms: u64 = args.get("deadline-ms", 0)?;
-    if deadline_ms > MAX_DEADLINE_MS {
-        return Err(format!(
-            "--deadline-ms {deadline_ms} is not plausible (max {MAX_DEADLINE_MS})"
-        ));
-    }
-    let retries: u32 = args.get("retries", 2)?;
-    if retries > MAX_RETRIES {
-        return Err(format!(
-            "--retries {retries} is not plausible (max {MAX_RETRIES})"
-        ));
-    }
+    let deadline_ms: u64 = args.get_at_most("deadline-ms", 0, MAX_DEADLINE_MS)?;
+    let retries: u32 = args.get_at_most("retries", 2, MAX_RETRIES)?;
     let rate: f64 = args.get("rate", 0.0)?;
     let burst: f64 = args.get("burst", 8.0)?;
     if rate < 0.0 || burst < 0.0 {
@@ -854,34 +757,34 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if threads > 0 {
         set_thread_override(Some(threads));
     }
-    let mut net = load_into(&spec, &ckpt, seed)?;
     let (c, d, h, w) = spec.input;
     let replicas = max_threads().min(batch).max(1);
-    let make_f32 = |replicas: usize| {
-        let spec = spec.clone();
-        let ckpt = ckpt.clone();
-        F32Engine::new(replicas, move || {
-            load_into(&spec, &ckpt, seed).expect("checkpoint validated above")
+    // One engine topology for the startup checkpoint and every pushed
+    // one: the Q7.8 simulator with the f32 network as fallback, or the
+    // f32 network alone.
+    let engine_spec = spec.clone();
+    let engines = move |ckpt: &Checkpoint| -> Result<EnginePair, String> {
+        let mut net =
+            restore_into(&engine_spec, ckpt, seed).map_err(|e| format!("checkpoint {e}"))?;
+        let f32_engine = {
+            let spec = engine_spec.clone();
+            let ckpt = ckpt.clone();
+            F32Engine::new(replicas, move || {
+                restore_into(&spec, &ckpt, seed).expect("checkpoint validated above")
+            })
+        };
+        Ok(if primary_is_sim {
+            let q = QuantizedNetwork::from_network(&engine_spec, &mut net, accel_config(tm, tn));
+            (
+                Box::new(SimEngine::new(q, PrunedModel::dense())),
+                Some(Box::new(f32_engine)),
+            )
+        } else {
+            (Box::new(f32_engine), None)
         })
     };
-    let (primary, fallback): (
-        Box<dyn InferenceEngine + Send>,
-        Option<Box<dyn InferenceEngine + Send>>,
-    ) = if primary_is_sim {
-        let accel = AcceleratorConfig {
-            tiling: Tiling::new(tm, tn, 2, 8, 8),
-            ports: Ports::new(2, 2, 2),
-            freq_mhz: 150.0,
-            data_bits: 16,
-        };
-        let q = QuantizedNetwork::from_network(&spec, &mut net, accel);
-        (
-            Box::new(SimEngine::new(q, PrunedModel::dense())),
-            Some(Box::new(make_f32(replicas)) as Box<dyn InferenceEngine + Send>),
-        )
-    } else {
-        (Box::new(make_f32(replicas)), None)
-    };
+    let startup = Checkpoint::load(&ckpt).map_err(|e| format!("cannot load {ckpt}: {e}"))?;
+    let (primary, fallback) = engines(&startup).map_err(|e| format!("{ckpt}: {e}"))?;
 
     // The model-push control plane: publish the startup checkpoint into
     // the registry (so the first response already carries provenance)
@@ -900,48 +803,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot publish startup checkpoint: {e}"))?;
         serving_hash = published.hash.clone();
         let golden = p3d::tensor::TensorRng::seed(seed).uniform_tensor([c, d, h, w], 0.0, 1.0);
-        let factory_spec = spec.clone();
-        let factory = Box::new(move |pushed: &Checkpoint| {
-            let mut net = build_network(&factory_spec, seed);
-            let report = pushed.try_restore(&mut net);
-            if report.num_restored() == 0 {
-                return Err("checkpoint matches no parameters of this model".to_string());
-            }
-            if !report.mismatched.is_empty() {
-                return Err(format!(
-                    "checkpoint shape mismatch for {:?} — was it written by a different model?",
-                    report.mismatched
-                ));
-            }
-            let f32_engine = {
-                let spec = factory_spec.clone();
-                let pushed = pushed.clone();
-                F32Engine::new(replicas, move || {
-                    let mut net = build_network(&spec, seed);
-                    pushed.restore(&mut net);
-                    net
-                })
-            };
-            if primary_is_sim {
-                let accel = AcceleratorConfig {
-                    tiling: Tiling::new(tm, tn, 2, 8, 8),
-                    ports: Ports::new(2, 2, 2),
-                    freq_mhz: 150.0,
-                    data_bits: 16,
-                };
-                let q = QuantizedNetwork::from_network(&factory_spec, &mut net, accel);
-                Ok((
-                    Box::new(SimEngine::new(q, PrunedModel::dense()))
-                        as Box<dyn InferenceEngine + Send>,
-                    Some(Box::new(f32_engine) as Box<dyn InferenceEngine + Send>),
-                ))
-            } else {
-                Ok((
-                    Box::new(f32_engine) as Box<dyn InferenceEngine + Send>,
-                    None,
-                ))
-            }
-        });
         let canary = (canary_fraction > 0.0).then(|| CanaryPolicy {
             fraction: canary_fraction,
             decide_after: canary_after,
@@ -949,7 +810,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         });
         Some(ModelPushConfig {
             registry,
-            factory,
+            factory: Box::new(engines),
             golden,
             canary,
         })
@@ -1203,16 +1064,11 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     let batch: usize = args.get("batch", 8)?;
     let depth: usize = args.get("depth", 4)?;
     let workers: usize = args.get("workers", 2)?;
-    let threads: usize = args.get("threads", 0)?;
+    let threads: usize = args.get_at_most("threads", 0, MAX_THREADS_FLAG)?;
     let serial = args.get("serial", false)?;
     let json_path = args.get("json", String::new())?;
     if batch == 0 || batch > MAX_BATCH {
         return Err(format!("--batch {batch} out of range (1..={MAX_BATCH})"));
-    }
-    if threads > MAX_THREADS_FLAG {
-        return Err(format!(
-            "--threads {threads} is not plausible (max {MAX_THREADS_FLAG})"
-        ));
     }
     if threads > 0 {
         set_thread_override(Some(threads));
@@ -1346,20 +1202,17 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     println!("predictions: {}", summary.join(" "));
 
     if !json_path.is_empty() {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"input\": \"{input}\",\n"));
-        s.push_str(&format!("  \"model\": \"{model}\",\n"));
-        s.push_str(&format!("  \"clips\": {total},\n"));
-        s.push_str(&format!("  \"pipelined_clips_per_s\": {cps:.2},\n"));
-        s.push_str(&format!("  \"serial_clips_per_s\": {serial_cps:.2},\n"));
-        s.push_str(&format!(
-            "  \"overlap_efficiency\": {:.3},\n",
-            stats.overlap_efficiency()
-        ));
-        s.push_str(&format!("  \"arena_grow_events\": {grow},\n"));
-        s.push_str(&format!("  \"bitwise_equal\": {bitwise}\n"));
-        s.push_str("}\n");
+        let s = Obj::new()
+            .str("input", &input)
+            .str("model", &model)
+            .u64("clips", total)
+            .f64("pipelined_clips_per_s", cps, 2)
+            .f64("serial_clips_per_s", serial_cps, 2)
+            .f64("overlap_efficiency", stats.overlap_efficiency(), 3)
+            .u64("arena_grow_events", grow as u64)
+            .bool("bitwise_equal", bitwise)
+            .build()
+            + "\n";
         std::fs::write(&json_path, s).map_err(|e| format!("writing {json_path}: {e}"))?;
         println!("wrote {json_path}");
     }

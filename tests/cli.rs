@@ -201,6 +201,17 @@ fn infer_streams_both_backends_and_writes_json() {
         report.matches('}').count(),
         "unbalanced JSON: {report}"
     );
+    // Batch mode serves each backend with the policies off: every test
+    // clip completes, in ceil(clips / batch) batches, and none is shed.
+    let clips = json_u64(&report, "clips");
+    let rows: Vec<&str> = report.split("\"backend\": ").skip(1).collect();
+    assert_eq!(rows.len(), 2, "{report}");
+    for row in rows {
+        assert!(row.contains("\"mode\": \"batch\""), "{row}");
+        assert_eq!(json_u64(row, "completed"), clips, "{row}");
+        assert_eq!(json_u64(row, "batches"), clips.div_ceil(4), "{row}");
+        assert_eq!(json_u64(row, "shed_overload"), 0, "{row}");
+    }
 
     let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&json);
