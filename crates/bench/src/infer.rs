@@ -12,8 +12,8 @@
 //! row reports the best per-rep ratio plus the spread of all of them.
 //!
 //! The sim backend serves through the fast **functional** Q7.8 engine
-//! (lowered input tiles + an exact AVX2 integer row kernel when the
-//! host has it); its sequential baseline runs the same engine so the paired
+//! (lowered input tiles + a register-tiled exact integer kernel, AVX2
+//! when the host has it); its sequential baseline runs the same engine so the paired
 //! batched-vs-sequential ratio isolates batching, not the engine split.
 //! The report records the active kernel path and the host's CPU
 //! features so numbers carry their provenance.

@@ -12,17 +12,22 @@
 //!   the word that tap reads for every output position of the chunk,
 //!   zero in the padding. Stride and padding are resolved here, once
 //!   per chunk, so the compute loop never sees them.
-//! * **One long-row kernel** — every non-zero weight adds its tile row
-//!   into the chunk's `i64` accumulator at the full chunk length,
-//!   `acc[j] += w * tile[j]`, dispatched through [`p3d_tensor::simd`]
-//!   to an AVX2 kernel (exact `i16 -> i32` products widened to `i64`)
-//!   with a bitwise-identical scalar fallback. The same kernel serves
-//!   every stride and every tap.
+//! * **One register-tiled kernel per block row** — a `Tm x Tn` block
+//!   grid means every output channel of block row `bi` reads the same
+//!   input channels, so the row's enabled blocks reduce to one list of
+//!   tile-row runs, and its weights are packed once per call into a
+//!   panel in that order. The kernel walks the row's channels in groups
+//!   of up to 4 and the chunk in strips of 8 positions, holding the
+//!   4 x 8 exact `i64` sums in registers across the whole run list, then
+//!   rounds and saturates each sum once. Full 4 x 8 tiles go through an
+//!   AVX2 body when [`p3d_tensor::simd::use_avx2`] allows; ragged
+//!   groups and strips, and non-AVX2 hosts, through a scalar body that
+//!   is bitwise identical by construction. The same kernel serves every
+//!   stride and every tap.
 //! * **Block-enable skipping** — disabled `(bi, bj)` blocks contribute
 //!   neither arithmetic nor, when no block row reads an input channel,
-//!   lowering; zero weights inside enabled blocks skip their row update
-//!   entirely (exact: a zero product contributes nothing to an integer
-//!   sum).
+//!   lowering; a block row with no enabled block is never visited (its
+//!   outputs are exact zeros).
 //!
 //! # Why the two engines are bitwise identical
 //!
@@ -31,7 +36,7 @@
 //! once with the same `(acc + 128) >> 8` rule. Integer addition is
 //! associative and commutative, so the loop order — tiled there,
 //! lowered and chunked here, vectorized or not — cannot change a single
-//! bit, and a lowered padding word is a zero that adds nothing. The
+//! bit, and a lowered padding word or a zero weight adds nothing. The
 //! `conv_differential` suite pins this on random geometries and on
 //! every lite-wide layer; the statistics (cycles included) are
 //! reproduced analytically from the same tile walk the cycle engine
@@ -54,29 +59,57 @@ use std::ops::Range;
 /// layer whose single row lowers to more than this uses one row.
 pub const TILE_WORDS: usize = 32 * 1024;
 
-thread_local! {
-    /// Per-thread lowered input tile, grown on first use and reused by
-    /// every layer of every clip the thread simulates.
-    static TILE_SCRATCH: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
+/// Output channels per register tile.
+const GROUP: usize = 4;
+/// Output positions per register tile.
+const STRIP: usize = 8;
+
+/// Exact sums of one register tile: `[channel][position]`.
+type TileSums = [[i64; STRIP]; GROUP];
+
+/// The tile rows of one enabled block column: consecutive, as are
+/// their weights within each output channel's `[N * Kd * Kr * Kc]`
+/// weight row.
+struct Run {
+    /// First tile row.
+    row: usize,
+    /// Offset of its weight within an output channel's weight row.
+    w: usize,
+    /// Number of tile rows.
+    len: usize,
 }
 
-/// Runs `f` with a scratch slice of exactly `len` words, reusing the
-/// thread-local tile buffer across calls. The buffer grows straight to
-/// at least [`TILE_WORDS`], so later layers never reallocate it.
-fn with_tile_scratch<R>(len: usize, f: impl FnOnce(&mut [i16]) -> R) -> R {
-    TILE_SCRATCH.with(|cell| {
-        let mut buf = cell.take();
-        if buf.len() < len {
-            buf.resize(len.max(TILE_WORDS), 0);
-        }
-        let r = f(&mut buf[..len]);
-        cell.replace(buf);
+/// Per-thread kernel scratch, grown on first use and reused by every
+/// layer of every clip the thread simulates.
+#[derive(Default)]
+struct KernelScratch {
+    /// The lowered input tile of one chunk.
+    tile: Vec<i16>,
+    /// Tile row of each input channel's first tap; `None` when no
+    /// enabled block reads the channel, so it is never lowered.
+    first_row: Vec<Option<usize>>,
+    /// The tile-row runs of every block row, in block-row order.
+    runs: Vec<Run>,
+    /// `runs[row_runs[bi]]` are block row `bi`'s runs.
+    row_runs: Vec<Range<usize>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::default());
+}
+
+/// Runs `f` on this thread's kernel scratch.
+fn with_scratch<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.take();
+        let r = f(&mut scratch);
+        cell.replace(scratch);
         r
     })
 }
 
 /// Runs one convolution layer through the fast functional path,
-/// allocating a fresh accumulator buffer.
+/// allocating a fresh weight-panel buffer.
 ///
 /// Same contract as [`crate::sim::run_conv`]; batch loops should use
 /// [`run_conv_functional_with_scratch`] to reuse the buffer.
@@ -91,20 +124,22 @@ pub fn run_conv_functional(
     mask: Option<&LayerBlockMask>,
     config: &AcceleratorConfig,
 ) -> (FixedTensor, ConvStats) {
-    let mut acc64 = Vec::new();
-    run_conv_functional_with_scratch(inst, weights, input, mask, config, &mut acc64)
+    let mut panel = Vec::new();
+    run_conv_functional_with_scratch(inst, weights, input, mask, config, &mut panel)
 }
 
-/// [`run_conv_functional`] with a caller-owned `i64` accumulator buffer
-/// (one entry per output position of a lowered chunk; grown on first
-/// use).
+/// [`run_conv_functional`] with a caller-owned `i64` buffer that holds
+/// the packed weight panel of every block row (one entry per weight
+/// of an enabled block, grown on first use). With it reused, a call
+/// allocates only its output tensor once the per-thread kernel scratch
+/// has grown to the largest layer.
 pub fn run_conv_functional_with_scratch(
     inst: &ConvInstance,
     weights: &FixedTensor,
     input: &FixedTensor,
     mask: Option<&LayerBlockMask>,
     config: &AcceleratorConfig,
-    acc64: &mut Vec<i64>,
+    panel: &mut Vec<i64>,
 ) -> (FixedTensor, ConvStats) {
     let (n_ch, di, hi, wi) = inst.input;
     let (m_ch, od, oh, ow) = inst.output;
@@ -137,70 +172,168 @@ pub fn run_conv_functional_with_scratch(
 
     let mut stats = stats_from_tile_walk(inst, mask, config);
     let mut out = FixedTensor::zeros(Shape::d4(m_ch, od, oh, ow));
+    stats.saturated_words = with_scratch(|scratch| {
+        let KernelScratch {
+            tile,
+            first_row,
+            runs,
+            row_runs,
+        } = scratch;
 
-    // Tile row of each input channel's first tap, in channel order.
-    // Channels that no enabled block reads are never lowered.
-    let ktaps = kd * kr * kc;
-    let mut lowered_rows = 0;
-    let first_row: Vec<Option<usize>> = (0..n_ch)
-        .map(|n| {
+        // Tile row of each input channel's first tap, in channel order.
+        let ktaps = kd * kr * kc;
+        let mut lowered_rows = 0;
+        first_row.clear();
+        first_row.extend((0..n_ch).map(|n| {
             let read = (0..rows).any(|bi| enabled(bi, n / t.tn));
             read.then(|| {
                 lowered_rows += ktaps;
                 lowered_rows - ktaps
             })
-        })
-        .collect();
-    let out_rows = od * oh;
-    if lowered_rows == 0 || out_rows * ow == 0 {
-        return (out, stats); // every sum is zero: nothing to compute or rail
-    }
-    let chunk_rows = (TILE_WORDS / (lowered_rows * ow)).clamp(1, out_rows);
+        }));
+        let out_rows = od * oh;
+        if lowered_rows == 0 || out_rows * ow == 0 {
+            return 0; // every sum is zero: nothing to compute or rail
+        }
 
-    let w_bits = bits_of(weights.data());
-    let x_bits = bits_of(input.data());
-    let vol = out_rows * ow;
-    acc64.clear();
-    acc64.resize(chunk_rows * ow, 0);
-    let out_data = out.data_mut();
-    let use_avx2 = simd::use_avx2();
+        // Each block row's enabled blocks as runs of tile rows, and its
+        // weights packed in run order, `[group][k][channel]`. The tile
+        // rows of one enabled block column are one run: all of its
+        // channels are lowered, in channel order.
+        let w_bits = bits_of(weights.data());
+        runs.clear();
+        row_runs.clear();
+        panel.clear();
+        for bi in 0..rows {
+            let first = runs.len();
+            runs.extend((0..cols).filter(|&bj| enabled(bi, bj)).map(|bj| {
+                let n0 = bj * t.tn;
+                Run {
+                    row: first_row[n0].expect("an enabled block's channels are lowered"),
+                    w: n0 * ktaps,
+                    len: (((bj + 1) * t.tn).min(n_ch) - n0) * ktaps,
+                }
+            }));
+            row_runs.push(first..runs.len());
+            let m_end = ((bi + 1) * t.tm).min(m_ch);
+            for m0 in (bi * t.tm..m_end).step_by(GROUP) {
+                let group = m0..(m0 + GROUP).min(m_end);
+                for run in &runs[first..] {
+                    for i in run.w..run.w + run.len {
+                        panel.extend(group.clone().map(|m| w_bits[m * n_ch * ktaps + i] as i64));
+                    }
+                }
+            }
+        }
 
-    with_tile_scratch(lowered_rows * chunk_rows * ow, |tile| {
+        let chunk_rows = (TILE_WORDS / (lowered_rows * ow)).clamp(1, out_rows);
+        if tile.len() < lowered_rows * chunk_rows * ow {
+            tile.resize((lowered_rows * chunk_rows * ow).max(TILE_WORDS), 0);
+        }
+        let x_bits = bits_of(input.data());
+        let vol = out_rows * ow;
+        let out_data = out.data_mut();
+        let use_avx2 = simd::use_avx2();
+        let mut railed = 0;
         for row0 in (0..out_rows).step_by(chunk_rows) {
             let chunk = row0..(row0 + chunk_rows).min(out_rows);
             let len = chunk.len() * ow;
             let tile = &mut tile[..lowered_rows * len];
-            lower_chunk(tile, x_bits, inst, &first_row, chunk);
-            let acc = &mut acc64[..len];
-            for m in 0..m_ch {
-                acc.fill(0);
-                let bi = m / t.tm;
-                for bj in (0..cols).filter(|&bj| enabled(bi, bj)) {
-                    for n in bj * t.tn..((bj + 1) * t.tn).min(n_ch) {
-                        let base = first_row[n].expect("an enabled block's channels are lowered");
-                        let w = &w_bits[(m * n_ch + n) * ktaps..][..ktaps];
-                        for (tap, &wv) in w.iter().enumerate() {
-                            if wv != 0 {
-                                axpy(acc, &tile[(base + tap) * len..][..len], wv, use_avx2);
-                            }
-                        }
+            lower_chunk(tile, x_bits, inst, first_row, chunk);
+            let mut panel_rest = &panel[..];
+            for (bi, row_runs) in row_runs.iter().enumerate() {
+                let runs = &runs[row_runs.clone()];
+                let k: usize = runs.iter().map(|run| run.len).sum();
+                let m_end = ((bi + 1) * t.tm).min(m_ch);
+                for m0 in (bi * t.tm..m_end).step_by(GROUP) {
+                    let g = (m_end - m0).min(GROUP);
+                    let (group_panel, rest) = panel_rest.split_at(g * k);
+                    panel_rest = rest;
+                    if k > 0 {
+                        let out = &mut out_data[m0 * vol + row0 * ow..];
+                        railed += conv_group(out, vol, tile, len, runs, group_panel, g, use_avx2);
                     }
-                }
-                // Quantise the chunk back to Q7.8: same `(acc + 128) >> 8`
-                // round-and-saturate as `MacAccumulator::finish`, counting
-                // railed words for the saturation-anomaly signal.
-                let ch_out = &mut out_data[m * vol + row0 * ow..][..len];
-                for (o, &a) in ch_out.iter_mut().zip(acc.iter()) {
-                    let rounded = (a + (1 << (FRAC_BITS - 1))) >> FRAC_BITS;
-                    if rounded > i16::MAX as i64 || rounded < i16::MIN as i64 {
-                        stats.saturated_words += 1;
-                    }
-                    *o = Fixed16::from_bits(rounded.clamp(i16::MIN as i64, i16::MAX as i64) as i16);
                 }
             }
         }
+        railed
     });
     (out, stats)
+}
+
+/// Computes output channels `0..g` (`g <= GROUP`, rows `vol` apart in
+/// `out`) at the `len` positions of one lowered chunk, reading the
+/// tile rows in `runs` against `panel` (`[k][channel]`, `g` entries per
+/// tile row). Returns the number of railed output words.
+#[allow(clippy::too_many_arguments)]
+fn conv_group(
+    out: &mut [Fixed16],
+    vol: usize,
+    tile: &[i16],
+    len: usize,
+    runs: &[Run],
+    panel: &[i64],
+    g: usize,
+    use_avx2: bool,
+) -> u64 {
+    let k: usize = runs.iter().map(|run| run.len).sum();
+    assert_eq!(panel.len(), g * k, "the panel holds g weights per tile row");
+    assert!(
+        runs.iter()
+            .all(|run| (run.row + run.len) * len <= tile.len()),
+        "every run lies inside the tile"
+    );
+    let mut j = 0;
+    let mut railed = 0;
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2 && g == GROUP {
+        // SAFETY: use_avx2 came from simd::use_avx2(), which is true only
+        // when runtime detection proved AVX2 support; the asserts above
+        // prove that `tile` holds `len` words for every tile row of
+        // `runs` and that `panel` holds `GROUP` weights per tile row.
+        (j, railed) = unsafe { avx2::full_tiles(out, vol, tile, len, runs, panel) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = use_avx2;
+    while j < len {
+        let w = (len - j).min(STRIP);
+        let mut sums = [[0i64; STRIP]; GROUP];
+        let mut weights = panel.chunks_exact(g);
+        for run in runs {
+            for row in run.row..run.row + run.len {
+                let x = &tile[row * len + j..][..w];
+                let wk = weights.next().expect("panel holds g weights per tile row");
+                for (acc, &wv) in sums.iter_mut().zip(wk) {
+                    for (a, &xv) in acc.iter_mut().zip(x) {
+                        *a += wv * xv as i64;
+                    }
+                }
+            }
+        }
+        railed += finish(out, vol, j, &sums, g, w);
+        j += w;
+    }
+    railed
+}
+
+/// Rounds and saturates the first `g x w` sums of a register tile into
+/// `out` at position `j` (channel rows `vol` apart): the same
+/// `(acc + 128) >> 8` rule as `MacAccumulator::finish`, counting railed
+/// words for the saturation-anomaly signal.
+#[inline(always)]
+fn finish(out: &mut [Fixed16], vol: usize, j: usize, sums: &TileSums, g: usize, w: usize) -> u64 {
+    const LO: i64 = i16::MIN as i64;
+    const HI: i64 = i16::MAX as i64;
+    let mut railed = 0;
+    for (c, acc) in sums[..g].iter().enumerate() {
+        for (o, &a) in out[c * vol + j..][..w].iter_mut().zip(acc) {
+            let rounded = (a + (1 << (FRAC_BITS - 1))) >> FRAC_BITS;
+            let clamped = rounded.clamp(LO, HI);
+            railed += u64::from(clamped != rounded);
+            *o = Fixed16::from_bits(clamped as i16);
+        }
+    }
+    railed
 }
 
 /// Lowers output rows `chunk` (flattened `(d, r)` indices) of `x` into
@@ -256,25 +389,6 @@ fn lower_chunk(
                 }
             }
         }
-    }
-}
-
-/// One row update `acc[j] += wv * x[j]`. Products of two i16-range
-/// values are exact in `i64`, so the scalar and AVX2 bodies are bitwise
-/// identical by construction.
-#[inline]
-fn axpy(acc: &mut [i64], x: &[i16], wv: i16, use_avx2: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: use_avx2 came from simd::use_avx2(), which is true
-        // only when runtime detection proved AVX2 support; the caller
-        // slices `x` to `acc.len()`.
-        unsafe { avx2::axpy_i16_i64(acc, x, wv as i32) };
-        return;
-    }
-    let _ = use_avx2;
-    for (a, &xv) in acc.iter_mut().zip(x) {
-        *a += wv as i64 * xv as i64;
     }
 }
 
@@ -360,54 +474,93 @@ fn stats_from_tile_walk(
     stats
 }
 
-/// AVX2 body of the unit-stride integer row update.
+/// AVX2 body of the register-tiled kernel.
 ///
-/// Eight `i16` inputs are sign-extended to `i32`, multiplied by the
-/// broadcast weight with `_mm256_mullo_epi32` (exact: both operands are
-/// in i16 range, so `|product| <= 2^30`), sign-extended to `i64` and
-/// added into the accumulators. `_mm256_madd_epi16` is deliberately
-/// avoided — its paired-product `i32` sums can overflow at the rails
-/// (`(-32768)^2 * 2 > i32::MAX`), while this sequence is exact for every
-/// input, which is what makes the scalar fallback bitwise identical.
+/// Per tile row, eight `i16` inputs are sign-extended to two vectors of
+/// four `i64` lanes and multiplied by each channel's weight, broadcast
+/// from the low half of its `i64` panel entry, with
+/// `_mm256_mul_epi32`: a signed 32 x 32 -> 64-bit product of the low
+/// halves, exact for every `i16` pair including `(-2^15)^2`. The 4 x 8 sums stay in eight registers
+/// for the whole run list and are added in `i64`, so no partial sum can
+/// overflow. `_mm256_madd_epi16` is deliberately avoided — its
+/// paired-product `i32` sums can overflow at the rails
+/// (`(-32768)^2 * 2 > i32::MAX`), while this sequence is exact for
+/// every input, which is what makes the scalar body bitwise identical.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::{finish, Run, TileSums, GROUP, STRIP};
+    use p3d_tensor::Fixed16;
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi64, _mm256_castsi256_si128, _mm256_cvtepi16_epi32,
-        _mm256_cvtepi32_epi64, _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_mullo_epi32,
-        _mm256_set1_epi32, _mm256_storeu_si256, _mm_loadu_si128,
+        __m128i, __m256i, _mm256_add_epi64, _mm256_cvtepi16_epi64, _mm256_mul_epi32,
+        _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadl_epi64,
     };
 
-    /// `acc[j] += wv * x[j]` over the full slice.
+    /// Computes every full 8-position strip of a full 4-channel group
+    /// (the contract of `super::conv_group`), returning the first
+    /// position left for the scalar body and the railed words.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2 (callers gate on
-    /// [`p3d_tensor::simd::use_avx2`]). `x.len() >= acc.len()` is
-    /// enforced by the caller's slicing.
+    /// [`p3d_tensor::simd::use_avx2`]). `tile` must hold `len` words for
+    /// every tile row in `runs`, and `panel` `GROUP` weights per tile
+    /// row of `runs`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_i16_i64(acc: &mut [i64], x: &[i16], wv: i32) {
-        debug_assert!(x.len() >= acc.len());
-        let len = acc.len();
-        let ap = acc.as_mut_ptr();
-        let xp = x.as_ptr();
-        let vw = _mm256_set1_epi32(wv);
-        let mut j = 0usize;
-        while j + 8 <= len {
-            let xv = _mm_loadu_si128(xp.add(j) as *const __m128i);
-            let x32 = _mm256_cvtepi16_epi32(xv);
-            let prod = _mm256_mullo_epi32(x32, vw);
-            let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(prod));
-            let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(prod, 1));
-            let a0 = _mm256_loadu_si256(ap.add(j) as *const __m256i);
-            let a1 = _mm256_loadu_si256(ap.add(j + 4) as *const __m256i);
-            _mm256_storeu_si256(ap.add(j) as *mut __m256i, _mm256_add_epi64(a0, lo));
-            _mm256_storeu_si256(ap.add(j + 4) as *mut __m256i, _mm256_add_epi64(a1, hi));
-            j += 8;
+    pub unsafe fn full_tiles(
+        out: &mut [Fixed16],
+        vol: usize,
+        tile: &[i16],
+        len: usize,
+        runs: &[Run],
+        panel: &[i64],
+    ) -> (usize, u64) {
+        let mut railed = 0;
+        let mut j = 0;
+        while j + STRIP <= len {
+            let mut acc = [_mm256_setzero_si256(); 2 * GROUP];
+            let mut wp = panel.as_ptr();
+            for run in runs {
+                // SAFETY: `run.row * len + j + STRIP <= (run.row + 1) * len`,
+                // inside `tile` by this function's contract.
+                let mut xp = unsafe { tile.as_ptr().add(run.row * len + j) };
+                for _ in 0..run.len {
+                    // SAFETY: `xp` points at `STRIP` in-bounds words of
+                    // the current tile row (8-byte unaligned loads), and
+                    // `wp` at the row's `GROUP` panel weights; both
+                    // advance one tile row per iteration, and the
+                    // pointer step after the last row is only computed,
+                    // never read.
+                    unsafe {
+                        let lo = _mm256_cvtepi16_epi64(_mm_loadl_epi64(xp as *const __m128i));
+                        let hi =
+                            _mm256_cvtepi16_epi64(_mm_loadl_epi64(xp.add(4) as *const __m128i));
+                        for c in 0..GROUP {
+                            // `mul_epi32` reads only each lane's low
+                            // dword, so broadcasting the entry's low
+                            // half (the whole `i16` weight) is one load.
+                            let w = _mm256_set1_epi32(*wp.add(c) as i32);
+                            acc[2 * c] = _mm256_add_epi64(acc[2 * c], _mm256_mul_epi32(lo, w));
+                            acc[2 * c + 1] =
+                                _mm256_add_epi64(acc[2 * c + 1], _mm256_mul_epi32(hi, w));
+                        }
+                        wp = wp.add(GROUP);
+                        xp = xp.wrapping_add(len);
+                    }
+                }
+            }
+            let mut sums: TileSums = [[0; STRIP]; GROUP];
+            for (c, s) in sums.iter_mut().enumerate() {
+                // SAFETY: each `s` holds 8 `i64`s, two unaligned
+                // 256-bit stores.
+                unsafe {
+                    _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, acc[2 * c]);
+                    _mm256_storeu_si256(s.as_mut_ptr().add(4) as *mut __m256i, acc[2 * c + 1]);
+                }
+            }
+            railed += finish(out, vol, j, &sums, GROUP, STRIP);
+            j += STRIP;
         }
-        while j < len {
-            *ap.add(j) += wv as i64 * *xp.add(j) as i64;
-            j += 1;
-        }
+        (j, railed)
     }
 }
 

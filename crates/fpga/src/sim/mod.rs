@@ -12,8 +12,9 @@
 //!   arithmetic; kept for latency-model validation,
 //! * [`functional`] — the **fast functional** path serving goes
 //!   through: the input lowered once per bounded tile of output rows,
-//!   one exact AVX2 integer row kernel for every stride and tap (with a
-//!   bitwise-identical scalar fallback), and statistics reproduced
+//!   one register-tiled exact integer kernel over each block row's
+//!   enabled tile rows for every stride and tap (AVX2, with a
+//!   bitwise-identical scalar body), and statistics reproduced
 //!   analytically from the same tile walk.
 //!
 //! The simulator computes real outputs in the paper's Q7.8 fixed point,

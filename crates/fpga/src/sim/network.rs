@@ -24,8 +24,9 @@ use std::collections::BTreeMap;
 /// suites); the choice only trades speed for loop-level fidelity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimPath {
-    /// The fast functional Q7.8 path (lowered input tiles, one AVX2
-    /// integer row kernel, analytic statistics) — the serving default.
+    /// The fast functional Q7.8 path (lowered input tiles, one
+    /// register-tiled exact integer kernel per block row, analytic
+    /// statistics) — the serving default.
     #[default]
     Functional,
     /// The cycle-approximate tile-loop engine that executes Algorithm
@@ -36,9 +37,10 @@ pub enum SimPath {
 /// Reusable per-worker scratch for repeated simulated forwards.
 ///
 /// Holds the tile-accumulator buffer the cycle engine fills per (volume
-/// tile x channel block) and the functional engine's `i64` accumulator
-/// for one lowered chunk of output rows. (The functional engine's
-/// lowered `i16` input tile is a per-thread buffer of its own.) Every
+/// tile x channel block) and the functional engine's packed weight
+/// panel, one `i64` per weight of an enabled block. (The functional
+/// engine's lowered `i16` input tile and tile-row lists are per-thread
+/// buffers of their own, and its sums live in registers.) Every
 /// contribution is summed exactly in `i64` and rounded once, so the
 /// chunk boundaries cannot change a bit. One `SimScratch` per serving
 /// worker turns per-layer allocations into buffer reuse across every
@@ -47,7 +49,7 @@ pub enum SimPath {
 #[derive(Default)]
 pub struct SimScratch {
     acc: Vec<MacAccumulator>,
-    acc64: Vec<i64>,
+    panel: Vec<i64>,
 }
 
 impl SimScratch {
@@ -323,7 +325,7 @@ impl WalkCtx<'_> {
                         &map,
                         mask,
                         &self.net.config,
-                        &mut self.scratch.acc64,
+                        &mut self.scratch.panel,
                     ),
                     SimPath::CycleApproximate => run_conv_with_scratch(
                         inst,

@@ -39,6 +39,14 @@ fn cfg() -> AcceleratorConfig {
     }
 }
 
+/// [`cfg`] with `Tm x Tn` channel blocks.
+fn tiled_cfg(tm: usize, tn: usize) -> AcceleratorConfig {
+    AcceleratorConfig {
+        tiling: Tiling::new(tm, tn, 2, 4, 4),
+        ..cfg()
+    }
+}
+
 /// A bias-free conv instance with its output shape derived.
 fn conv_inst(
     name: &str,
@@ -242,21 +250,25 @@ proptest! {
 
     /// The fast functional path reproduces the cycle engine bit-for-bit
     /// on arbitrary shapes, strides and pads — the whole result pair,
-    /// not just the tensor: cycles, MACs and buffer traffic too.
+    /// not just the tensor: cycles, MACs and buffer traffic too. The
+    /// `Tm = 4` and `Tm = 8` tilings fill the kernel's 4-channel
+    /// register tiles, with ragged groups beside them.
     #[test]
     fn functional_path_equals_cycle_engine(
-        (m, n) in (1usize..=6, 1usize..=6),
+        (m, n) in (1usize..=10, 1usize..=6),
         kernel in (1usize..=3, 1usize..=3, 1usize..=3),
         stride in (1usize..=2, 1usize..=2, 1usize..=2),
         pad in (0usize..=1, 0usize..=1, 0usize..=1),
         extra in (0usize..=3, 0usize..=3, 0usize..=3),
         seed in 0u64..1_000_000,
+        (tm, tn) in prop::sample::select(vec![(2usize, 2usize), (4, 2), (8, 4)]),
     ) {
         let (case, _) = Case::build(m, n, kernel, stride, pad, extra, seed, |_| None);
         let qw = FixedTensor::quantize(&case.w);
         let qx = FixedTensor::quantize(&case.x);
-        let (a, sa) = run_conv(&case.inst, &qw, &qx, None, &cfg());
-        let (b, sb) = run_conv_functional(&case.inst, &qw, &qx, None, &cfg());
+        let cfg = tiled_cfg(tm, tn);
+        let (a, sa) = run_conv(&case.inst, &qw, &qx, None, &cfg);
+        let (b, sb) = run_conv_functional(&case.inst, &qw, &qx, None, &cfg);
         prop_assert_eq!(&a, &b, "functional output diverged from cycle engine");
         prop_assert_eq!(sa, sb, "functional stats diverged from cycle engine");
     }
@@ -266,16 +278,17 @@ proptest! {
     /// and cycle accounting).
     #[test]
     fn functional_path_equals_cycle_engine_masked(
-        (m, n) in (1usize..=6, 1usize..=6),
+        (m, n) in (1usize..=10, 1usize..=6),
         kernel in (1usize..=3, 1usize..=3, 1usize..=3),
         stride in (1usize..=2, 1usize..=2, 1usize..=2),
         pad in (0usize..=1, 0usize..=1, 0usize..=1),
         extra in (0usize..=3, 0usize..=3, 0usize..=3),
         seed in 0u64..1_000_000,
         keep_pattern in prop::collection::vec(any::<bool>(), 1..16),
+        (tm, tn) in prop::sample::select(vec![(2usize, 2usize), (4, 2), (8, 4)]),
     ) {
         let (case, mask) = Case::build(m, n, kernel, stride, pad, extra, seed, |w| {
-            let grid = BlockGrid::for_weight(w, BlockShape::new(2, 2));
+            let grid = BlockGrid::for_weight(w, BlockShape::new(tm, tn));
             let keep: Vec<bool> = (0..grid.num_blocks())
                 .map(|i| keep_pattern[i % keep_pattern.len()])
                 .collect();
@@ -284,8 +297,9 @@ proptest! {
         let mask = mask.expect("mask built above");
         let qw = FixedTensor::quantize(&case.w);
         let qx = FixedTensor::quantize(&case.x);
-        let (a, sa) = run_conv(&case.inst, &qw, &qx, Some(&mask), &cfg());
-        let (b, sb) = run_conv_functional(&case.inst, &qw, &qx, Some(&mask), &cfg());
+        let cfg = tiled_cfg(tm, tn);
+        let (a, sa) = run_conv(&case.inst, &qw, &qx, Some(&mask), &cfg);
+        let (b, sb) = run_conv_functional(&case.inst, &qw, &qx, Some(&mask), &cfg);
         prop_assert_eq!(&a, &b, "masked functional output diverged");
         prop_assert_eq!(sa, sb, "masked functional stats diverged");
         prop_assert_eq!(sb.blocks_skipped, sa.blocks_skipped);
@@ -305,7 +319,7 @@ fn full_range_tensor(dims: &[usize], seed: u64) -> FixedTensor {
         *v = match i % 7 {
             0 => Fixed16::MIN,            // -32768: the overflow rail
             1 => Fixed16::MAX,            // 32767
-            2 => Fixed16::ZERO,           // exercises the zero-weight skip
+            2 => Fixed16::ZERO,           // zero weights and inputs inside the sums
             _ => Fixed16::from_bits((state >> 48) as i16),
         };
     }
@@ -320,18 +334,20 @@ static SIMD_OVERRIDE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// level and once with the scalar fallback explicitly forced; on a
 /// non-AVX2 host this degenerates to scalar-vs-scalar. Also pins the
 /// (saturation-heavy) result against the cycle engine, which never
-/// dispatches to SIMD at all.
-fn assert_avx2_equals_forced_scalar_at_rails(inst: &ConvInstance) {
+/// dispatches to SIMD at all. Callers run it under [`cfg`] (`Tm = 2`:
+/// every register tile is a ragged group) and [`paper_cfg`] (`Tm = 8`:
+/// full 4-channel tiles).
+fn assert_avx2_equals_forced_scalar_at_rails(inst: &ConvInstance, cfg: &AcceleratorConfig) {
     let ((m, ..), (n, di, hi, wi)) = (inst.output, inst.input);
     let (kd, kr, kc) = inst.spec.kernel;
     let qw = full_range_tensor(&[m, n, kd, kr, kc], 0xfeed);
     let qx = full_range_tensor(&[n, di, hi, wi], 0xbeef);
 
     let _guard = SIMD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    let (simd_out, simd_stats) = run_conv_functional(inst, &qw, &qx, None, &cfg());
+    let (simd_out, simd_stats) = run_conv_functional(inst, &qw, &qx, None, cfg);
     simd::force_scalar(true);
     let forced_level = simd::active();
-    let (scalar_out, scalar_stats) = run_conv_functional(inst, &qw, &qx, None, &cfg());
+    let (scalar_out, scalar_stats) = run_conv_functional(inst, &qw, &qx, None, cfg);
     simd::force_scalar(false);
     assert_eq!(forced_level.name(), "scalar");
     assert_eq!(
@@ -342,7 +358,7 @@ fn assert_avx2_equals_forced_scalar_at_rails(inst: &ConvInstance) {
     assert_eq!(simd_stats, scalar_stats);
 
     // Cross-check against the never-vectorized cycle engine.
-    let (cycle_out, cycle_stats) = run_conv(inst, &qw, &qx, None, &cfg());
+    let (cycle_out, cycle_stats) = run_conv(inst, &qw, &qx, None, cfg);
     assert_eq!(simd_out, cycle_out);
     assert_eq!(simd_stats, cycle_stats);
     // The rail-heavy operands must actually exercise saturation.
@@ -354,7 +370,8 @@ fn functional_avx2_and_forced_scalar_bitwise_identical_at_rails() {
     // W=17: vector body + odd scalar tail.
     let inst = conv_inst("rails", (4, 6), (2, 3, 3), (1, 1, 1), (1, 1, 1), (3, 9, 17));
     assert_eq!(inst.output, (4, 4, 9, 17));
-    assert_avx2_equals_forced_scalar_at_rails(&inst);
+    assert_avx2_equals_forced_scalar_at_rails(&inst, &cfg());
+    assert_avx2_equals_forced_scalar_at_rails(&inst, &paper_cfg());
 }
 
 /// The same gate on a stride-2 padded geometry, so strided lowering
@@ -364,7 +381,8 @@ fn functional_avx2_and_forced_scalar_bitwise_identical_at_rails_stride2() {
     // Ow=19: two vector steps + an odd scalar tail of 3.
     let inst = conv_inst("rails_s2", (4, 6), (1, 5, 5), (1, 2, 2), (0, 2, 2), (3, 11, 37));
     assert_eq!(inst.output, (4, 3, 6, 19));
-    assert_avx2_equals_forced_scalar_at_rails(&inst);
+    assert_avx2_equals_forced_scalar_at_rails(&inst, &cfg());
+    assert_avx2_equals_forced_scalar_at_rails(&inst, &paper_cfg());
 }
 
 /// The paper's tiling: 8x4 channel blocks, as the pruned workloads use.
@@ -446,6 +464,58 @@ fn functional_equals_cycle_across_lowered_tiles() {
             let name = &inst.spec.name;
             assert_eq!(a, b, "{name} with {live_channels} live channels: output diverged");
             assert_eq!(sa, sb, "{name} with {live_channels} live channels: stats diverged");
+        }
+        // The same chunks under 8-channel block rows: one full register
+        // tile and one ragged group of 2 per chunk.
+        let (a, sa) = run_conv(inst, &qw, &qx, None, &paper_cfg());
+        let (b, sb) = run_conv_functional(inst, &qw, &qx, None, &paper_cfg());
+        assert_eq!(a, b, "{} at Tm = 8: output diverged", inst.spec.name);
+        assert_eq!(sa, sb, "{} at Tm = 8: stats diverged", inst.spec.name);
+    }
+}
+
+/// The register-tiled kernel's edges, functional against cycle under
+/// 8x4 blocks: block rows whose last register tile holds 1, 2, 3 and 4
+/// channels (`M` = 9..=12), chunk lengths with every `len % 8` (one
+/// chunk of `3 * W` positions, `W` = 1..=8), and masks with an empty
+/// block row, no enabled block at all, different block columns per
+/// row, and two enabled columns around one that no row reads (their
+/// tile rows are adjacent but their weights are not). Disabled blocks
+/// keep their non-zero weights, so a block the kernel failed to skip
+/// would show.
+#[test]
+fn functional_equals_cycle_at_register_tile_edges() {
+    let cfg = paper_cfg();
+    let n = 12; // three block columns
+    let masks: [&[(usize, usize)]; 5] = [
+        &[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)],
+        &[(1, 0), (1, 2)],
+        &[],
+        &[(0, 1), (1, 0)],
+        &[(0, 0), (0, 2), (1, 2)],
+    ];
+    let mut rng = TensorRng::seed(0x7e6);
+    for m in 9..=12 {
+        let qw = FixedTensor::quantize(&rng.uniform_tensor([m, n, 1, 3, 3], -0.6, 0.6));
+        let grid = BlockGrid::for_weight(&qw.dequantize(), BlockShape::new(8, 4));
+        assert_eq!((grid.rows(), grid.cols()), (2, 3));
+        for w in 1..=8 {
+            let inst = conv_inst("edges", (m, n), (1, 3, 3), (1, 1, 1), (0, 1, 1), (1, 3, w));
+            let qx = FixedTensor::quantize(&rng.uniform_tensor([n, 1, 3, w], -1.5, 1.5));
+            for enabled in masks {
+                let keep = (0..grid.num_blocks())
+                    .map(|b| enabled.contains(&(b / grid.cols(), b % grid.cols())))
+                    .collect();
+                let mask = LayerBlockMask::new(grid, keep);
+                let (a, sa) = run_conv(&inst, &qw, &qx, Some(&mask), &cfg);
+                let (b, sb) = run_conv_functional(&inst, &qw, &qx, Some(&mask), &cfg);
+                let what = format!("M={m} W={w} enabled {enabled:?}");
+                assert_eq!(a, b, "{what}: output diverged");
+                assert_eq!(sa, sb, "{what}: stats diverged");
+                if enabled.is_empty() {
+                    assert!(b.data().iter().all(|v| *v == Fixed16::ZERO), "{what}");
+                }
+            }
         }
     }
 }

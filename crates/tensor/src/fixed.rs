@@ -113,11 +113,13 @@ impl Fixed16 {
     }
 
     /// Saturating addition.
+    #[inline]
     pub fn saturating_add(self, rhs: Fixed16) -> Fixed16 {
         Fixed16(self.0.saturating_add(rhs.0))
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, rhs: Fixed16) -> Fixed16 {
         Fixed16(self.0.saturating_sub(rhs.0))
     }
@@ -125,6 +127,7 @@ impl Fixed16 {
     /// Saturating multiplication with round-to-nearest-even-free truncation
     /// toward negative infinity after adding half an ULP (hardware-style
     /// rounding: add `1 << (FRAC_BITS-1)` then arithmetic shift).
+    #[inline]
     pub fn saturating_mul(self, rhs: Fixed16) -> Fixed16 {
         let wide = self.0 as i32 * rhs.0 as i32; // Q14.16 in 32 bits
         let rounded = (wide + (1 << (FRAC_BITS - 1))) >> FRAC_BITS;
@@ -132,6 +135,7 @@ impl Fixed16 {
     }
 
     /// ReLU: `max(self, 0)`.
+    #[inline]
     pub fn relu(self) -> Fixed16 {
         if self.0 < 0 {
             Fixed16::ZERO
@@ -141,6 +145,7 @@ impl Fixed16 {
     }
 
     /// The maximum of two values.
+    #[inline]
     pub fn max(self, other: Fixed16) -> Fixed16 {
         if self.0 >= other.0 {
             self
@@ -150,12 +155,14 @@ impl Fixed16 {
     }
 }
 
+#[inline]
 fn clamp_i32(x: i32) -> i16 {
     x.clamp(i16::MIN as i32, i16::MAX as i32) as i16
 }
 
 impl Add for Fixed16 {
     type Output = Fixed16;
+    #[inline]
     fn add(self, rhs: Fixed16) -> Fixed16 {
         self.saturating_add(rhs)
     }
@@ -163,6 +170,7 @@ impl Add for Fixed16 {
 
 impl Sub for Fixed16 {
     type Output = Fixed16;
+    #[inline]
     fn sub(self, rhs: Fixed16) -> Fixed16 {
         self.saturating_sub(rhs)
     }
@@ -170,6 +178,7 @@ impl Sub for Fixed16 {
 
 impl Mul for Fixed16 {
     type Output = Fixed16;
+    #[inline]
     fn mul(self, rhs: Fixed16) -> Fixed16 {
         self.saturating_mul(rhs)
     }
