@@ -1,5 +1,5 @@
 //! **Ablation: Winograd vs blockwise pruning.** Table IV's strongest
-//! baselines ([18] on VC709/VUS440) are Winograd designs — they cut each
+//! baselines (\[18\] on VC709/VUS440) are Winograd designs — they cut each
 //! eligible 3x3 convolution's multiplications 2.25x. This binary puts a
 //! hypothetical Winograd engine on our accelerator and compares the two
 //! acceleration levers, separately and combined, on R(2+1)D.

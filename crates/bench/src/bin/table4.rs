@@ -4,7 +4,7 @@
 //! the paper's headline speedup claims.
 //!
 //! Conventions (carried from the paper):
-//! * C3D throughput uses 1 op per MAC (the convention of [13]);
+//! * C3D throughput uses 1 op per MAC (the convention of \[13\]);
 //! * R(2+1)D throughput uses 2 ops per MAC and the *pruned* op count;
 //! * power for our designs comes from `PowerModel::paper_zcu102()`, a
 //!   static+per-DSP decomposition calibrated on the paper's two measured

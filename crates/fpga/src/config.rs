@@ -128,7 +128,7 @@ impl Board {
         }
     }
 
-    /// Xilinx ZC706, the board of the F-C3D baseline [13].
+    /// Xilinx ZC706, the board of the F-C3D baseline \[13\].
     pub fn zc706() -> Self {
         Board {
             name: "ZC706".into(),

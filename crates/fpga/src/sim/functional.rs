@@ -9,9 +9,10 @@
 //!   whole output rows, sized so the chunk's input tile holds at most
 //!   [`TILE_WORDS`] `i16` words. Each chunk lowers the input once into a
 //!   per-thread tile with one row per `(input channel, kernel tap)`:
-//!   the word that tap reads for every output position of the chunk,
-//!   zero in the padding. Stride and padding are resolved here, once
-//!   per chunk, so the compute loop never sees them.
+//!   that row of the im2col column matrix over the chunk's window of
+//!   output lines, zero in the padding, written by the f32 engines' own
+//!   walk ([`p3d_nn::im2col::lower_row`]). Stride and padding are
+//!   resolved there, once per chunk, so the compute loop never sees them.
 //! * **One register-tiled kernel per block row** — a `Tm x Tn` block
 //!   grid means every output channel of block row `bi` reads the same
 //!   input channels, so the row's enabled blocks reduce to one list of
@@ -48,6 +49,7 @@ use crate::latency::tile_terms;
 use crate::sim::cycle::ConvStats;
 use p3d_core::LayerBlockMask;
 use p3d_models::ConvInstance;
+use p3d_nn::im2col::{lower_row, ConvGeometry};
 use p3d_tensor::fixed::{bits_of, FRAC_BITS};
 use p3d_tensor::{simd, Fixed16, FixedTensor, Shape};
 use std::cell::RefCell;
@@ -170,6 +172,14 @@ pub fn run_conv_functional_with_scratch(
     }
     let enabled = |bi: usize, bj: usize| mask.is_none_or(|m| m.is_enabled(bi, bj));
 
+    let geom = ConvGeometry {
+        channels: n_ch,
+        input: (di, hi, wi),
+        kernel: inst.spec.kernel,
+        stride: inst.spec.stride,
+        pad: inst.spec.pad,
+    };
+
     let mut stats = stats_from_tile_walk(inst, mask, config);
     let mut out = FixedTensor::zeros(Shape::d4(m_ch, od, oh, ow));
     stats.saturated_words = with_scratch(|scratch| {
@@ -239,7 +249,13 @@ pub fn run_conv_functional_with_scratch(
             let chunk = row0..(row0 + chunk_rows).min(out_rows);
             let len = chunk.len() * ow;
             let tile = &mut tile[..lowered_rows * len];
-            lower_chunk(tile, x_bits, inst, first_row, chunk);
+            // Column-matrix rows in tile order: `first_row`'s channels, every tap.
+            let lowered = (0..n_ch)
+                .filter(|&n| first_row[n].is_some())
+                .flat_map(|n| n * ktaps..(n + 1) * ktaps);
+            for (tap_row, p) in tile.chunks_exact_mut(len).zip(lowered) {
+                lower_row(x_bits, &geom, p, chunk.clone(), tap_row);
+            }
             let mut panel_rest = &panel[..];
             for (bi, row_runs) in row_runs.iter().enumerate() {
                 let runs = &runs[row_runs.clone()];
@@ -334,79 +350,6 @@ fn finish(out: &mut [Fixed16], vol: usize, j: usize, sums: &TileSums, g: usize, 
         }
     }
     railed
-}
-
-/// Lowers output rows `chunk` (flattened `(d, r)` indices) of `x` into
-/// `tile`: for each lowered channel in order, one row per kernel tap
-/// holding, for every output position of the chunk, the input word the
-/// tap reads there — zero where it reads padding.
-fn lower_chunk(
-    tile: &mut [i16],
-    x: &[i16],
-    inst: &ConvInstance,
-    first_row: &[Option<usize>],
-    chunk: Range<usize>,
-) {
-    let (_, di, hi, wi) = inst.input;
-    let (_, od, oh, ow) = inst.output;
-    let (kd, kr, kc) = inst.spec.kernel;
-    let (sd, sr, sc) = inst.spec.stride;
-    let (pd, pr, pc) = inst.spec.pad;
-    let mut tap_rows = tile.chunks_exact_mut(chunk.len() * ow);
-    for (n, _) in first_row.iter().enumerate().filter(|(_, row)| row.is_some()) {
-        let x_n = &x[n * di * hi * wi..][..di * hi * wi];
-        for kdi in 0..kd {
-            let d_ok = valid_range(kdi, sd, pd, di, od);
-            for kri in 0..kr {
-                let r_ok = valid_range(kri, sr, pr, hi, oh);
-                for kci in 0..kc {
-                    let (c_lo, c_hi) = valid_range(kci, sc, pc, wi, ow);
-                    let tap_row = tap_rows.next().expect("tile holds every lowered tap");
-                    for (seg, o) in tap_row.chunks_exact_mut(ow).zip(chunk.clone()) {
-                        let (d, r) = (o / oh, o % oh);
-                        if !(d_ok.0..d_ok.1).contains(&d) || !(r_ok.0..r_ok.1).contains(&r) {
-                            seg.fill(0);
-                            continue;
-                        }
-                        let x_row =
-                            &x_n[((d * sd + kdi - pd) * hi + r * sr + kri - pr) * wi..][..wi];
-                        seg[..c_lo].fill(0);
-                        seg[c_hi..].fill(0);
-                        if c_lo == c_hi {
-                            continue;
-                        }
-                        // x column for output c: c*sc + kci - pc.
-                        let src = &x_row[c_lo * sc + kci - pc..];
-                        let dst = &mut seg[c_lo..c_hi];
-                        if sc == 1 {
-                            dst.copy_from_slice(&src[..dst.len()]);
-                        } else {
-                            for (v, &xv) in dst.iter_mut().zip(src.iter().step_by(sc)) {
-                                *v = xv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Valid output range `[lo, hi)` for one kernel tap: the `o` with
-/// `0 <= o*stride + k - pad < limit`, clamped to `[0, out_dim)`.
-fn valid_range(k: usize, stride: usize, pad: usize, limit: usize, out_dim: usize) -> (usize, usize) {
-    let lo = if pad > k {
-        (pad - k).div_ceil(stride)
-    } else {
-        0
-    };
-    // Largest o with o*stride <= limit - 1 + pad - k (none if negative).
-    let hi = if limit + pad > k {
-        ((limit - 1 + pad - k) / stride + 1).min(out_dim)
-    } else {
-        0
-    };
-    (lo.min(hi), hi)
 }
 
 /// Reproduces the cycle engine's statistics — cycles, MACs, skipped
@@ -653,18 +596,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(sa, sb);
         assert_eq!(sb.saturated_words, sb.output_words);
-    }
-
-    #[test]
-    fn valid_range_edges() {
-        // stride 1, pad 1, kernel tap 0 on a length-8 axis with 8 outputs:
-        // o + 0 - 1 >= 0 -> o >= 1.
-        assert_eq!(valid_range(0, 1, 1, 8, 8), (1, 8));
-        // tap 2: o + 2 - 1 < 8 -> o < 7.
-        assert_eq!(valid_range(2, 1, 1, 8, 8), (0, 7));
-        // stride 2, no pad, limit 8, 3 outputs: all valid for tap <= 1.
-        assert_eq!(valid_range(1, 2, 0, 8, 3), (0, 3));
-        // degenerate: tap beyond limit+pad.
-        assert_eq!(valid_range(5, 1, 0, 3, 3), (0, 0));
     }
 }

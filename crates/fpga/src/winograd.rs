@@ -1,7 +1,7 @@
 //! Winograd fast convolution, `F(2x2, 3x3)`.
 //!
 //! The strongest FPGA baselines the paper compares against in Table IV
-//! (VC709/VUS440, Shen et al. [18]) are Winograd designs: they spend
+//! (VC709/VUS440, Shen et al. \[18\]) are Winograd designs: they spend
 //! 36 multiplications of a direct `3x3` convolution as 16, a 2.25x
 //! arithmetic reduction, which is how they reach 430–785 GOPS where the
 //! paper's direct MAC array reaches 47–112. This module implements the
@@ -182,7 +182,7 @@ pub const WINOGRAD_MUL_RATIO: f64 = 16.0 / 36.0;
 /// [`WINOGRAD_MUL_RATIO`] (the same MAC array evaluates the Winograd-
 /// domain products); ineligible layers run on the direct engine.
 ///
-/// Transforms are assumed overlapped with the products (as in [18]); the
+/// Transforms are assumed overlapped with the products (as in \[18\]); the
 /// result is therefore an *optimistic* bound for the Winograd variant,
 /// which only strengthens the comparison when pruning still wins.
 pub fn winograd_network_latency(

@@ -434,18 +434,25 @@ fn functional_equals_cycle_on_every_lite_wide_layer() {
 
 /// An output volume spanning several lowered tiles with a partial last
 /// one, dense and with a disabled block column (which shrinks the
-/// lowered rows and so changes the chunking), at stride 1 and 2.
+/// lowered rows and so changes the chunking), at stride 1 and 2, and
+/// for `3x1x1` and `1x1x1` kernels, whose lowering merges whole lines
+/// and planes into one run. Every chunk length splits a depth plane.
 #[test]
 fn functional_equals_cycle_across_lowered_tiles() {
     use p3d_fpga::sim::functional::TILE_WORDS;
     let geometries = [
         conv_inst("tiles_s1", (6, 8), (3, 3, 3), (1, 1, 1), (1, 1, 1), (4, 6, 20)),
         conv_inst("tiles_s2", (6, 8), (3, 3, 3), (1, 2, 2), (1, 1, 1), (4, 12, 40)),
+        conv_inst("tiles_3x1x1", (6, 8), (3, 1, 1), (1, 1, 1), (1, 0, 0), (4, 25, 40)),
+        conv_inst("tiles_1x1x1", (6, 8), (1, 1, 1), (1, 1, 1), (0, 0, 0), (4, 75, 40)),
     ];
+    let outputs = [(6, 4, 6, 20), (6, 4, 6, 20), (6, 4, 25, 40), (6, 4, 75, 40)];
     let mut rng = TensorRng::seed(0x7113);
-    for inst in &geometries {
-        assert_eq!(inst.output, (6, 4, 6, 20));
-        let qw = FixedTensor::quantize(&rng.uniform_tensor([6, 8, 3, 3, 3], -0.6, 0.6));
+    for (inst, output) in geometries.iter().zip(outputs) {
+        assert_eq!(inst.output, output);
+        let (kd, kr, kc) = inst.spec.kernel;
+        let taps = kd * kr * kc;
+        let qw = FixedTensor::quantize(&rng.uniform_tensor([6, 8, kd, kr, kc], -0.6, 0.6));
         let (_, di, hi, wi) = inst.input;
         let qx = FixedTensor::quantize(&rng.uniform_tensor([8, di, hi, wi], -1.5, 1.5));
         let grid = BlockGrid::for_weight(&qw.dequantize(), BlockShape::new(2, 2));
@@ -456,9 +463,10 @@ fn functional_equals_cycle_across_lowered_tiles() {
         let masked = LayerBlockMask::new(grid, keep);
         for (mask, live_channels) in [(None, 8), (Some(&masked), 6)] {
             let (_, od, oh, ow) = inst.output;
-            let rows_per_tile = TILE_WORDS / (live_channels * 27 * ow);
+            let rows_per_tile = TILE_WORDS / (live_channels * taps * ow);
             assert!((od * oh).div_ceil(rows_per_tile) >= 3, "fewer than 3 tiles");
             assert_ne!((od * oh) % rows_per_tile, 0, "last tile is not partial");
+            assert_ne!(rows_per_tile % oh, 0, "tiles do not split a depth plane");
             let (a, sa) = run_conv(inst, &qw, &qx, mask, &cfg());
             let (b, sb) = run_conv_functional(inst, &qw, &qx, mask, &cfg());
             let name = &inst.spec.name;

@@ -1,6 +1,6 @@
 //! The standard C3D network (Tran et al., ICCV 2015) — the baseline the
 //! paper compares against (its Table IV reimplements unpruned C3D on the
-//! same board as [13]).
+//! same board as \[13\]).
 
 use crate::spec::{Conv3dSpec, NetworkSpec, Node};
 

@@ -11,10 +11,13 @@
 //! image the GEMM kernels read (`p3d_tensor::gemm`), and only the rows
 //! the product needs. `im2col`, `im2col_panels` and `col2im` share one
 //! run-by-run walk over a column-matrix row, so they cannot disagree
-//! about which input element feeds which `(row, column)`.
+//! about which input element feeds which `(row, column)`. The Q7.8
+//! simulator fills its `i16` input tiles with the same walk:
+//! [`lower_row`] is generic and lowers any window of output lines.
 
 use p3d_tensor::gemm::pack_rows;
 use p3d_tensor::{Shape, Tensor};
+use std::ops::Range;
 
 /// Geometry of one 3D convolution, shared by forward and backward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,18 +72,19 @@ struct Run {
 }
 
 /// Walks the non-padding positions of row `p` (input channel
-/// `p / taps`, kernel tap `p % taps`) of the column matrix in ascending
-/// column order, indexing the flat `[N, Di, Hi, Wi]` input. Every other
-/// position of the row reads padding. Each output line contributes one
-/// run; at stride 1, a line that continues the previous run in both the
-/// row and the input is merged into it, so a `3x1x1` temporal or
-/// `1x1x1` row becomes a few long copies.
-fn walk_row(geom: &ConvGeometry, p: usize, mut f: impl FnMut(Run)) {
+/// `p / taps`, kernel tap `p % taps`) of the column matrix over the
+/// output lines `lines` (flattened `(od_i, oh_i)` indices) in ascending
+/// column order, counted from column `lines.start * Wo`, indexing the
+/// flat `[N, Di, Hi, Wi]` input. Every other position reads padding.
+/// Each output line contributes one run; at stride 1, a line that
+/// continues the previous run in both the row and the input is merged
+/// into it, so a `3x1x1` temporal or `1x1x1` row becomes a few long copies.
+fn walk_row(geom: &ConvGeometry, p: usize, lines: Range<usize>, mut f: impl FnMut(Run)) {
     let (in_d, in_h, in_w) = geom.input;
     let (kd, kr, kc) = geom.kernel;
     let (sd, sr, sc) = geom.stride;
     let (pd, pr, pc) = geom.pad;
-    let (od, oh, ow) = geom.output();
+    let (_, oh, ow) = geom.output();
     let taps = kd * kr * kc;
     let (ch, tap) = (p / taps, p % taps);
     let (kd_i, kr_i, kc_i) = (tap / (kr * kc), tap / kc % kr, tap % kc);
@@ -93,16 +97,17 @@ fn walk_row(geom: &ConvGeometry, p: usize, mut f: impl FnMut(Run)) {
     }
 
     let mut pending: Option<Run> = None;
-    for od_i in 0..od {
+    for od_i in lines.start / oh..lines.end.div_ceil(oh) {
         let Some(d) = (od_i * sd + kd_i).checked_sub(pd).filter(|&d| d < in_d) else {
             continue;
         };
-        for oh_i in 0..oh {
+        let plane = od_i * oh;
+        for oh_i in lines.start.saturating_sub(plane)..(lines.end - plane).min(oh) {
             let Some(h) = (oh_i * sr + kr_i).checked_sub(pr).filter(|&h| h < in_h) else {
                 continue;
             };
             let line = Run {
-                col: (od_i * oh + oh_i) * ow + lo,
+                col: (plane + oh_i - lines.start) * ow + lo,
                 len: hi - lo,
                 src: ((ch * in_d + d) * in_h + h) * in_w + lo * sc + kc_i - pc,
             };
@@ -127,12 +132,20 @@ fn walk_row(geom: &ConvGeometry, p: usize, mut f: impl FnMut(Run)) {
     }
 }
 
-/// Writes row `p` of the column matrix into `row` (`col_cols()` long),
-/// every position explicitly — padding gets zero.
-fn lower_row(input: &[f32], geom: &ConvGeometry, p: usize, row: &mut [f32]) {
+/// Writes row `p` of the column matrix over the output lines `lines`
+/// into `row` (`lines.len() * Wo` long), every position explicitly —
+/// padding gets `T::default()`, zero for `f32` and for Q7.8 `i16` words.
+pub fn lower_row<T: Copy + Default>(
+    input: &[T],
+    geom: &ConvGeometry,
+    p: usize,
+    lines: Range<usize>,
+    row: &mut [T],
+) {
     let sc = geom.stride.2;
-    row.fill(0.0);
-    walk_row(geom, p, |r| {
+    debug_assert_eq!(row.len(), lines.len() * geom.output().2);
+    row.fill(T::default());
+    walk_row(geom, p, lines, |r| {
         let dst = &mut row[r.col..r.col + r.len];
         if sc == 1 {
             dst.copy_from_slice(&input[r.src..r.src + r.len]);
@@ -149,10 +162,11 @@ fn lower_row(input: &[f32], geom: &ConvGeometry, p: usize, row: &mut [f32]) {
 pub fn im2col(input: &[f32], geom: &ConvGeometry) -> Tensor {
     let rows = geom.col_rows();
     let cols = geom.col_cols();
+    let (od, oh, _) = geom.output();
     debug_assert_eq!(input.len(), geom.channels * geom.input.0 * geom.input.1 * geom.input.2);
     let mut out = vec![0.0f32; rows * cols];
     for p in 0..rows {
-        lower_row(input, geom, p, &mut out[p * cols..(p + 1) * cols]);
+        lower_row(input, geom, p, 0..od * oh, &mut out[p * cols..(p + 1) * cols]);
     }
     Tensor::from_vec(Shape::d2(rows, cols), out)
 }
@@ -175,8 +189,9 @@ pub fn im2col(input: &[f32], geom: &ConvGeometry) -> Tensor {
 /// `col_rows()`.
 pub fn im2col_panels(input: &[f32], geom: &ConvGeometry, ranges: &[(usize, usize)], packed: &mut [f32]) {
     debug_assert_eq!(input.len(), geom.channels * geom.input.0 * geom.input.1 * geom.input.2);
+    let (od, oh, _) = geom.output();
     pack_rows(geom.col_rows(), geom.col_cols(), ranges, packed, |p, row| {
-        lower_row(input, geom, p, row)
+        lower_row(input, geom, p, 0..od * oh, row)
     });
 }
 
@@ -184,12 +199,13 @@ pub fn im2col_panels(input: &[f32], geom: &ConvGeometry, ranges: &[(usize, usize
 /// an input-shaped gradient buffer (flat `[N, Di, Hi, Wi]`).
 pub fn col2im(cols_grad: &Tensor, geom: &ConvGeometry, input_grad: &mut [f32]) {
     let cols = geom.col_cols();
+    let (od, oh, _) = geom.output();
     let sc = geom.stride.2;
     debug_assert_eq!(cols_grad.shape().dims(), &[geom.col_rows(), cols]);
     debug_assert_eq!(input_grad.len(), geom.channels * geom.input.0 * geom.input.1 * geom.input.2);
     for p in 0..geom.col_rows() {
         let row = &cols_grad.data()[p * cols..(p + 1) * cols];
-        walk_row(geom, p, |r| {
+        walk_row(geom, p, 0..od * oh, |r| {
             for (t, &g) in row[r.col..r.col + r.len].iter().enumerate() {
                 input_grad[r.src + t * sc] += g;
             }
@@ -303,6 +319,92 @@ mod tests {
                     (true, false) => assert_eq!(v.to_bits(), 0.0f32.to_bits()),
                 }
             }
+        }
+    }
+
+    /// The input index row `p` of the column matrix reads at column
+    /// `col`, straight from the definition; `None` where it reads padding.
+    fn tap_source(g: &ConvGeometry, p: usize, col: usize) -> Option<usize> {
+        let (_, oh, ow) = g.output();
+        let (kd, kr, kc) = g.kernel;
+        let tap = p % (kd * kr * kc);
+        let k = [tap / (kr * kc), tap / kc % kr, tap % kc];
+        let o = [col / ow / oh, col / ow % oh, col % ow];
+        let s = [g.stride.0, g.stride.1, g.stride.2];
+        let pad = [g.pad.0, g.pad.1, g.pad.2];
+        let limit = [g.input.0, g.input.1, g.input.2];
+        let mut index = p / (kd * kr * kc);
+        for a in 0..3 {
+            let i = (o[a] * s[a] + k[a]).checked_sub(pad[a]).filter(|&i| i < limit[a])?;
+            index = index * limit[a] + i;
+        }
+        Some(index)
+    }
+
+    #[test]
+    fn lower_row_windows_match_im2col_on_a_stale_buffer() {
+        // Every window `a..b` of output lines, mid depth-plane starts and
+        // ends included, holds exactly im2col's columns `a*Wo..b*Wo`, for
+        // f32 and for i16 words written over NaN and i16::MIN.
+        let geom = |channels, input, kernel, stride, pad| ConvGeometry {
+            channels,
+            input,
+            kernel,
+            stride,
+            pad,
+        };
+        let cases = [
+            // Pads larger than tap 0, and taps past the right edge.
+            geom(2, (2, 4, 5), (2, 3, 3), (1, 1, 1), (1, 1, 1)),
+            // Stride 2, no padding.
+            geom(2, (5, 5, 8), (1, 3, 3), (2, 2, 2), (0, 0, 0)),
+            // Kernel row 4 lands beyond `Hi + pad` for every output.
+            geom(1, (2, 2, 3), (1, 5, 3), (1, 1, 1), (0, 2, 1)),
+            // Stride-1 `3x1x1`: runs merge across lines and planes.
+            geom(2, (4, 3, 4), (3, 1, 1), (1, 1, 1), (1, 0, 0)),
+        ];
+        for g in &cases {
+            let (od, oh, ow) = g.output();
+            let (rows, cols) = (g.col_rows(), g.col_cols());
+            let len = g.channels * g.input.0 * g.input.1 * g.input.2;
+            let x: Vec<i16> = (1..=len as i16).collect();
+            let xf: Vec<f32> = x.iter().map(|&v| f32::from(v)).collect();
+            let fresh = im2col(&xf, g);
+            for p in 0..rows {
+                let full = &fresh.data()[p * cols..(p + 1) * cols];
+                for (j, v) in full.iter().enumerate() {
+                    let want = tap_source(g, p, j).map_or(0.0, |i| xf[i]);
+                    assert_eq!(v.to_bits(), want.to_bits(), "{g:?}: im2col row {p} column {j}");
+                }
+                for a in 0..=od * oh {
+                    for b in a..=od * oh {
+                        let want = &full[a * ow..b * ow];
+                        let mut row_f = vec![f32::NAN; want.len()];
+                        lower_row(&xf, g, p, a..b, &mut row_f);
+                        let mut row_i = vec![i16::MIN; want.len()];
+                        lower_row(&x, g, p, a..b, &mut row_i);
+                        for (j, ((f, &i), w)) in row_f.iter().zip(&row_i).zip(want).enumerate() {
+                            let at = format!("{g:?}: row {p} lines {a}..{b} column {j}");
+                            assert_eq!(f.to_bits(), w.to_bits(), "{at}");
+                            assert_eq!(f32::from(i).to_bits(), w.to_bits(), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+        // Each case keeps the edge it is named for.
+        let sources = |g: &ConvGeometry, p| -> Vec<_> {
+            (0..g.col_cols()).map(|j| tap_source(g, p, j)).collect()
+        };
+        assert_eq!(sources(&cases[0], 0)[0], None, "tap 0 starts in the padding");
+        assert_eq!(sources(&cases[0], 17).last(), Some(&None), "the last tap ends past the edge");
+        let row_4 = sources(&cases[2], 13);
+        assert!(row_4.iter().all(Option::is_none), "kernel row 4 reads only padding");
+        let (od, oh, _) = cases[3].output();
+        for p in 0..cases[3].col_rows() {
+            let mut runs = 0;
+            walk_row(&cases[3], p, 0..od * oh, |_| runs += 1);
+            assert_eq!(runs, 1, "row {p} of the 3x1x1 case is one merged run");
         }
     }
 

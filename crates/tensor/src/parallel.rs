@@ -132,7 +132,7 @@ fn host_parallelism() -> usize {
 ///
 /// * `Ok(n)` — a usable worker count, already clamped to `[1, host]`.
 ///   `None` of the outer `Option` never occurs here; clamped values are
-///   reported through the warning string of [`resolve_env_threads`].
+///   reported through the warning string of `resolve_env_threads`.
 /// * `Err(reason)` — unusable (empty, non-numeric, or zero); callers
 ///   must fall back to the host default.
 ///

@@ -18,7 +18,7 @@
 //!   caller-owned buffer, so steady-state decode allocates nothing.
 //!
 //! The two are bitwise identical by construction (they share
-//! [`tap_at`] and the accumulate/round expressions) and pinned so by
+//! `tap_at` and the accumulate/round expressions) and pinned so by
 //! property tests.
 
 use std::io;
