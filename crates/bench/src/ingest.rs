@@ -2,7 +2,7 @@
 //! against the serial decode-then-infer baseline.
 //!
 //! The pipelined side streams a P3DVID1 container through the
-//! [`Prefetcher`] (slicing-by-8 CRC, fused precomputed-tap
+//! [`Prefetcher`] (folded carry-less-multiply CRC, fused precomputed-tap
 //! resize/crop/normalize, arena-recycled clip buffers, N-deep decode
 //! overlap) and feeds each batch to the arena-backed [`F32Engine`].
 //! The serial baseline decodes the *whole* file up front with the

@@ -6,7 +6,7 @@
 //!
 //! The margin is calibrated on the 1-CPU CI host, where the ratio is
 //! carried by the data plane's algorithmic gaps rather than by true
-//! overlap: slicing-by-8 CRC vs the byte-at-a-time reference,
+//! overlap: the folded CRC vs the byte-at-a-time reference,
 //! precomputed fused resize taps vs per-pixel recomputation, and
 //! arena-recycled clip buffers vs fresh allocations per clip. Measured
 //! 2.3-2.9x across 1-4 threads; the gate sits at 1.5x, below that band

@@ -18,6 +18,7 @@
 //!   dims     : rank x u64 LE, each >= 1; product <= MAX_ELEMS
 //!   data     : product x f32 LE
 //!   crc      : u32 LE   CRC-32 (IEEE) over the record bytes above
+//!                       ([`p3d_tensor::crc`], the P3DVID1 checksum too)
 //! ```
 //!
 //! No trailing bytes are allowed after the last record. The legacy
@@ -37,6 +38,7 @@
 //! mid-save leaves either the old file or the new one, never a torn mix.
 
 use crate::layer::Layer;
+use p3d_tensor::crc::{crc32_fast, Crc32Fast};
 use p3d_tensor::{Shape, Tensor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
@@ -54,55 +56,6 @@ pub const MAX_ELEMS: usize = 1 << 28;
 
 /// Streaming chunk size for tensor payloads (multiple of 4).
 const IO_CHUNK: usize = 64 * 1024;
-
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, no external dependency.
-// ---------------------------------------------------------------------
-
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// Incremental CRC-32 (IEEE) state.
-#[derive(Clone, Copy, Debug)]
-struct Crc32(u32);
-
-impl Crc32 {
-    fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.0;
-        for &b in bytes {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-/// CRC-32 of a byte slice.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -319,7 +272,7 @@ impl Checkpoint {
                 rec.extend_from_slice(&(d as u64).to_le_bytes());
             }
             extend_f32_le(&mut rec, t.data());
-            let crc = crc32(&rec);
+            let crc = crc32_fast(&rec);
             w.write_all(&rec)?;
             w.write_all(&crc.to_le_bytes())?;
         }
@@ -355,7 +308,7 @@ impl Checkpoint {
     /// Reads one `(name, tensor)` record; `with_crc` selects the v2
     /// layout (trailing CRC-32) versus legacy v1.
     fn read_record(r: &mut impl Read, with_crc: bool) -> io::Result<(String, Tensor)> {
-        let mut crc = Crc32::new();
+        let mut crc = Crc32Fast::new();
         let mut u32buf = [0u8; 4];
         let mut u64buf = [0u8; 8];
 
@@ -749,6 +702,7 @@ mod tests {
     #[test]
     fn crc32_known_vector() {
         // IEEE CRC-32 of "123456789" is 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(p3d_tensor::crc::crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_fast(b"123456789"), 0xCBF4_3926);
     }
 }

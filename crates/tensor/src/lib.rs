@@ -18,6 +18,8 @@
 //!   block-sparse (`Tm x Tn` block-enable) compute path behind every
 //!   `matmul` in the workspace,
 //! * [`rng`] — seeded random initialisation (uniform, normal, Kaiming),
+//! * [`crc`] — the CRC-32 of both container formats (P3DCKPT2
+//!   checkpoints, P3DVID1 video), with a carry-less-multiply fold,
 //! * [`parallel`] — the persistent-worker-pool parallel-for layer behind
 //!   the multi-threaded GEMM and convolution kernels (`P3D_THREADS`).
 //!
@@ -33,6 +35,7 @@
 //! assert_eq!(w.shape().dims(), &[8, 4, 1, 3, 3]);
 //! ```
 
+pub mod crc;
 pub mod fixed;
 pub mod gemm;
 pub mod parallel;

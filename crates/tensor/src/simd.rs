@@ -1,10 +1,11 @@
 //! Runtime SIMD capability detection and kernel-path selection.
 //!
 //! Every vectorized kernel in the workspace — the AVX2 f32 GEMM
-//! microkernel in [`crate::gemm`] and the AVX2 integer Q7.8 convolution
-//! kernel in the FPGA functional simulator — dispatches through this
-//! module: the CPU is probed **once** (cached), kernels ask for the
-//! [`active`] level per call, and tests can force the scalar fallback
+//! microkernel in [`crate::gemm`], the AVX2 integer Q7.8 convolution
+//! kernel in the FPGA functional simulator and the carry-less-multiply
+//! CRC-32 fold in [`crate::crc`] — dispatches through this module: the
+//! CPU is probed **once** (cached), kernels ask for the [`active`] level
+//! (or [`use_pclmul`]) per call, and tests can force the scalar fallback
 //! with [`force_scalar`] to prove the two paths bitwise identical on
 //! the same machine.
 //!
@@ -18,6 +19,8 @@
 //!   the canonical-accumulation-order contract every bitwise gate in
 //!   `gemm_properties` pins. FMA presence is still *detected* and
 //!   reported for provenance, but deliberately not used for arithmetic.
+//! * CRC-32 is arithmetic over GF(2): the carry-less-multiply fold and
+//!   the table loops compute the same polynomial remainder exactly.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -45,8 +48,15 @@ impl SimdLevel {
 /// scalar fallbacks. Used by the AVX2-vs-scalar bitwise gates.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
+/// Serialises the unit tests that flip [`FORCE_SCALAR`] and assert on
+/// the level it selects.
+#[cfg(test)]
+pub(crate) static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Cached result of the one-time CPU probe.
 static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
+/// Cached result of the one-time carry-less-multiply probe.
+static PCLMUL: OnceLock<bool> = OnceLock::new();
 /// Cached comma-separated feature list for provenance reports.
 static FEATURES: OnceLock<String> = OnceLock::new();
 
@@ -90,8 +100,31 @@ pub fn use_avx2() -> bool {
     active() == SimdLevel::Avx2
 }
 
+/// `true` when this CPU has `pclmulqdq` and `sse4.1`, the features of
+/// the folding CRC-32 kernel; probed once and cached.
+pub fn has_pclmul() -> bool {
+    *PCLMUL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
+/// `true` when the carry-less-multiply CRC-32 fold should run
+/// (detected and not overridden by [`force_scalar`]).
+#[inline]
+pub fn use_pclmul() -> bool {
+    !FORCE_SCALAR.load(Ordering::Relaxed) && has_pclmul()
+}
+
 /// Comma-separated list of the detected vector features relevant to
-/// this workspace's kernels (e.g. `"sse4.2,avx2,fma"`), for the
+/// this workspace's kernels (e.g. `"sse4.2,pclmulqdq,avx2,fma"`), for the
 /// provenance fields of benchmark and CLI reports. Empty when none of
 /// the probed features are present (or on non-x86 hosts).
 pub fn cpu_features() -> &'static str {
@@ -102,6 +135,9 @@ pub fn cpu_features() -> &'static str {
         {
             if std::arch::is_x86_feature_detected!("sse4.2") {
                 feats.push("sse4.2");
+            }
+            if has_pclmul() {
+                feats.push("pclmulqdq");
             }
             if std::arch::is_x86_feature_detected!("avx") {
                 feats.push("avx");
@@ -128,10 +164,13 @@ mod tests {
     fn force_scalar_downgrades_active_level() {
         // Whatever the host supports, forcing scalar must win; releasing
         // must restore the detected level.
+        let _guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         force_scalar(true);
         assert_eq!(active(), SimdLevel::Scalar);
+        assert!(!use_pclmul());
         force_scalar(false);
         assert_eq!(active(), detected());
+        assert_eq!(use_pclmul(), has_pclmul());
     }
 
     #[test]
@@ -140,6 +179,9 @@ mod tests {
         if detected() == SimdLevel::Avx2 {
             assert!(cpu_features().contains("avx2"));
         }
+        assert_eq!(has_pclmul(), has_pclmul());
+        let listed = cpu_features().split(',').any(|f| f == "pclmulqdq");
+        assert_eq!(listed, has_pclmul());
         assert_eq!(SimdLevel::Scalar.name(), "scalar");
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
     }

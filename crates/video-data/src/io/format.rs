@@ -35,18 +35,25 @@
 //! [`IndexedVidReader`] decode stripes of a file from several workers
 //! without coordinating reads.
 //!
-//! Two CRC implementations live here on purpose. [`crc32`] is the
-//! byte-at-a-time table reference — the exact algorithm P3DCKPT2 uses —
-//! and [`crc32_fast`] is a slicing-by-8 implementation that processes
-//! eight input bytes per step (~4-5x faster on long payloads, which
-//! dominates decode cost for large frames). The hardened streaming
-//! reader validates with the fast one; [`VidReader::open_reference`]
-//! keeps a reader on the reference path so differential tests (and the
-//! deliberately naive serial-ingest baseline in the benchmarks) can pin
-//! the two bitwise against each other.
+//! Every CRC here is computed by [`p3d_tensor::crc`], the one CRC-32 of
+//! the workspace (re-exported below as [`crc32`], [`crc32_fast`] and
+//! [`Crc32Fast`]). The hardened readers and the writer use
+//! [`Crc32Fast`]: on x86-64 hosts with `pclmulqdq` it folds frame
+//! payloads 64 bytes per step with carry-less multiplies, dispatched
+//! through [`p3d_tensor::simd::use_pclmul`], and it falls back to
+//! slicing-by-8 for short inputs (the 20-byte header, the 4 index
+//! bytes), for the last `len % 16` bytes, on other hosts and under
+//! [`p3d_tensor::simd::force_scalar`]. Every path is bitwise identical
+//! to the byte-at-a-time reference [`crc32`], which P3DCKPT2 checkpoints
+//! validate with too. [`VidReader::open_reference`] keeps a reader on
+//! that reference path so differential tests (and the deliberately
+//! naive serial-ingest baseline in the benchmarks) can pin the two
+//! bitwise against each other.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+
+use p3d_tensor::crc::reference_update;
 
 /// Magic bytes opening every P3DVID1 stream.
 pub const VID_MAGIC: &[u8; 8] = b"P3DVID1\0";
@@ -61,103 +68,7 @@ pub const MAX_FRAMES: u32 = 1 << 20;
 /// Largest accepted frame payload (4096 * 4096 GRAY8).
 pub const MAX_FRAME_BYTES: usize = 1 << 24;
 
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3): byte-wise reference + slicing-by-8 fast path.
-// ---------------------------------------------------------------------
-
-/// Eight derived lookup tables; `CRC_TABLES[0]` is the classic
-/// byte-at-a-time table, `CRC_TABLES[k]` advances a byte `k` extra
-/// positions so eight bytes fold in one step.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-};
-
-/// CRC-32 (IEEE) of `bytes`, byte-at-a-time — the reference
-/// implementation, identical in algorithm to the P3DCKPT2 one.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// Incremental slicing-by-8 CRC-32 (IEEE) state.
-///
-/// Bitwise identical to [`crc32`] for every input (pinned by unit and
-/// property tests); processes eight bytes per table step instead of
-/// one, which matters when checksumming multi-kilobyte frame payloads
-/// on the ingest hot path.
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32Fast(u32);
-
-impl Default for Crc32Fast {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32Fast {
-    /// Fresh CRC state.
-    pub fn new() -> Self {
-        Crc32Fast(0xFFFF_FFFF)
-    }
-
-    /// Folds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.0;
-        let mut chunks = bytes.chunks_exact(8);
-        for w in &mut chunks {
-            c ^= u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            c = CRC_TABLES[7][(c & 0xFF) as usize]
-                ^ CRC_TABLES[6][((c >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((c >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(c >> 24) as usize]
-                ^ CRC_TABLES[3][w[4] as usize]
-                ^ CRC_TABLES[2][w[5] as usize]
-                ^ CRC_TABLES[1][w[6] as usize]
-                ^ CRC_TABLES[0][w[7] as usize];
-        }
-        for &b in chunks.remainder() {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    /// Finalises and returns the checksum.
-    pub fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-/// One-shot [`Crc32Fast`] over a byte slice.
-pub fn crc32_fast(bytes: &[u8]) -> u32 {
-    let mut c = Crc32Fast::new();
-    c.update(bytes);
-    c.finish()
-}
+pub use p3d_tensor::crc::{crc32, crc32_fast, Crc32Fast};
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -410,25 +321,20 @@ pub fn save_video<'a>(
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CrcMode {
-    Sliced,
+    Fast,
     Reference,
 }
 
 fn record_crc(mode: CrcMode, idx: &[u8; 4], payload: &[u8]) -> u32 {
     match mode {
-        CrcMode::Sliced => {
+        CrcMode::Fast => {
             let mut c = Crc32Fast::new();
             c.update(idx);
             c.update(payload);
             c.finish()
         }
         CrcMode::Reference => {
-            // Byte-at-a-time over the concatenation, without building it.
-            let mut c = 0xFFFF_FFFFu32;
-            for &b in idx.iter().chain(payload) {
-                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-            }
-            c ^ 0xFFFF_FFFF
+            reference_update(reference_update(0xFFFF_FFFF, idx), payload) ^ 0xFFFF_FFFF
         }
     }
 }
@@ -482,9 +388,9 @@ pub struct VidReader<R: Read> {
 
 impl<R: Read> VidReader<R> {
     /// Parses and validates the header; frame payloads will be checked
-    /// with the slicing-by-8 CRC.
+    /// with [`Crc32Fast`].
     pub fn open(r: R) -> io::Result<VidReader<R>> {
-        Self::open_mode(r, CrcMode::Sliced)
+        Self::open_mode(r, CrcMode::Fast)
     }
 
     /// Like [`open`](Self::open) but validating with the byte-at-a-time
@@ -577,7 +483,7 @@ impl<R: Read + Seek> IndexedVidReader<R> {
             &mut self.r,
             index,
             self.header.frame_bytes(),
-            CrcMode::Sliced,
+            CrcMode::Fast,
             buf,
         )
     }
@@ -604,25 +510,6 @@ mod tests {
             w.write_frame(f).unwrap();
         }
         w.finish().unwrap()
-    }
-
-    #[test]
-    fn fast_crc_matches_reference_on_varied_lengths() {
-        let data: Vec<u8> = (0..1024u32)
-            .map(|i| i.wrapping_mul(2654435761) as u8)
-            .collect();
-        for len in [0, 1, 3, 7, 8, 9, 15, 16, 63, 64, 65, 255, 1024] {
-            assert_eq!(crc32(&data[..len]), crc32_fast(&data[..len]), "len {len}");
-        }
-        // Split updates agree with one-shot.
-        let mut inc = Crc32Fast::new();
-        inc.update(&data[..100]);
-        inc.update(&data[100..617]);
-        inc.update(&data[617..]);
-        assert_eq!(inc.finish(), crc32(&data));
-        // Known vector: CRC32("123456789") = 0xCBF43926.
-        assert_eq!(crc32_fast(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

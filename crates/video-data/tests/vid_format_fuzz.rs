@@ -5,8 +5,8 @@
 
 use std::io::Cursor;
 
-use p3d_tensor::TensorRng;
-use p3d_video_data::io::{VidHeader, VidReader, VidWriter};
+use p3d_tensor::{simd, TensorRng};
+use p3d_video_data::io::{VidHeader, VidReader, VidWriter, VID_HEADER_LEN};
 
 fn sample_container(rng: &mut TensorRng, w: u32, h: u32, frames: u32) -> Vec<u8> {
     let header = VidHeader::gray8(w, h, frames, 30_000);
@@ -68,6 +68,55 @@ fn every_single_bit_flip_is_detected() {
             );
         }
     }
+}
+
+/// A 40x33 frame record (1328 bytes) is long enough for the folding CRC
+/// where the CPU has it, and its 1320-byte payload ends in two 16-byte
+/// lanes and an 8-byte tail past the last 64-byte block. One flipped bit
+/// at any byte of the record (index, payload or stored CRC) must fail
+/// the read with `InvalidData`.
+#[test]
+fn every_byte_of_a_large_frame_record_is_covered() {
+    let mut rng = TensorRng::seed(44);
+    let bytes = sample_container(&mut rng, 40, 33, 2);
+    let record = VID_HEADER_LEN..VID_HEADER_LEN + 8 + 40 * 33;
+    assert!(record.len() >= 1024);
+    for pos in record {
+        let mut bad = bytes.clone();
+        bad[pos] ^= 1 << (pos % 8);
+        match drain(&bad) {
+            Ok(n) => panic!("flip at byte {pos} went undetected ({n} frames read)"),
+            Err(e) => assert_eq!(
+                e.kind(),
+                std::io::ErrorKind::InvalidData,
+                "flip at byte {pos} surfaced as {e}"
+            ),
+        }
+    }
+}
+
+/// Containers written on the table path read back on the fold path and
+/// the other way round, byte-identical on disk. The 1950-byte frames
+/// take every stage of the fold: 64-byte blocks, one 16-byte lane and a
+/// 14-byte tail.
+#[test]
+fn fold_and_table_paths_read_each_others_containers() {
+    let write = |forced: bool| {
+        simd::force_scalar(forced);
+        let bytes = sample_container(&mut TensorRng::seed(45), 50, 39, 3);
+        simd::force_scalar(false);
+        bytes
+    };
+    let read = |bytes: &[u8], forced: bool| {
+        simd::force_scalar(forced);
+        let frames = drain(bytes);
+        simd::force_scalar(false);
+        frames.expect("container reads back")
+    };
+    let (table, fold) = (write(true), write(false));
+    assert_eq!(table, fold, "both paths write the same bytes");
+    assert_eq!(read(&table, false), 3);
+    assert_eq!(read(&fold, true), 3);
 }
 
 #[test]
