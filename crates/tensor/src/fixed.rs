@@ -307,10 +307,7 @@ impl FixedTensor {
 
     /// Dequantises back to `f32`.
     pub fn dequantize(&self) -> Tensor {
-        Tensor::from_vec(
-            self.shape,
-            self.data.iter().map(|&x| x.to_f32()).collect(),
-        )
+        Tensor::from_vec(self.shape, self.data.iter().map(|&x| x.to_f32()).collect())
     }
 
     /// The tensor's shape.
@@ -406,7 +403,10 @@ mod tests {
     fn addition_saturates() {
         assert_eq!(Fixed16::MAX + Fixed16::ONE, Fixed16::MAX);
         assert_eq!(Fixed16::MIN - Fixed16::ONE, Fixed16::MIN);
-        assert_eq!(Fixed16::from_f32(127.0) * Fixed16::from_f32(4.0), Fixed16::MAX);
+        assert_eq!(
+            Fixed16::from_f32(127.0) * Fixed16::from_f32(4.0),
+            Fixed16::MAX
+        );
     }
 
     #[test]
@@ -457,7 +457,24 @@ mod tests {
     fn div_round_nearest_matches_finish_for_power_of_two() {
         // For d = 2^FRAC_BITS the helper must reproduce finish()'s
         // add-half-then-shift rounding exactly, including negatives.
-        for acc in [-100_000i64, -385, -384, -383, -129, -128, -127, -1, 0, 1, 127, 128, 129, 383, 384, 100_000] {
+        for acc in [
+            -100_000i64,
+            -385,
+            -384,
+            -383,
+            -129,
+            -128,
+            -127,
+            -1,
+            0,
+            1,
+            127,
+            128,
+            129,
+            383,
+            384,
+            100_000,
+        ] {
             let shifted = (acc + (1 << (FRAC_BITS - 1))) >> FRAC_BITS;
             assert_eq!(div_round_nearest(acc, 1 << FRAC_BITS), shifted, "acc={acc}");
         }

@@ -373,12 +373,7 @@ impl Pool {
             let ready = match slot.state.load(Ordering::Acquire) {
                 SLOT_IDLE => slot
                     .state
-                    .compare_exchange(
-                        SLOT_IDLE,
-                        SLOT_CLAIMED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
+                    .compare_exchange(SLOT_IDLE, SLOT_CLAIMED, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok(),
                 SLOT_DEAD => self.respawn(slot),
                 // Armed by a concurrent region, or still in its few
@@ -598,7 +593,9 @@ fn task_range(n_items: usize, workers: usize, w: usize) -> Range<usize> {
 #[cfg(test)]
 fn split_ranges(n_items: usize, threads: usize) -> Vec<Range<usize>> {
     let workers = threads.min(n_items).max(1);
-    (0..workers).map(|w| task_range(n_items, workers, w)).collect()
+    (0..workers)
+        .map(|w| task_range(n_items, workers, w))
+        .collect()
 }
 
 /// A `Send + Sync` base-pointer wrapper for handing one buffer to pool
@@ -1079,7 +1076,7 @@ mod tests {
         assert_eq!(parse_thread_setting("16", 8), Ok(8)); // clamp high
         assert_eq!(parse_thread_setting("1", 1), Ok(1));
         assert_eq!(parse_thread_setting("3", 0), Ok(1)); // host floor is 1
-        // Zero and garbage are defined failures, never a silent fallback.
+                                                         // Zero and garbage are defined failures, never a silent fallback.
         assert!(parse_thread_setting("0", 8).is_err());
         assert!(parse_thread_setting("", 8).is_err());
         assert!(parse_thread_setting("eight", 8).is_err());

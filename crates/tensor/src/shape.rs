@@ -100,7 +100,11 @@ impl Shape {
     ///
     /// Panics if `axis >= self.rank()`.
     pub fn dim(&self, axis: usize) -> usize {
-        assert!(axis < self.rank, "axis {axis} out of range for rank {}", self.rank);
+        assert!(
+            axis < self.rank,
+            "axis {axis} out of range for rank {}",
+            self.rank
+        );
         self.dims[axis]
     }
 
@@ -144,7 +148,10 @@ impl Shape {
         for axis in (0..self.rank).rev() {
             let i = index[axis];
             let d = self.dims[axis];
-            assert!(i < d, "index {i} out of bounds for axis {axis} with extent {d}");
+            assert!(
+                i < d,
+                "index {i} out of bounds for axis {axis} with extent {d}"
+            );
             off += i * stride;
             stride *= d;
         }
@@ -158,7 +165,10 @@ impl Shape {
     ///
     /// Panics if `offset >= self.len()`.
     pub fn index_of(&self, offset: usize) -> Vec<usize> {
-        assert!(offset < self.len(), "offset {offset} out of bounds for {self}");
+        assert!(
+            offset < self.len(),
+            "offset {offset} out of bounds for {self}"
+        );
         let mut rem = offset;
         let mut idx = vec![0usize; self.rank];
         for axis in (0..self.rank).rev() {

@@ -80,7 +80,11 @@ fn sparse_matmul_bitwise_identical_across_thread_counts() {
     let r1 = a.matmul(&b);
     for threads in [2, 8] {
         set_thread_override(Some(threads));
-        assert_eq!(r1, a.matmul(&b), "sparse matmul differs at {threads} threads");
+        assert_eq!(
+            r1,
+            a.matmul(&b),
+            "sparse matmul differs at {threads} threads"
+        );
     }
     set_thread_override(None);
 }

@@ -76,10 +76,7 @@ fn all_six_helpers_bitwise_identical_across_worker_counts() {
         "parallel_for",
     );
 
-    assert_bitwise_across_counts(
-        || parallel_map(N, |i| wiggle(i).to_bits()),
-        "parallel_map",
-    );
+    assert_bitwise_across_counts(|| parallel_map(N, |i| wiggle(i).to_bits()), "parallel_map");
 
     assert_bitwise_across_counts(
         || {
@@ -152,7 +149,10 @@ fn worker_panic_is_contained_replaced_and_pool_stays_parallel() {
         std::hint::black_box(r.len());
     });
     let before = pool_stats();
-    assert!(before.live >= 1, "warm-up region should have spawned workers");
+    assert!(
+        before.live >= 1,
+        "warm-up region should have spawned workers"
+    );
 
     // Panic in a worker-side task (task index > 0 so a pool worker, not
     // the submitting thread, hits it).
