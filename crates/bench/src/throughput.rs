@@ -378,17 +378,18 @@ pub struct SparsitySweepReport {
 /// For each requested fraction the weight's `Tm x Tk` blocks are ranked
 /// by squared Frobenius norm, the smallest are zeroed (the block-prune
 /// precondition under which skipping is exact), and the same masked
-/// weights are forwarded through both compute paths — dense GEMM on the
-/// zero-laden weights vs the block-CSR kernel that visits only enabled
-/// blocks, each on its own identically built layer so no timed rep
-/// recompiles a pattern. Dense and sparse reps are paired, and the
-/// reported speedup is the best per-rep ratio.
+/// weights are forwarded through both forms of the one GEMM kernel — the
+/// dense form on the zero-laden weights (one `(0, k)` range per
+/// `MR`-row block row, so every zero is still walked) vs the compiled
+/// block-CSR form, whose ranges cover only enabled blocks — each on its
+/// own identically built layer so no timed rep recompiles a pattern.
+/// Dense and sparse reps are paired, and the reported speedup is the
+/// best per-rep ratio.
 ///
-/// The 0%-pruned row now exercises the dense-fallback policy: a
+/// The 0%-pruned row exercises the dense-fallback policy: a
 /// fully-enabled pattern makes `install_block_patterns` keep the dense
-/// kernel (see `BlockPattern::prefers_dense`), so both timed sides run
-/// identical code and the row documents fallback parity instead of the
-/// old ~0.87x block-CSR overhead.
+/// form (see `BlockPattern::prefers_dense`), so both timed sides run
+/// identical code and the row reads parity by construction.
 ///
 /// # Panics
 ///

@@ -20,11 +20,13 @@
 //!   panel in that order. The kernel walks the row's channels in groups
 //!   of up to 4 and the chunk in strips of 8 positions, holding the
 //!   4 x 8 exact `i64` sums in registers across the whole run list, then
-//!   rounds and saturates each sum once. Full 4 x 8 tiles go through an
-//!   AVX2 body when [`p3d_tensor::simd::use_avx2`] allows; ragged
-//!   groups and strips, and non-AVX2 hosts, through a scalar body that
-//!   is bitwise identical by construction. The same kernel serves every
-//!   stride and every tap.
+//!   rounds and saturates each sum once. A block row's last group is
+//!   padded in the panel to 4 channels with zero weights, so every group
+//!   is a full one; only its real channels are written. Full 8-position
+//!   strips go through an AVX2 body when [`p3d_tensor::simd::use_avx2`]
+//!   allows; ragged strips, and non-AVX2 hosts, through a scalar body
+//!   that is bitwise identical by construction. The same kernel serves
+//!   every stride and every tap.
 //! * **Block-enable skipping** — disabled `(bi, bj)` blocks contribute
 //!   neither arithmetic nor, when no block row reads an input channel,
 //!   lowering; a block row with no enabled block is never visited (its
@@ -132,9 +134,10 @@ pub fn run_conv_functional(
 
 /// [`run_conv_functional`] with a caller-owned `i64` buffer that holds
 /// the packed weight panel of every block row (one entry per weight
-/// of an enabled block, grown on first use). With it reused, a call
-/// allocates only its output tensor once the per-thread kernel scratch
-/// has grown to the largest layer.
+/// of an enabled block, plus the zero weights that pad each block row's
+/// last channel group to a full one; grown on first use). With it
+/// reused, a call allocates only its output tensor once the per-thread
+/// kernel scratch has grown to the largest layer.
 pub fn run_conv_functional_with_scratch(
     inst: &ConvInstance,
     weights: &FixedTensor,
@@ -207,8 +210,9 @@ pub fn run_conv_functional_with_scratch(
         }
 
         // Each block row's enabled blocks as runs of tile rows, and its
-        // weights packed in run order, `[group][k][channel]`. The tile
-        // rows of one enabled block column are one run: all of its
+        // weights packed in run order, `[group][k][channel]`, a ragged
+        // last group padded to `GROUP` channels with zero weights. The
+        // tile rows of one enabled block column are one run: all of its
         // channels are lowered, in channel order.
         let w_bits = bits_of(weights.data());
         runs.clear();
@@ -227,10 +231,15 @@ pub fn run_conv_functional_with_scratch(
             row_runs.push(first..runs.len());
             let m_end = ((bi + 1) * t.tm).min(m_ch);
             for m0 in (bi * t.tm..m_end).step_by(GROUP) {
-                let group = m0..(m0 + GROUP).min(m_end);
                 for run in &runs[first..] {
                     for i in run.w..run.w + run.len {
-                        panel.extend(group.clone().map(|m| w_bits[m * n_ch * ktaps + i] as i64));
+                        panel.extend((m0..m0 + GROUP).map(|m| {
+                            if m < m_end {
+                                w_bits[m * n_ch * ktaps + i] as i64
+                            } else {
+                                0
+                            }
+                        }));
                     }
                 }
             }
@@ -263,7 +272,7 @@ pub fn run_conv_functional_with_scratch(
                 let m_end = ((bi + 1) * t.tm).min(m_ch);
                 for m0 in (bi * t.tm..m_end).step_by(GROUP) {
                     let g = (m_end - m0).min(GROUP);
-                    let (group_panel, rest) = panel_rest.split_at(g * k);
+                    let (group_panel, rest) = panel_rest.split_at(GROUP * k);
                     panel_rest = rest;
                     if k > 0 {
                         let out = &mut out_data[m0 * vol + row0 * ow..];
@@ -279,8 +288,11 @@ pub fn run_conv_functional_with_scratch(
 
 /// Computes output channels `0..g` (`g <= GROUP`, rows `vol` apart in
 /// `out`) at the `len` positions of one lowered chunk, reading the
-/// tile rows in `runs` against `panel` (`[k][channel]`, `g` entries per
-/// tile row). Returns the number of railed output words.
+/// tile rows in `runs` against `panel` (`[k][channel]`, `GROUP` entries
+/// per tile row, zero past channel `g`). All `GROUP` channels are
+/// summed, but only the first `g` are written and counted: the rest
+/// would land in the next block row or past the end of `out`. Returns
+/// the number of railed output words.
 #[allow(clippy::too_many_arguments)]
 fn conv_group(
     out: &mut [Fixed16],
@@ -293,7 +305,7 @@ fn conv_group(
     use_avx2: bool,
 ) -> u64 {
     let k: usize = runs.iter().map(|run| run.len).sum();
-    assert_eq!(panel.len(), g * k, "the panel holds g weights per tile row");
+    assert_eq!(panel.len(), GROUP * k, "the panel holds GROUP weights per tile row");
     assert!(
         runs.iter()
             .all(|run| (run.row + run.len) * len <= tile.len()),
@@ -302,23 +314,23 @@ fn conv_group(
     let mut j = 0;
     let mut railed = 0;
     #[cfg(target_arch = "x86_64")]
-    if use_avx2 && g == GROUP {
+    if use_avx2 {
         // SAFETY: use_avx2 came from simd::use_avx2(), which is true only
         // when runtime detection proved AVX2 support; the asserts above
         // prove that `tile` holds `len` words for every tile row of
         // `runs` and that `panel` holds `GROUP` weights per tile row.
-        (j, railed) = unsafe { avx2::full_tiles(out, vol, tile, len, runs, panel) };
+        (j, railed) = unsafe { avx2::full_tiles(out, vol, tile, len, runs, panel, g) };
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = use_avx2;
     while j < len {
         let w = (len - j).min(STRIP);
         let mut sums = [[0i64; STRIP]; GROUP];
-        let mut weights = panel.chunks_exact(g);
+        let mut weights = panel.chunks_exact(GROUP);
         for run in runs {
             for row in run.row..run.row + run.len {
                 let x = &tile[row * len + j..][..w];
-                let wk = weights.next().expect("panel holds g weights per tile row");
+                let wk = weights.next().expect("panel holds GROUP weights per tile row");
                 for (acc, &wv) in sums.iter_mut().zip(wk) {
                     for (a, &xv) in acc.iter_mut().zip(x) {
                         *a += wv * xv as i64;
@@ -438,9 +450,10 @@ mod avx2 {
         _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadl_epi64,
     };
 
-    /// Computes every full 8-position strip of a full 4-channel group
-    /// (the contract of `super::conv_group`), returning the first
-    /// position left for the scalar body and the railed words.
+    /// Computes every full 8-position strip of a 4-channel group and
+    /// writes its first `g` channels (the contract of
+    /// `super::conv_group`), returning the first position left for the
+    /// scalar body and the railed words.
     ///
     /// # Safety
     ///
@@ -456,6 +469,7 @@ mod avx2 {
         len: usize,
         runs: &[Run],
         panel: &[i64],
+        g: usize,
     ) -> (usize, u64) {
         let mut railed = 0;
         let mut j = 0;
@@ -500,7 +514,7 @@ mod avx2 {
                     _mm256_storeu_si256(s.as_mut_ptr().add(4) as *mut __m256i, acc[2 * c + 1]);
                 }
             }
-            railed += finish(out, vol, j, &sums, GROUP, STRIP);
+            railed += finish(out, vol, j, &sums, g, STRIP);
             j += STRIP;
         }
         (j, railed)

@@ -305,9 +305,9 @@ impl Layer for Conv3d {
                 rows
             );
             // A (nearly) fully-enabled pattern skips too little work to
-            // pay for block-CSR indirection — run the dense kernel on
-            // the masked weights instead (bitwise identical; see
-            // `BlockPattern::prefers_dense`).
+            // pay for one `k` range per block — keep the dense form, one
+            // range per block row, on the masked weights instead
+            // (bitwise identical; see `BlockPattern::prefers_dense`).
             if pat.prefers_dense() {
                 return None;
             }

@@ -14,9 +14,9 @@
 //! * [`Fixed16`] — the paper's 16-bit fixed-point format (1 sign bit,
 //!   7 integer bits, 8 fractional bits) with saturating arithmetic and the
 //!   wide-accumulator MAC semantics of an FPGA DSP slice,
-//! * [`gemm`] — the packed, register-tiled GEMM microkernel and the
-//!   block-sparse (`Tm x Tn` block-enable) compute path behind every
-//!   `matmul` in the workspace,
+//! * [`gemm`] — the packed, register-tiled GEMM kernel behind every
+//!   `matmul` in the workspace, dense and block-sparse (`Tm x Tn`
+//!   block-enable) alike,
 //! * [`rng`] — seeded random initialisation (uniform, normal, Kaiming),
 //! * [`crc`] — the CRC-32 of both container formats (P3DCKPT2
 //!   checkpoints, P3DVID1 video), with a carry-less-multiply fold,

@@ -1,7 +1,7 @@
 //! Runtime SIMD capability detection and kernel-path selection.
 //!
 //! Every vectorized kernel in the workspace — the AVX2 f32 GEMM
-//! microkernel in [`crate::gemm`], the AVX2 integer Q7.8 convolution
+//! tile kernel in [`crate::gemm`], the AVX2 integer Q7.8 convolution
 //! kernel in the FPGA functional simulator and the carry-less-multiply
 //! CRC-32 fold in [`crate::crc`] — dispatches through this module: the
 //! CPU is probed **once** (cached), kernels ask for the [`active`] level

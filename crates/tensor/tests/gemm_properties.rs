@@ -1,5 +1,5 @@
-//! Property-based differential tests for the packed GEMM microkernel and
-//! the block-sparse kernel.
+//! Property-based differential tests for the packed GEMM tile kernel, on
+//! dense and block-sparse left operands.
 //!
 //! Every kernel in `p3d_tensor::gemm` promises the *canonical
 //! accumulation order*: each output element sums its non-zero left-hand
@@ -84,7 +84,7 @@ fn poison_pack_scratch(len: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The packed microkernel path is bitwise identical to the naive
+    /// The packed dense path is bitwise identical to the naive
     /// kernel on arbitrary shapes — including edge tiles smaller than
     /// one MR x NR register tile, forced through `gemm_packed_into`
     /// directly (the public `gemm_into` would dispatch those to the
@@ -368,4 +368,48 @@ fn avx2_and_forced_scalar_f32_kernels_bitwise_identical() {
         "block-sparse kernel: {} path diverged from forced scalar",
         simd::detected().name()
     );
+}
+
+/// The dense product packs its left operand into a thread-local scratch
+/// that only grows, so a smaller product finds a larger one's values
+/// there. Fill that scratch with NaN through a larger product, then
+/// demand naive-equal bits from both packed entry points on shapes with
+/// a ragged last row block (`m % MR != 0`) and a ragged last column
+/// panel (`n % NR != 0`). Every real row must be copied into the
+/// scratch (a stale NaN row would reach the output), and the padding
+/// rows past `m` must be zeroed (the driver's debug assertion, on under
+/// `cargo test`, rejects a ragged sub-panel with non-zero padding).
+#[test]
+fn stale_left_scratch_never_reaches_the_output() {
+    let poison = |len: usize| {
+        let (pm, pn) = (len.div_ceil(MR) * MR, NR);
+        let mut out = vec![0.0f32; pm * pn];
+        gemm_packed_into(&vec![f32::NAN; pm], pm, 1, &vec![1.0; pn], pn, &mut out);
+        assert!(out.iter().all(|v| v.is_nan()));
+    };
+    for &(m, k, n) in &[
+        (MR - 1, 16, NR - 3),
+        (MR + 1, 7, NR + 3),
+        (3 * MR + 2, 29, 2 * NR + 1),
+        (5 * MR + 3, 1, 3 * NR + 7),
+        (MR + 2, 0, NR + 1),
+    ] {
+        let scratch_len = m.div_ceil(MR) * MR * k;
+        let a = values(m * k, 0x57a1_e000 + m as u64, 5);
+        let b = values(k * n, 0x57a1_e100 + n as u64, 0);
+        let mut naive = vec![0.0f32; m * n];
+        let mut packed = vec![f32::NAN; m * n];
+        gemm_naive_into(&a, m, k, &b, n, &mut naive);
+        poison(scratch_len);
+        gemm_packed_into(&a, m, k, &b, n, &mut packed);
+        assert_eq!(bits(&naive), bits(&packed), "nn shape ({m},{k},{n})");
+
+        let b_nk = values(n * k, 0x57a1_e200 + k as u64, 0);
+        let mut naive_nt = vec![0.0f32; m * n];
+        let mut packed_nt = vec![f32::NAN; m * n];
+        gemm_naive_nt_into(&a, m, k, &b_nk, n, &mut naive_nt);
+        poison(scratch_len);
+        gemm_packed_nt_into(&a, m, k, &b_nk, n, &mut packed_nt);
+        assert_eq!(bits(&naive_nt), bits(&packed_nt), "nt shape ({m},{k},{n})");
+    }
 }

@@ -56,6 +56,11 @@ crates/infer/tests/swap_soak.rs                   # release soak: three hot-swap
 EOF
 [ "$missing" -eq 0 ] || exit 1
 
+# Formatting is gated crate by crate, each as it is brought to rustfmt's
+# defaults; crates not listed here still drift.
+echo "==> cargo fmt --check -p p3d-tensor"
+cargo fmt --check -p p3d-tensor
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
