@@ -284,8 +284,7 @@ pub fn install_quiet_panic_hook() {
             .map(String::as_str)
             .or_else(|| info.payload().downcast_ref::<&str>().copied())
             .unwrap_or("");
-        let expected = msg.starts_with("chaos:")
-            || p3d_nn::sentinel::is_sentinel_message(msg);
+        let expected = msg.starts_with("chaos:") || p3d_nn::sentinel::is_sentinel_message(msg);
         if !expected {
             previous(info);
         }
@@ -363,7 +362,10 @@ mod tests {
         assert_eq!(a, b, "same seed must replay the same storm");
         assert_ne!(a, swap_storm(43, 200, 3, 0.25));
         let corrupt = a.iter().filter(|s| **s == SwapAction::PushCorrupt).count();
-        assert!(corrupt > 10 && corrupt < 100, "corrupt rate ~25%, got {corrupt}/200");
+        assert!(
+            corrupt > 10 && corrupt < 100,
+            "corrupt rate ~25%, got {corrupt}/200"
+        );
         for action in &a {
             if let SwapAction::Swap { model } = action {
                 assert!(*model < 3);

@@ -56,8 +56,8 @@ use crate::wire::{
 use p3d_nn::Checkpoint;
 use p3d_tensor::parallel::pool_stats;
 use p3d_tensor::simd;
-use std::collections::HashMap;
 use p3d_tensor::Tensor;
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -141,12 +141,14 @@ impl FairnessGate {
         };
         let now = Instant::now();
         let mut clients = self.clients.lock().unwrap_or_else(|e| e.into_inner());
-        let state = clients.entry(client.to_string()).or_insert_with(|| ClientState {
-            bucket: TokenBucket::new(rate, burst),
-            last_refill: now,
-            admitted: 0,
-            rate_limited: 0,
-        });
+        let state = clients
+            .entry(client.to_string())
+            .or_insert_with(|| ClientState {
+                bucket: TokenBucket::new(rate, burst),
+                last_refill: now,
+                admitted: 0,
+                rate_limited: 0,
+            });
         state
             .bucket
             .refill(now.duration_since(state.last_refill).as_secs_f64());
@@ -646,8 +648,7 @@ fn engine_loop(
                     }
                     CanaryVerdict::Rollback { reason } => {
                         inner.swap_stats.rollbacks += 1;
-                        inner.last_swap_event =
-                            format!("canary {} rolled back: {reason}", tr.hash);
+                        inner.last_swap_event = format!("canary {} rolled back: {reason}", tr.hash);
                         // tr drops here, discarding the candidate's
                         // engines; the incumbent never stopped serving.
                     }
@@ -757,8 +758,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) {
-                        let mut inner =
-                            shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+                        let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
                         inner.stalled_writes += 1;
                     }
                 }
@@ -827,7 +827,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
                 .header("content-type")
                 .is_some_and(|ct| ct.eq_ignore_ascii_case(CONTENT_TYPE_VID));
         if is_vid {
-            let keep = serve_infer_vid(shared, &req, &mut reader, framing, &mut writer, keep_alive)?;
+            let keep =
+                serve_infer_vid(shared, &req, &mut reader, framing, &mut writer, keep_alive)?;
             if !keep {
                 return Ok(());
             }
@@ -1011,9 +1012,8 @@ fn serve_infer_vid(
         return Ok(false);
     }
     let Some(declared) = framing.declared else {
-        let e = wire::WireError::BadContentLength(
-            "streamed video requires Content-Length".to_string(),
-        );
+        let e =
+            wire::WireError::BadContentLength("streamed video requires Content-Length".to_string());
         reject_undecodable(shared, &e, writer, true)?;
         return Ok(false);
     };
@@ -1081,8 +1081,7 @@ fn serve_model_push(
             {
                 let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
                 inner.swap_stats.models_rejected += 1;
-                inner.last_swap_event =
-                    format!("unservable push {}: {e}", published.hash);
+                inner.last_swap_event = format!("unservable push {}: {e}", published.hash);
             }
             let body = Obj::new()
                 .str("error", &format!("unservable model: {e}"))
@@ -1188,7 +1187,12 @@ fn serve_model_list(
         .join(", ");
     let rejected_rows = rejected
         .iter()
-        .map(|r| Obj::new().str("name", &r.name).str("reason", &r.reason).build())
+        .map(|r| {
+            Obj::new()
+                .str("name", &r.name)
+                .str("reason", &r.reason)
+                .build()
+        })
         .collect::<Vec<_>>()
         .join(", ");
     let body = Obj::new()
@@ -1260,8 +1264,7 @@ fn submit_and_respond(
                 let submitted = if lane == 0 {
                     inner.resilient.submit(Request::new(clip))
                 } else {
-                    let lane_rs =
-                        &mut inner.canary.as_mut().expect("lane 1 implies canary").rs;
+                    let lane_rs = &mut inner.canary.as_mut().expect("lane 1 implies canary").rs;
                     lane_rs.submit(Request::new(clip))
                 };
                 match submitted {
@@ -1302,7 +1305,13 @@ fn submit_and_respond(
     let resp = match rx.recv() {
         Ok(resp) => resp,
         Err(_) => {
-            return write_error(writer, 503, "Service Unavailable", "server shutting down", true);
+            return write_error(
+                writer,
+                503,
+                "Service Unavailable",
+                "server shutting down",
+                true,
+            );
         }
     };
     // Fill the cache from engine answers. Provenance keys the entry,
@@ -1368,7 +1377,10 @@ fn stats_json(shared: &Shared) -> String {
         .str("backend", &shared.backend)
         .str("fallback", shared.fallback.as_deref().unwrap_or("none"))
         .str("kernel_path", simd::active().name())
-        .str("cpu_features", if feats.is_empty() { "none" } else { feats })
+        .str(
+            "cpu_features",
+            if feats.is_empty() { "none" } else { feats },
+        )
         .raw(
             "expected_shape",
             &shared
@@ -1384,7 +1396,10 @@ fn stats_json(shared: &Shared) -> String {
         .build();
     let swap = Obj::new()
         .str("serving_model", &snap.serving_model)
-        .str("canary_model", snap.canary_model.as_deref().unwrap_or("none"))
+        .str(
+            "canary_model",
+            snap.canary_model.as_deref().unwrap_or("none"),
+        )
         .u64("models_published", snap.swap.models_published)
         .u64("models_rejected", snap.swap.models_rejected)
         .u64("smoke_failures", snap.swap.smoke_failures)

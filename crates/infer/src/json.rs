@@ -266,7 +266,12 @@ mod tests {
         }
         assert_eq!(
             f32_bits_array(&v),
-            format!("[{}, {}, {}]", v[0].to_bits(), v[1].to_bits(), v[2].to_bits())
+            format!(
+                "[{}, {}, {}]",
+                v[0].to_bits(),
+                v[1].to_bits(),
+                v[2].to_bits()
+            )
         );
     }
 

@@ -215,7 +215,11 @@ impl ModelRegistry {
             std::process::id(),
         ));
         {
-            let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
+            let mut f = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tmp)?;
             f.write_all(bytes)?;
             f.sync_all()?;
         }
@@ -300,10 +304,8 @@ impl ModelRegistry {
             let Some(stem) = name.strip_suffix(".bad") else {
                 continue;
             };
-            let reason = fs::read_to_string(
-                self.rejected_dir().join(format!("{stem}.reason")),
-            )
-            .unwrap_or_else(|_| "(reason file missing)".to_string());
+            let reason = fs::read_to_string(self.rejected_dir().join(format!("{stem}.reason")))
+                .unwrap_or_else(|_| "(reason file missing)".to_string());
             out.push(RejectedEntry {
                 name: stem.to_string(),
                 reason: reason.trim().to_string(),
@@ -415,7 +417,10 @@ mod tests {
         fs::write(&path, &on_disk).unwrap();
         let err = reg.load(&hash).unwrap_err();
         assert!(matches!(err, RegistryError::Rejected { .. }), "{err:?}");
-        assert!(reg.list().unwrap().is_empty(), "corrupt entry must leave the servable set");
+        assert!(
+            reg.list().unwrap().is_empty(),
+            "corrupt entry must leave the servable set"
+        );
         assert_eq!(reg.rejected().unwrap().len(), 1);
         let _ = fs::remove_dir_all(&root);
     }

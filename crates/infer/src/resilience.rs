@@ -91,10 +91,9 @@ impl fmt::Display for InferError {
             InferError::BadRank { got } => {
                 write!(f, "expected a rank-4 [C, D, H, W] clip, got rank {got}")
             }
-            InferError::ShapeMismatch { expected, got } => write!(
-                f,
-                "clip shape {got:?} does not match expected {expected:?}"
-            ),
+            InferError::ShapeMismatch { expected, got } => {
+                write!(f, "clip shape {got:?} does not match expected {expected:?}")
+            }
             InferError::NonFinite { index } => {
                 write!(f, "clip contains a non-finite value at element {index}")
             }
@@ -744,7 +743,11 @@ mod tests {
         assert_eq!(run.budget.admitted, 2);
         assert_eq!(run.budget.shed_overload, 1);
         assert_eq!(run.budget.completed, 2);
-        assert!(run.budget.balanced(), "budget must partition: {:?}", run.budget);
+        assert!(
+            run.budget.balanced(),
+            "budget must partition: {:?}",
+            run.budget
+        );
         assert!(matches!(
             run.responses[2].outcome,
             Err(InferError::Overloaded { .. })

@@ -193,7 +193,10 @@ mod tests {
     fn model_hash_partitions_the_key_space() {
         let mut cache = ResponseCache::new(4);
         cache.put(model_key("aaaa"), 10, result(1.0));
-        assert!(cache.get(model_key("bbbb"), 10).is_none(), "other model must miss");
+        assert!(
+            cache.get(model_key("bbbb"), 10).is_none(),
+            "other model must miss"
+        );
     }
 
     #[test]

@@ -148,7 +148,9 @@ mod tests {
             sched.submit(Tensor::full([1, 1, 1, 1], i as f32));
         }
         assert_eq!(sched.pending(), 10);
-        let mut probe = Probe { batch_sizes: vec![] };
+        let mut probe = Probe {
+            batch_sizes: vec![],
+        };
         let run = sched.drain(&mut probe);
         assert_eq!(sched.pending(), 0);
         assert_eq!(probe.batch_sizes, vec![4, 4, 2]);
@@ -165,7 +167,9 @@ mod tests {
     #[test]
     fn empty_drain_is_harmless() {
         let mut sched = BatchScheduler::new(2);
-        let mut probe = Probe { batch_sizes: vec![] };
+        let mut probe = Probe {
+            batch_sizes: vec![],
+        };
         let run = sched.drain(&mut probe);
         assert!(run.results.is_empty());
         assert_eq!(run.batches, 0);

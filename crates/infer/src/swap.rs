@@ -95,7 +95,10 @@ pub fn canary_verdict(
     }
     if canary.sentinel_trips > 0 {
         return Some(CanaryVerdict::Rollback {
-            reason: format!("canary tripped {} numeric sentinel(s)", canary.sentinel_trips),
+            reason: format!(
+                "canary tripped {} numeric sentinel(s)",
+                canary.sentinel_trips
+            ),
         });
     }
     let resolved = canary.completed + canary.deadline_expired;
@@ -112,9 +115,7 @@ pub fn canary_verdict(
             ),
         });
     }
-    if incumbent_latencies_ms.len() >= MIN_INCUMBENT_SAMPLES
-        && !canary_latencies_ms.is_empty()
-    {
+    if incumbent_latencies_ms.len() >= MIN_INCUMBENT_SAMPLES && !canary_latencies_ms.is_empty() {
         let mut canary_sorted = canary_latencies_ms.to_vec();
         canary_sorted.sort_by(|a, b| a.total_cmp(b));
         let mut incumbent_sorted = incumbent_latencies_ms.to_vec();
@@ -208,7 +209,10 @@ mod tests {
         let canary = budget(1, 0, 1, 0);
         let incumbent = budget(100, 0, 0, 0);
         let verdict = canary_verdict(&canary, &[], &incumbent, &[], &CanaryPolicy::default());
-        assert!(matches!(verdict, Some(CanaryVerdict::Rollback { .. })), "{verdict:?}");
+        assert!(
+            matches!(verdict, Some(CanaryVerdict::Rollback { .. })),
+            "{verdict:?}"
+        );
     }
 
     #[test]
@@ -216,7 +220,10 @@ mod tests {
         let canary = budget(3, 0, 0, 2);
         let incumbent = budget(100, 0, 0, 0);
         let verdict = canary_verdict(&canary, &[], &incumbent, &[], &CanaryPolicy::default());
-        assert!(matches!(verdict, Some(CanaryVerdict::Rollback { .. })), "{verdict:?}");
+        assert!(
+            matches!(verdict, Some(CanaryVerdict::Rollback { .. })),
+            "{verdict:?}"
+        );
     }
 
     #[test]
@@ -236,8 +243,13 @@ mod tests {
         let incumbent = budget(300, 0, 0, 0);
         let lat_c: Vec<f64> = (0..60).map(|i| 1.0 + (i % 5) as f64 * 0.1).collect();
         let lat_i: Vec<f64> = (0..300).map(|i| 1.0 + (i % 5) as f64 * 0.1).collect();
-        let verdict =
-            canary_verdict(&canary, &lat_c, &incumbent, &lat_i, &CanaryPolicy::default());
+        let verdict = canary_verdict(
+            &canary,
+            &lat_c,
+            &incumbent,
+            &lat_i,
+            &CanaryPolicy::default(),
+        );
         assert_eq!(verdict, Some(CanaryVerdict::Promote));
     }
 

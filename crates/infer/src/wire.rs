@@ -117,7 +117,10 @@ impl std::fmt::Display for WireError {
                 write!(f, "declared body of {declared} bytes exceeds cap {limit}")
             }
             WireError::UnsupportedTransferEncoding => {
-                write!(f, "transfer encodings are not supported; frame with Content-Length")
+                write!(
+                    f,
+                    "transfer encodings are not supported; frame with Content-Length"
+                )
             }
             WireError::UnsupportedMediaType(ct) => {
                 write!(f, "unsupported content type '{ct}'")
@@ -325,7 +328,8 @@ pub fn read_body(
     let mut body = vec![0u8; declared as usize];
     let take = framing.leftover.len();
     body[..take].copy_from_slice(&framing.leftover);
-    r.read_exact(&mut body[take..]).map_err(|_| WireError::Closed)?;
+    r.read_exact(&mut body[take..])
+        .map_err(|_| WireError::Closed)?;
     req.body = body;
     Ok(())
 }
@@ -406,7 +410,9 @@ fn content_length(req: &HttpRequest) -> Result<Option<u64>, WireError> {
             .map_err(|_| WireError::BadContentLength("not UTF-8".to_string()))?
             .trim();
         if text.starts_with('+') || text.starts_with('-') {
-            return Err(WireError::BadContentLength(format!("signed value '{text}'")));
+            return Err(WireError::BadContentLength(format!(
+                "signed value '{text}'"
+            )));
         }
         let n: u64 = text
             .parse()
@@ -433,7 +439,10 @@ pub fn write_response(
     body: &[u8],
     close: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {reason}\r\nContent-Length: {}\r\n", body.len());
+    let mut head = format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Length: {}\r\n",
+        body.len()
+    );
     if !body.is_empty() {
         head.push_str(&format!("Content-Type: {content_type}\r\n"));
     }
@@ -596,7 +605,9 @@ pub fn decode_vid_body(
     let mut frame_buf: Vec<u8> = Vec::new();
     for f in 0..d {
         if !reader.read_frame_into(&mut frame_buf).map_err(bad)? {
-            return Err(WireError::BadVideo("container ended mid-stream".to_string()));
+            return Err(WireError::BadVideo(
+                "container ended mid-stream".to_string(),
+            ));
         }
         resizer.run(&frame_buf, &mut data[f * h * w..(f + 1) * h * w]);
     }
@@ -652,9 +663,11 @@ mod tests {
 
     #[test]
     fn parses_request_with_body_and_lowercases_headers() {
-        let req = read_str(b"POST /v1/infer?q=1 HTTP/1.1\r\nX-P3D-Client: alice\r\nContent-Length: 4\r\n\r\nabcd")
-            .unwrap()
-            .unwrap();
+        let req = read_str(
+            b"POST /v1/infer?q=1 HTTP/1.1\r\nX-P3D-Client: alice\r\nContent-Length: 4\r\n\r\nabcd",
+        )
+        .unwrap()
+        .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/infer");
         assert_eq!(req.body, b"abcd");
@@ -851,7 +864,9 @@ mod tests {
         use p3d_video_data::io::{VidHeader, VidWriter};
         let header = VidHeader::gray8(w, h, frames, 30_000);
         let mut wtr = VidWriter::new(Vec::new(), header).unwrap();
-        let frame: Vec<u8> = (0..header.frame_bytes()).map(|i| (i * 7 + 3) as u8).collect();
+        let frame: Vec<u8> = (0..header.frame_bytes())
+            .map(|i| (i * 7 + 3) as u8)
+            .collect();
         for _ in 0..frames {
             wtr.write_frame(&frame).unwrap();
         }
@@ -865,7 +880,10 @@ mod tests {
             version: 1,
             headers: vec![
                 (SHAPE_HEADER.to_string(), shape.as_bytes().to_vec()),
-                ("content-type".to_string(), CONTENT_TYPE_VID.as_bytes().to_vec()),
+                (
+                    "content-type".to_string(),
+                    CONTENT_TYPE_VID.as_bytes().to_vec(),
+                ),
                 (
                     "content-length".to_string(),
                     body_len.to_string().into_bytes(),
@@ -880,18 +898,22 @@ mod tests {
         use p3d_video_data::io::{read_video_clips, save_video, VidHeader};
         let container = vid_container(8, 6, 3);
         let req = vid_req("1,3,4,4", container.len());
-        let clip =
-            decode_vid_body(&req, &mut Cursor::new(&container), container.len() as u64, &vid_limits())
-                .unwrap();
+        let clip = decode_vid_body(
+            &req,
+            &mut Cursor::new(&container),
+            container.len() as u64,
+            &vid_limits(),
+        )
+        .unwrap();
         assert_eq!(clip.shape().dims(), &[1, 3, 4, 4]);
         // Pin against the serial ingest reference decode of the same
         // container written to disk.
-        let path = std::env::temp_dir().join(format!(
-            "p3d-wire-vid-test-{}.p3dvid",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("p3d-wire-vid-test-{}.p3dvid", std::process::id()));
         let header = VidHeader::gray8(8, 6, 3, 30_000);
-        let frame: Vec<u8> = (0..header.frame_bytes()).map(|i| (i * 7 + 3) as u8).collect();
+        let frame: Vec<u8> = (0..header.frame_bytes())
+            .map(|i| (i * 7 + 3) as u8)
+            .collect();
         save_video(&path, header, (0..3).map(|_| frame.as_slice())).unwrap();
         let reference = read_video_clips(
             &path,
@@ -922,7 +944,12 @@ mod tests {
         // Content-Length disagrees with the container geometry.
         let req = vid_req("1,3,4,4", n + 4);
         assert!(matches!(
-            decode_vid_body(&req, &mut Cursor::new(&container), n as u64 + 4, &vid_limits()),
+            decode_vid_body(
+                &req,
+                &mut Cursor::new(&container),
+                n as u64 + 4,
+                &vid_limits()
+            ),
             Err(WireError::BadVideo(_))
         ));
         // Multi-channel shapes have no video encoding.

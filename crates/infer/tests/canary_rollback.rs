@@ -10,8 +10,8 @@
 mod common;
 
 use common::{
-    ckpt_bytes, extract_u32s, http_request, json_str, json_u64, post_clip, poll_stats,
-    push_model, q78_clips, reference_bits, serve_cfg, ScratchDir,
+    ckpt_bytes, extract_u32s, http_request, json_str, json_u64, poll_stats, post_clip, push_model,
+    q78_clips, reference_bits, serve_cfg, ScratchDir,
 };
 use p3d_infer::http::{EngineFactory, EnginePair, HttpServer};
 use p3d_infer::{
@@ -174,7 +174,11 @@ fn healthy_canary_promotes_and_serves_bitwise() {
         cfg,
         Box::new(common::engine_from(&a.checkpoint, 2)),
         None,
-        Some(canary_push_config(&dir.path, common::micro_factory(2), policy)),
+        Some(canary_push_config(
+            &dir.path,
+            common::micro_factory(2),
+            policy,
+        )),
     )
     .expect("bind");
     let addr = server.local_addr();

@@ -17,7 +17,7 @@ use p3d_core::PrunedModel;
 use p3d_fpga::config::{AcceleratorConfig, Ports, Tiling};
 use p3d_fpga::sim::QuantizedNetwork;
 use p3d_infer::{
-    install_quiet_panic_hook, Fault, FaultMix, FaultPlan, F32Engine, InferError, InferenceEngine,
+    install_quiet_panic_hook, F32Engine, Fault, FaultMix, FaultPlan, InferError, InferenceEngine,
     Request, ResilientRun, ResilientServer, ServerConfig, SimEngine,
 };
 use p3d_models::{build_network, r2plus1d_micro};
@@ -34,7 +34,16 @@ static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 fn tiny_net() -> Sequential {
     let mut rng = TensorRng::seed(42);
     Sequential::new()
-        .push(Conv3d::new("c", 4, 1, (1, 3, 3), (1, 1, 1), (0, 1, 1), true, &mut rng))
+        .push(Conv3d::new(
+            "c",
+            4,
+            1,
+            (1, 3, 3),
+            (1, 1, 1),
+            (0, 1, 1),
+            true,
+            &mut rng,
+        ))
         .push(Relu::new())
         .push(GlobalAvgPool::new())
         .push(Linear::new("fc", 3, 4, true, &mut rng))
@@ -87,7 +96,11 @@ fn seeded_chaos_mix_resolves_every_request_exactly_once() {
     let clips = tiny_clips(N, 5);
     let reference = baseline(&clips);
     let plan = FaultPlan::seeded_mix(1234, N, &FaultMix::default());
-    assert!(plan.len() > 15, "mix injected too few faults: {}", plan.len());
+    assert!(
+        plan.len() > 15,
+        "mix injected too few faults: {}",
+        plan.len()
+    );
 
     // Count scheduled fault classes for budget cross-checks.
     let mut poison = 0u64;

@@ -119,12 +119,24 @@ fn swap_storm_under_injected_faults_keeps_serving_exactly_once() {
     // Exactly-once under faults: one completion per post, no losses, no
     // duplicates, partition identity intact, nothing quarantined (all
     // injected panics were transient).
-    assert_eq!(snap.budget.completed, total as u64, "budget: {:?}", snap.budget);
+    assert_eq!(
+        snap.budget.completed, total as u64,
+        "budget: {:?}",
+        snap.budget
+    );
     assert!(snap.budget.balanced(), "budget: {:?}", snap.budget);
     assert_eq!(snap.budget.quarantined, 0, "budget: {:?}", snap.budget);
     assert!(snap.budget.retries > 0, "chaos must have actually fired");
-    assert!(snap.swap.swaps >= 2, "storm produced swaps: {:?}", snap.swap);
-    assert_eq!(snap.swap.models_rejected, corrupt_pushes, "swap: {:?}", snap.swap);
+    assert!(
+        snap.swap.swaps >= 2,
+        "storm produced swaps: {:?}",
+        snap.swap
+    );
+    assert_eq!(
+        snap.swap.models_rejected, corrupt_pushes,
+        "swap: {:?}",
+        snap.swap
+    );
     assert!(
         refs.contains_key(&snap.serving_model),
         "storm must end on a roster model, got {}",

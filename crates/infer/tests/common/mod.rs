@@ -84,7 +84,11 @@ pub fn q78_clips(n: usize, seed: u64) -> Vec<Tensor> {
     (0..n)
         .map(|_| {
             let t = rng.uniform_tensor([1, 6, 16, 16], 0.0, 1.0);
-            let snapped: Vec<f32> = t.data().iter().map(|v| (v * 256.0).round() / 256.0).collect();
+            let snapped: Vec<f32> = t
+                .data()
+                .iter()
+                .map(|v| (v * 256.0).round() / 256.0)
+                .collect();
             Tensor::from_vec([1, 6, 16, 16], snapped)
         })
         .collect()

@@ -46,8 +46,11 @@ fn q78_clips(n: usize, seed: u64) -> Vec<Tensor> {
     (0..n)
         .map(|_| {
             let t = rng.uniform_tensor([1, 6, 16, 16], 0.0, 1.0);
-            let snapped: Vec<f32> =
-                t.data().iter().map(|v| (v * 256.0).round() / 256.0).collect();
+            let snapped: Vec<f32> = t
+                .data()
+                .iter()
+                .map(|v| (v * 256.0).round() / 256.0)
+                .collect();
             Tensor::from_vec([1, 6, 16, 16], snapped)
         })
         .collect()
@@ -183,8 +186,7 @@ fn wire_logits_bitwise_match_in_process_on_both_backends() {
             Box::new(move || {
                 let mut net = build_network(&spec, SEED);
                 let q = QuantizedNetwork::from_network(&spec, &mut net, micro_cfg());
-                Box::new(SimEngine::new(q, PrunedModel::dense()))
-                    as Box<dyn InferenceEngine + Send>
+                Box::new(SimEngine::new(q, PrunedModel::dense())) as Box<dyn InferenceEngine + Send>
             }) as Box<dyn Fn() -> Box<dyn InferenceEngine + Send>>
         }),
     ];
@@ -293,10 +295,7 @@ fn streamed_vid_logits_bitwise_match_the_prebuilt_tensor_path() {
         }
         w.finish().unwrap()
     };
-    let path = std::env::temp_dir().join(format!(
-        "p3d-e2e-vid-{}.p3dvid",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("p3d-e2e-vid-{}.p3dvid", std::process::id()));
     save_video(&path, header, frames.iter().map(|f| f.as_slice())).unwrap();
     let clips = read_video_clips(&path, 6, &PreprocessConfig::to_size(16, 16)).unwrap();
     let _ = std::fs::remove_file(&path);
@@ -518,14 +517,32 @@ fn stats_reports_provenance_and_pool_telemetry() {
 
     let (status, body) = post_clip(addr, &clips[0], CONTENT_TYPE_Q78, "probe");
     assert_eq!(status, 200);
-    for key in ["latency_ms", "backend", "kernel_path", "cpu_features", "fell_back"] {
-        assert!(body.contains(&format!("\"{key}\"")), "response lacks {key}: {body}");
+    for key in [
+        "latency_ms",
+        "backend",
+        "kernel_path",
+        "cpu_features",
+        "fell_back",
+    ] {
+        assert!(
+            body.contains(&format!("\"{key}\"")),
+            "response lacks {key}: {body}"
+        );
     }
 
     let (status, stats) = http_request(addr, "GET", "/stats", &[], b"");
     assert_eq!(status, 200);
-    for key in ["error_budget", "kernel_path", "cpu_features", "pool", "expected_shape"] {
-        assert!(stats.contains(&format!("\"{key}\"")), "stats lacks {key}: {stats}");
+    for key in [
+        "error_budget",
+        "kernel_path",
+        "cpu_features",
+        "pool",
+        "expected_shape",
+    ] {
+        assert!(
+            stats.contains(&format!("\"{key}\"")),
+            "stats lacks {key}: {stats}"
+        );
     }
     assert_eq!(json_u64(&stats, "completed"), 1);
     server.shutdown();

@@ -28,7 +28,16 @@ use std::time::Duration;
 fn tiny_net() -> Sequential {
     let mut rng = TensorRng::seed(42);
     Sequential::new()
-        .push(Conv3d::new("c", 4, 1, (1, 3, 3), (1, 1, 1), (0, 1, 1), true, &mut rng))
+        .push(Conv3d::new(
+            "c",
+            4,
+            1,
+            (1, 3, 3),
+            (1, 1, 1),
+            (0, 1, 1),
+            true,
+            &mut rng,
+        ))
         .push(Relu::new())
         .push(GlobalAvgPool::new())
         .push(Linear::new("fc", 3, 4, true, &mut rng))
@@ -77,7 +86,11 @@ fn exchange(payload: &[u8], segments: usize) -> Vec<u8> {
         // The server may reject and close mid-upload (e.g. an
         // oversized Content-Length dies at the header); a broken pipe
         // here is the rejection arriving early, not a harness failure.
-        if stream.write_all(part).and_then(|()| stream.flush()).is_err() {
+        if stream
+            .write_all(part)
+            .and_then(|()| stream.flush())
+            .is_err()
+        {
             break;
         }
         if i + 1 < segments {
@@ -113,7 +126,8 @@ fn assert_alive(case: &str) {
     );
 }
 
-const VALID_POST_HEAD: &str = "POST /v1/infer HTTP/1.1\r\nContent-Type: application/x-p3d-f32\r\nX-P3D-Shape: 1,4,8,8\r\n";
+const VALID_POST_HEAD: &str =
+    "POST /v1/infer HTTP/1.1\r\nContent-Type: application/x-p3d-f32\r\nX-P3D-Shape: 1,4,8,8\r\n";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

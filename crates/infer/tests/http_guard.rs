@@ -101,8 +101,8 @@ fn healthz_reports_degraded_after_a_quarantine() {
     cfg.chaos = Some(FaultPlan::new().inject(1, Fault::Panic { times: u32::MAX }));
     let ckpt_bytes = ckpt_bytes(62);
     let ckpt = p3d_nn::Checkpoint::read_from(&mut &ckpt_bytes[..]).expect("parse");
-    let server = HttpServer::start(cfg, Box::new(common::engine_from(&ckpt, 2)), None)
-        .expect("bind");
+    let server =
+        HttpServer::start(cfg, Box::new(common::engine_from(&ckpt, 2)), None).expect("bind");
     let addr = server.local_addr();
     let clips = q78_clips(3, 9);
 
@@ -181,7 +181,11 @@ fn healthz_reports_draining_while_a_swap_waits_for_drain() {
             })
             .collect();
         std::thread::sleep(Duration::from_millis(20));
-        let bytes = if flip { b_bytes.clone() } else { a_bytes.clone() };
+        let bytes = if flip {
+            b_bytes.clone()
+        } else {
+            a_bytes.clone()
+        };
         flip = !flip;
         let push = std::thread::spawn(move || push_model(addr, &bytes));
         // Probe while the push is in flight — that window IS the drain.

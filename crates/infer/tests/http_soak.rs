@@ -47,7 +47,11 @@ fn exchange(addr: std::net::SocketAddr, payload: &[u8]) -> Vec<u8> {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    if stream.write_all(payload).and_then(|()| stream.flush()).is_err() {
+    if stream
+        .write_all(payload)
+        .and_then(|()| stream.flush())
+        .is_err()
+    {
         return Vec::new();
     }
     let _ = stream.shutdown(std::net::Shutdown::Write);
@@ -118,7 +122,10 @@ fn soak_mixed_load_sheds_garbage_serves_clips_and_leaks_no_threads() {
                 if reply.starts_with(b"HTTP/1.1 200") {
                     ok_count.fetch_add(1, Ordering::Relaxed);
                 } else if !reply.is_empty() && !stop.load(Ordering::Relaxed) {
-                    panic!("valid clip rejected: {:?}", String::from_utf8_lossy(&reply[..reply.len().min(80)]));
+                    panic!(
+                        "valid clip rejected: {:?}",
+                        String::from_utf8_lossy(&reply[..reply.len().min(80)])
+                    );
                 }
             }
         }));

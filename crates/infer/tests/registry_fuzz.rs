@@ -162,5 +162,8 @@ fn classic_corruptions_reject_with_useful_reasons() {
 
     // And after all that abuse, a clean publish still works.
     let published = reg.publish(&good).expect("clean publish");
-    assert_eq!(reg.load(&published.hash).expect("load"), published.checkpoint);
+    assert_eq!(
+        reg.load(&published.hash).expect("load"),
+        published.checkpoint
+    );
 }

@@ -46,7 +46,11 @@ fn cache_hits_are_bitwise_and_keyed_by_model() {
     for _ in 0..3 {
         let (status, body) = post_clip(addr, &clips[0], "cache-client");
         assert_eq!(status, 200);
-        assert_eq!(json_str(&body, "backend"), "cache", "replay must hit: {body}");
+        assert_eq!(
+            json_str(&body, "backend"),
+            "cache",
+            "replay must hit: {body}"
+        );
         assert_eq!(json_str(&body, "model_hash"), a.hash);
         assert_eq!(
             extract_u32s(&body, "logits_bits"),
@@ -60,7 +64,9 @@ fn cache_hits_are_bitwise_and_keyed_by_model() {
     // serve A's stale answer here.
     let (status, body) = push_model(addr, &b_bytes);
     assert_eq!(status, 202, "{body}");
-    poll_stats(addr, 10, "swap to B", |s| json_str(s, "serving_model") == b_hash);
+    poll_stats(addr, 10, "swap to B", |s| {
+        json_str(s, "serving_model") == b_hash
+    });
     let (status, body) = post_clip(addr, &clips[0], "cache-client");
     assert_eq!(status, 200);
     assert_ne!(

@@ -98,7 +98,11 @@ fn hot_swap_under_load_drops_nothing_and_stays_bitwise() {
     assert!(snap.swap.swaps >= 3, "swaps: {:?}", snap.swap);
     assert_eq!(snap.serving_model, b_hash, "final model is the last push");
     // Exactly-once: the budget completed precisely one entry per post.
-    assert_eq!(snap.budget.completed, total as u64, "budget: {:?}", snap.budget);
+    assert_eq!(
+        snap.budget.completed, total as u64,
+        "budget: {:?}",
+        snap.budget
+    );
     assert!(snap.budget.balanced(), "budget: {:?}", snap.budget);
 }
 
@@ -132,7 +136,11 @@ fn corrupt_push_is_quarantined_while_serving_continues() {
     // Both rejects are quarantined in the registry for forensics.
     let reopened = ModelRegistry::open(&dir.path).expect("reopen");
     assert_eq!(reopened.rejected().expect("rejected").len(), 2);
-    assert_eq!(reopened.list().expect("list").len(), 1, "only A is servable");
+    assert_eq!(
+        reopened.list().expect("list").len(),
+        1,
+        "only A is servable"
+    );
 
     // The incumbent never wobbled: health ok, responses bitwise A.
     let (status, body) = common::http_request(addr, "GET", "/healthz", &[], b"");
