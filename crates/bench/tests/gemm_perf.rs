@@ -10,6 +10,18 @@
 
 use p3d_tensor::gemm::{gemm_naive_into, gemm_packed_into};
 use p3d_tensor::parallel::set_thread_override;
+use std::sync::{Mutex, MutexGuard};
+
+/// libtest runs the two tests on parallel threads, and the AVX2 test
+/// flips the process-wide `simd::force_scalar` and thread override while
+/// the other one times. Each test holds this lock for its whole body.
+static TIMING_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`TIMING_LOCK`], surviving a poisoning by the other test's
+/// failed assertion.
+fn serialise() -> MutexGuard<'static, ()> {
+    TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A shape representative of the deeper conv-as-GEMM layers:
 /// `[M, K] x [K, N]` with K = in_channels * kernel volume and N = output
@@ -37,6 +49,7 @@ fn operands() -> (Vec<f32>, Vec<f32>) {
 
 #[test]
 fn packed_kernel_at_least_1_5x_naive_single_thread() {
+    let _serial = serialise();
     let (a, b) = operands();
     let mut out_naive = vec![0.0f32; M * N];
     let mut out_packed = vec![0.0f32; M * N];
@@ -82,6 +95,7 @@ fn packed_kernel_at_least_1_5x_naive_single_thread() {
 fn avx2_kernel_at_least_1_3x_forced_scalar() {
     use p3d_tensor::simd;
 
+    let _serial = serialise();
     let (a, b) = operands();
     let mut out_simd = vec![0.0f32; M * N];
     let mut out_scalar = vec![0.0f32; M * N];

@@ -58,8 +58,8 @@ EOF
 
 # Formatting is gated crate by crate, each as it is brought to rustfmt's
 # defaults; crates not listed here still drift.
-echo "==> cargo fmt --check -p p3d-tensor"
-cargo fmt --check -p p3d-tensor
+echo "==> cargo fmt --check -p p3d-tensor -p p3d-infer"
+cargo fmt --check -p p3d-tensor -p p3d-infer
 
 echo "==> cargo build --release"
 cargo build --release --workspace
