@@ -7,13 +7,17 @@
 //! reuses every per-layer activation and GEMM pack buffer across
 //! forwards so the steady-state hot path performs no heap allocation.
 //!
-//! Two backends sit behind one [`InferenceEngine`] trait:
+//! Two backends sit behind one [`InferenceEngine`] trait. Both are one
+//! replicated engine: a worker set fixed at construction, with slab
+//! dispatch, supervision and crashed-worker restart written once. Each
+//! backend supplies only its per-clip body:
 //!
 //! * [`F32Engine`] — the float reference network from `p3d-nn`, run
-//!   through the arena evaluation path ([`p3d_nn::EvalArena`]); one
-//!   network replica + arena per worker.
+//!   through the arena evaluation path ([`p3d_nn::EvalArena`]); each
+//!   worker is one network replica plus its arena.
 //! * [`SimEngine`] — the Q7.8 accelerator simulator from `p3d-fpga`,
-//!   with block-enable maps from a pruned-model artifact.
+//!   with block-enable maps from a pruned-model artifact; each worker is
+//!   one simulator scratch over the shared quantised network.
 //!
 //! Both are deterministic: outputs are bitwise identical across
 //! `P3D_THREADS` settings and identical to a per-clip sequential

@@ -89,19 +89,29 @@ fn sim_engine_bitwise_identical_across_threads_and_matches_forward() {
         })
         .collect();
 
-    for threads in [1usize, 2, 8] {
-        set_thread_override(Some(threads));
+    let sim_engine = || {
         let mut net = build_network(&spec, SEED);
         let q = QuantizedNetwork::from_network(&spec, &mut net, micro_cfg());
-        let mut engine = SimEngine::new(q, PrunedModel::dense());
-        let out = engine.infer_batch(&clips);
-        for (i, ((want_bits, want_pred), got)) in reference.iter().zip(&out).enumerate() {
-            assert_eq!(
-                want_bits,
-                &bits(&got.logits),
-                "clip {i} diverged at {threads} threads"
-            );
-            assert_eq!(*want_pred, got.prediction, "clip {i} prediction");
+        SimEngine::new(q, PrunedModel::dense())
+    };
+    // Built at one thread, so it keeps one worker when later runs raise
+    // the thread count: the worker set is fixed at construction.
+    let mut one_worker = sim_engine();
+    for threads in [1usize, 2, 8] {
+        set_thread_override(Some(threads));
+        let mut engine = sim_engine();
+        for (label, out) in [
+            ("built here", engine.infer_batch(&clips)),
+            ("built at 1 thread", one_worker.infer_batch(&clips)),
+        ] {
+            for (i, ((want_bits, want_pred), got)) in reference.iter().zip(&out).enumerate() {
+                assert_eq!(
+                    want_bits,
+                    &bits(&got.logits),
+                    "clip {i} diverged at {threads} threads ({label})"
+                );
+                assert_eq!(*want_pred, got.prediction, "clip {i} prediction ({label})");
+            }
         }
     }
     set_thread_override(None);
