@@ -93,8 +93,7 @@ pub fn conv_traffic(
         for r0 in (0..r).step_by(t.tr) {
             for c0 in (0..c).step_by(t.tc) {
                 let (ad, ar, ac) = (t.td.min(d - d0), t.tr.min(r - r0), t.tc.min(c - c0));
-                let in_tile =
-                    ((ad - 1) * sd + kd) * ((ar - 1) * sr + kr) * ((ac - 1) * sc + kc);
+                let in_tile = ((ad - 1) * sd + kd) * ((ar - 1) * sr + kr) * ((ac - 1) * sc + kc);
                 for bi in 0..rows {
                     let (m0, m1) = (bi * t.tm, ((bi + 1) * t.tm).min(m));
                     for bj in 0..cols {

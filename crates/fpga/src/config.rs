@@ -78,7 +78,10 @@ impl Ports {
     ///
     /// Panics if any width is zero.
     pub fn new(wgt: usize, input: usize, output: usize) -> Self {
-        assert!(wgt > 0 && input > 0 && output > 0, "port widths must be positive");
+        assert!(
+            wgt > 0 && input > 0 && output > 0,
+            "port widths must be positive"
+        );
         Ports { wgt, input, output }
     }
 

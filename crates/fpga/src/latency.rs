@@ -76,7 +76,11 @@ impl NetworkLatency {
 
 /// Per-iteration transfer/compute cycle counts for one layer
 /// (Eqs. 19–22).
-pub fn iteration_terms(inst: &ConvInstance, tiling: &Tiling, ports: &Ports) -> (u64, u64, u64, u64) {
+pub fn iteration_terms(
+    inst: &ConvInstance,
+    tiling: &Tiling,
+    ports: &Ports,
+) -> (u64, u64, u64, u64) {
     let (kd, kr, kc) = inst.spec.kernel;
     let (sd, sr, sc) = inst.spec.stride;
     let t = tiling;
@@ -147,13 +151,8 @@ pub fn conv_latency(
     for d0 in (0..d).step_by(t.td) {
         for r0 in (0..r).step_by(t.tr) {
             for c0 in (0..c).step_by(t.tc) {
-                let actual = (
-                    t.td.min(d - d0),
-                    t.tr.min(r - r0),
-                    t.tc.min(c - c0),
-                );
-                let (t_wgt, t_in, t_comp, t_out) =
-                    tile_terms(inst, t, &config.ports, actual);
+                let actual = (t.td.min(d - d0), t.tr.min(r - r0), t.tc.min(c - c0));
+                let (t_wgt, t_in, t_comp, t_out) = tile_terms(inst, t, &config.ports, actual);
                 last_t_out = t_out;
                 let t_l3 = match buffering {
                     DoubleBuffering::On => t_wgt.max(t_in).max(t_comp),
@@ -373,7 +372,12 @@ mod tests {
             &PrunedModel::dense(),
             DoubleBuffering::On,
         );
-        let c = network_latency(&c3d(101), &cfg(), &PrunedModel::dense(), DoubleBuffering::On);
+        let c = network_latency(
+            &c3d(101),
+            &cfg(),
+            &PrunedModel::dense(),
+            DoubleBuffering::On,
+        );
         assert!(r.total_cycles > c.total_cycles);
     }
 

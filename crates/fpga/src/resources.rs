@@ -113,7 +113,10 @@ fn banked_bram36(banks: usize, bits_per_bank: usize) -> f64 {
 ///   half a BRAM36 — this granularity, not raw capacity, is what makes
 ///   Table III's BRAM count (710.5 of 912) so much larger than Eq. 18
 ///   suggests.
-pub fn estimate_resources(instances: &[ConvInstance], config: &AcceleratorConfig) -> ResourceEstimate {
+pub fn estimate_resources(
+    instances: &[ConvInstance],
+    config: &AcceleratorConfig,
+) -> ResourceEstimate {
     let t = &config.tiling;
     let buffers = BufferWords::for_network(instances, t);
     let bits = config.data_bits;
@@ -207,7 +210,11 @@ mod tests {
         let est16 = estimate_resources(&insts, &AcceleratorConfig::paper_tn16());
         // Paper: 695 and 1215.
         assert!((est8.dsps as i64 - 695).abs() <= 10, "dsp8 {}", est8.dsps);
-        assert!((est16.dsps as i64 - 1215).abs() <= 15, "dsp16 {}", est16.dsps);
+        assert!(
+            (est16.dsps as i64 - 1215).abs() <= 15,
+            "dsp16 {}",
+            est16.dsps
+        );
     }
 
     #[test]
@@ -242,7 +249,10 @@ mod tests {
     fn both_paper_designs_fit_zcu102() {
         let insts = r2p1d_instances();
         let board = Board::zcu102();
-        for cfg in [AcceleratorConfig::paper_tn8(), AcceleratorConfig::paper_tn16()] {
+        for cfg in [
+            AcceleratorConfig::paper_tn8(),
+            AcceleratorConfig::paper_tn16(),
+        ] {
             let est = estimate_resources(&insts, &cfg);
             assert!(fits(&est, &board), "{:?} does not fit", cfg.tiling);
         }

@@ -146,12 +146,8 @@ pub fn run_conv_with_scratch(
                 let d1 = (d0 + t.td).min(od);
                 let r1 = (r0 + t.tr).min(oh);
                 let c1 = (c0 + t.tc).min(ow);
-                let (t_wgt, t_in, t_comp, t_out) = tile_terms(
-                    inst,
-                    t,
-                    &config.ports,
-                    (d1 - d0, r1 - r0, c1 - c0),
-                );
+                let (t_wgt, t_in, t_comp, t_out) =
+                    tile_terms(inst, t, &config.ports, (d1 - d0, r1 - r0, c1 - c0));
                 for bi in 0..rows {
                     let m0 = bi * t.tm;
                     let m1 = (m0 + t.tm).min(m_ch);
@@ -186,11 +182,11 @@ pub fn run_conv_with_scratch(
                             * (c1 - c0)) as u64;
                         // Input tile covers the receptive field of the
                         // output tile.
-                        stats.input_words +=
-                            ((n1 - n0)
-                                * ((d1 - d0 - 1) * sd + kd)
-                                * ((r1 - r0 - 1) * sr + kr)
-                                * ((c1 - c0 - 1) * sc + kc)) as u64;
+                        stats.input_words += ((n1 - n0)
+                            * ((d1 - d0 - 1) * sd + kd)
+                            * ((r1 - r0 - 1) * sr + kr)
+                            * ((c1 - c0 - 1) * sc + kc))
+                            as u64;
 
                         // Compute(): the MAC array.
                         let mut ai = 0usize;
@@ -210,19 +206,17 @@ pub fn run_conv_with_scratch(
                                                     continue;
                                                 }
                                                 for kri in 0..kr {
-                                                    let hz =
-                                                        (r * sr + kri) as isize - pr as isize;
+                                                    let hz = (r * sr + kri) as isize - pr as isize;
                                                     if hz < 0 || hz as usize >= hi {
                                                         continue;
                                                     }
                                                     let i_row = i_base
                                                         + dz as usize * hi * wi
                                                         + hz as usize * wi;
-                                                    let w_row =
-                                                        w_base + (kdi * kr + kri) * kc;
+                                                    let w_row = w_base + (kdi * kr + kri) * kc;
                                                     for kci in 0..kc {
-                                                        let wz = (c * sc + kci) as isize
-                                                            - pc as isize;
+                                                        let wz =
+                                                            (c * sc + kci) as isize - pc as isize;
                                                         if wz < 0 || wz as usize >= wi {
                                                             continue;
                                                         }
@@ -339,12 +333,7 @@ mod tests {
                                             continue;
                                         }
                                         acc += w.get(&[m, n, kdi, kri, kci])
-                                            * x.get(&[
-                                                n,
-                                                dz as usize,
-                                                hz as usize,
-                                                wz as usize,
-                                            ]);
+                                            * x.get(&[n, dz as usize, hz as usize, wz as usize]);
                                     }
                                 }
                             }
@@ -486,7 +475,10 @@ mod tests {
             "every output word should rail under the storm"
         );
         assert!((storm.saturation_rate() - 1.0).abs() < 1e-12);
-        assert!(out.data().iter().all(|&v| v == Fixed16::MAX || v == Fixed16::MIN));
+        assert!(out
+            .data()
+            .iter()
+            .all(|&v| v == Fixed16::MAX || v == Fixed16::MIN));
     }
 
     #[test]

@@ -212,7 +212,11 @@ mod tests {
         let mut t = FixedTensor::zeros([1, 1, 2, 2]);
         t.data_mut()[0] = Fixed16::from_bits(-3);
         let avg = PostProcessor::global_avg_pool(&t);
-        assert_eq!(avg[0].to_bits(), -1, "negative average truncated toward zero");
+        assert_eq!(
+            avg[0].to_bits(),
+            -1,
+            "negative average truncated toward zero"
+        );
 
         // Positive mirror: +3/4 ULP rounds up to 1 ULP (unchanged by the
         // fix — truncation only biased the negative side).

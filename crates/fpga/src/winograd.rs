@@ -201,7 +201,12 @@ pub fn winograd_network_latency(
             if winograd_eligible(inst) {
                 // Recompute with t_comp scaled: approximate by scaling the
                 // whole compute-bound layer when compute dominates.
-                let scaled = conv_latency(inst, config, pruned.mask(&inst.spec.name), DoubleBuffering::On);
+                let scaled = conv_latency(
+                    inst,
+                    config,
+                    pruned.mask(&inst.spec.name),
+                    DoubleBuffering::On,
+                );
                 let (t_wgt, t_in, t_comp, _) = scaled.terms;
                 let t_comp_w = (t_comp as f64 * WINOGRAD_MUL_RATIO).ceil() as u64;
                 // New bottleneck per iteration.
@@ -247,12 +252,7 @@ mod tests {
                                     continue;
                                 }
                                 acc += input.get(&[ni, sy as usize, sx as usize])
-                                    * weights.get(&[
-                                        mi,
-                                        ni,
-                                        (ky + 1) as usize,
-                                        (kx + 1) as usize,
-                                    ]);
+                                    * weights.get(&[mi, ni, (ky + 1) as usize, (kx + 1) as usize]);
                             }
                         }
                     }
@@ -276,7 +276,11 @@ mod tests {
         for i in 0..9 {
             sum[i] = 2.0 * g1[i] - 3.0 * g2[i];
         }
-        let (u1, u2, us) = (transform_filter(&g1), transform_filter(&g2), transform_filter(&sum));
+        let (u1, u2, us) = (
+            transform_filter(&g1),
+            transform_filter(&g2),
+            transform_filter(&sum),
+        );
         for i in 0..16 {
             assert!((us[i] - (2.0 * u1[i] - 3.0 * u2[i])).abs() < 1e-5);
         }
@@ -320,14 +324,32 @@ mod tests {
     fn eligibility_rules() {
         let spec = p3d_models::r2plus1d::r2plus1d_18(101);
         let insts = spec.conv_instances().unwrap();
-        let spatial = insts.iter().find(|i| i.spec.name == "conv2_1a.spatial").unwrap();
-        let temporal = insts.iter().find(|i| i.spec.name == "conv2_1a.temporal").unwrap();
-        let stem = insts.iter().find(|i| i.spec.name == "conv1.spatial").unwrap();
-        let strided = insts.iter().find(|i| i.spec.name == "conv3_1a.spatial").unwrap();
+        let spatial = insts
+            .iter()
+            .find(|i| i.spec.name == "conv2_1a.spatial")
+            .unwrap();
+        let temporal = insts
+            .iter()
+            .find(|i| i.spec.name == "conv2_1a.temporal")
+            .unwrap();
+        let stem = insts
+            .iter()
+            .find(|i| i.spec.name == "conv1.spatial")
+            .unwrap();
+        let strided = insts
+            .iter()
+            .find(|i| i.spec.name == "conv3_1a.spatial")
+            .unwrap();
         assert!(winograd_eligible(spatial));
         assert!(!winograd_eligible(temporal), "Kx1x1 is not Winograd-able");
-        assert!(!winograd_eligible(stem), "7x7 stride-2 stem is not eligible");
-        assert!(!winograd_eligible(strided), "strided spatial conv not eligible");
+        assert!(
+            !winograd_eligible(stem),
+            "7x7 stride-2 stem is not eligible"
+        );
+        assert!(
+            !winograd_eligible(strided),
+            "strided spatial conv not eligible"
+        );
     }
 
     #[test]

@@ -4,8 +4,7 @@
 
 use p3d_core::{BlockGrid, BlockShape, LayerBlockMask};
 use p3d_fpga::{
-    conv_latency, estimate_resources, run_conv, AcceleratorConfig, DoubleBuffering, Ports,
-    Tiling,
+    conv_latency, estimate_resources, run_conv, AcceleratorConfig, DoubleBuffering, Ports, Tiling,
 };
 use p3d_models::{Conv3dSpec, ConvInstance};
 use p3d_tensor::{FixedTensor, TensorRng};
@@ -13,12 +12,17 @@ use proptest::prelude::*;
 
 fn small_instance() -> impl Strategy<Value = ConvInstance> {
     (
-        1usize..12,          // M
-        1usize..12,          // N
-        prop::sample::select(vec![(1usize, 3usize, 3usize), (3, 1, 1), (3, 3, 3), (1, 1, 1)]),
-        1usize..3,           // stride (same all axes)
-        2usize..7,           // D
-        4usize..12,          // H (=W)
+        1usize..12, // M
+        1usize..12, // N
+        prop::sample::select(vec![
+            (1usize, 3usize, 3usize),
+            (3, 1, 1),
+            (3, 3, 3),
+            (1, 1, 1),
+        ]),
+        1usize..3,  // stride (same all axes)
+        2usize..7,  // D
+        4usize..12, // H (=W)
     )
         .prop_map(|(m, n, kernel, stride, d, hw)| {
             let pad = (kernel.0 / 2, kernel.1 / 2, kernel.2 / 2);
@@ -47,14 +51,14 @@ fn small_instance() -> impl Strategy<Value = ConvInstance> {
 }
 
 fn small_config() -> impl Strategy<Value = AcceleratorConfig> {
-    (1usize..6, 1usize..6, 1usize..4, 2usize..8, 1usize..5).prop_map(
-        |(tm, tn, td, tr, ports)| AcceleratorConfig {
+    (1usize..6, 1usize..6, 1usize..4, 2usize..8, 1usize..5).prop_map(|(tm, tn, td, tr, ports)| {
+        AcceleratorConfig {
             tiling: Tiling::new(tm, tn, td, tr, tr),
             ports: Ports::new(ports, ports, ports),
             freq_mhz: 150.0,
             data_bits: 16,
-        },
-    )
+        }
+    })
 }
 
 fn random_mask(inst: &ConvInstance, t: &Tiling, seed: u64) -> LayerBlockMask {
