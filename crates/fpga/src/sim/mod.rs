@@ -11,11 +11,14 @@
 //!   Algorithm 2's exact loop nest and accounts cycles alongside the
 //!   arithmetic; kept for latency-model validation,
 //! * [`functional`] — the **fast functional** path serving goes
-//!   through: the input lowered once per bounded tile of output rows,
-//!   one register-tiled exact integer kernel over each block row's
-//!   enabled tile rows for every stride and tap (AVX2, with a
-//!   bitwise-identical scalar body), and statistics reproduced
-//!   analytically from the same tile walk.
+//!   through: each layer compiled once ([`CompiledConv`]: tile-row
+//!   runs, weight panel, statistics reproduced analytically from the
+//!   same tile walk, and a certificate per channel group proving when
+//!   32-bit sums are exact), the input lowered once per bounded tile of
+//!   output rows, and one register-tiled exact integer kernel over each
+//!   block row's enabled tile rows for every stride and tap (AVX2 in
+//!   `i32` for certified groups and `i64` otherwise, with a
+//!   bitwise-identical scalar body).
 //!
 //! The simulator computes real outputs in the paper's Q7.8 fixed point,
 //! so it validates three things the analytic models cannot:
@@ -33,6 +36,6 @@ pub mod network;
 pub mod post;
 
 pub use cycle::{run_conv, run_conv_with_scratch, ConvStats};
-pub use functional::{run_conv_functional, run_conv_functional_with_scratch};
+pub use functional::{run_conv_functional, run_conv_functional_with_scratch, CompiledConv};
 pub use network::{QuantizedNetwork, SimOutput, SimPath, SimScratch};
 pub use post::PostProcessor;

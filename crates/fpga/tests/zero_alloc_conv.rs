@@ -1,11 +1,11 @@
 //! Counts heap allocations in the steady-state functional Q7.8 conv.
 //!
 //! Once a warm-up pass has grown the per-thread kernel scratch (the
-//! lowered input tile and the block rows' tile-row lists) and the
-//! caller's weight-panel buffer to the largest layer, each
-//! [`run_conv_functional_with_scratch`] call on the lite-wide layers,
-//! block-pruned at the paper's stage ratios, must allocate exactly once:
-//! for the output tensor it returns.
+//! lowered input tile, and the layer each call compiles into: its
+//! tile-row runs, channel groups and weight panel) to the largest
+//! layer, each [`run_conv_functional_with_scratch`] call on the
+//! lite-wide layers, block-pruned at the paper's stage ratios, must
+//! allocate exactly once: for the output tensor it returns.
 //!
 //! The counting allocator is process-global, so this file runs without
 //! the libtest harness (`harness = false`).
@@ -90,7 +90,7 @@ fn main() {
         .collect();
     assert!(layers.iter().any(|l| l.3.is_some()), "no layer was pruned");
 
-    // Warm-up: grows the thread's kernel scratch and the panel buffer.
+    // Warm-up: grows the thread's kernel scratch.
     let mut panel = Vec::new();
     let baseline: Vec<_> = layers
         .iter()

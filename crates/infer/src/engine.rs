@@ -4,9 +4,9 @@
 //! built with the engine and never resized, plus state every worker
 //! reads and none writes. Only the per-clip body differs. An
 //! [`F32Engine`] worker is a network replica with its own [`EvalArena`];
-//! a [`SimEngine`] worker is a [`SimScratch`] over one shared
-//! [`QuantizedNetwork`]. Dispatch, supervision and worker restart are
-//! written once for both.
+//! a [`SimEngine`] worker holds nothing of its own and runs one shared
+//! [`QuantizedNetwork`] on its layers, compiled once. Dispatch,
+//! supervision and worker restart are written once for both.
 //!
 //! Clips are rank-4 `[C, D, H, W]` tensors, and results fill a
 //! caller-provided `&mut [ClipResult]` slice indexed by submission order.
@@ -28,7 +28,7 @@
 
 use crate::chaos::{FaultPlan, CHAOS_PANIC_MESSAGE};
 use p3d_core::PrunedModel;
-use p3d_fpga::sim::{QuantizedNetwork, SimScratch};
+use p3d_fpga::sim::{CompiledConv, QuantizedNetwork};
 use p3d_nn::{EvalArena, Layer, Sequential};
 use p3d_tensor::parallel::{max_threads, parallel_worker_chunks};
 use p3d_tensor::{Shape, Tensor};
@@ -408,59 +408,63 @@ impl F32Engine {
 
 replicated_engine!(F32Engine);
 
-impl Worker for SimScratch {
-    const NAME: &'static str = "sim";
-    type Shared = (QuantizedNetwork, PrunedModel);
+/// A [`SimEngine`] worker. The compiled layers are shared and
+/// read-only, and the kernel's lowered tile is per-thread scratch that
+/// every layer rebuilds, so a worker has no state of its own.
+struct SimWorker;
 
-    fn run(&mut self, (net, pruned): &Self::Shared, clip: &Tensor, out: &mut ClipResult) -> f64 {
-        let r = net.forward_functional_with_scratch(clip, pruned, self);
+impl Worker for SimWorker {
+    const NAME: &'static str = "sim";
+    type Shared = (QuantizedNetwork, Vec<CompiledConv>);
+
+    fn run(&mut self, (net, layers): &Self::Shared, clip: &Tensor, out: &mut ClipResult) -> f64 {
+        let r = net.forward_compiled(clip, layers);
         out.logits.clear();
         out.logits.extend_from_slice(&r.logits);
         out.prediction = r.prediction;
         r.saturation_rate()
     }
 
-    /// The simulator rebuilds all per-tile state from its scratch buffers
-    /// each forward, so a fresh scratch is a full restart.
-    fn restart(&mut self) {
-        *self = SimScratch::new();
-    }
+    /// Nothing to replace: see [`SimWorker`].
+    fn restart(&mut self) {}
 }
 
 /// Batched Q7.8 inference over the simulated accelerator.
 ///
-/// [`QuantizedNetwork::forward`] takes `&self`, so one quantised model is
-/// shared read-only across workers; the block-enable maps from the
-/// pruned-model artifact gate computation exactly as in `p3d simulate`.
+/// [`QuantizedNetwork::forward_compiled`] takes `&self`, so one
+/// quantised model is shared read-only across workers; the block-enable
+/// maps from the pruned-model artifact gate computation exactly as in
+/// `p3d simulate`.
 ///
-/// Serving runs the **fast functional** Q7.8 path
-/// ([`QuantizedNetwork::forward_functional_with_scratch`]): each conv
-/// lowers its input into bounded tiles of output rows and adds every
-/// non-zero weight's tile row into exact `i64` accumulators with one
-/// AVX2 integer kernel, rounding once per output. Integer sums do not
-/// depend on order, so it is bitwise identical in logits and statistics
-/// to the cycle-approximate engine that `p3d simulate` uses for latency
-/// validation.
+/// Every conv layer is compiled once, when the engine is built
+/// ([`QuantizedNetwork::compile`]): its tile-row runs, weight panel,
+/// statistics and 32-bit certificates. Serving then runs the **fast
+/// functional** Q7.8 path on them: each conv lowers its input into
+/// bounded tiles of output rows and sums every enabled weight's tile
+/// row with one AVX2 integer kernel, in `i32` for channel groups whose
+/// certificate proves it exact and in `i64` otherwise, rounding once
+/// per output. Integer sums do not depend on order, so it is bitwise
+/// identical in logits and statistics to the cycle-approximate engine
+/// that `p3d simulate` uses for latency validation.
 ///
-/// Each worker owns a [`SimScratch`], so the conv engine's accumulator
-/// buffers are reused across clips instead of reallocated. The worker
-/// count is fixed when the engine is built: the thread count in force
-/// then, but never more than the host can run in parallel. The simulator
-/// is pure compute, so workers beyond the cores (e.g. a forced
+/// The worker count is fixed when the engine is built: the thread count
+/// in force then, but never more than the host can run in parallel. The
+/// simulator is pure compute, so workers beyond the cores (e.g. a forced
 /// `P3D_THREADS` above `available_parallelism`) would only add
-/// contention. Results are bitwise independent of both the worker count
-/// and the scratch reuse.
-pub struct SimEngine(Replicated<SimScratch>);
+/// contention. Results are bitwise independent of the worker count.
+pub struct SimEngine(Replicated<SimWorker>);
 
 impl SimEngine {
     /// Wraps a quantised network and a pruning artifact (use
-    /// [`PrunedModel::dense`] for an unpruned run).
+    /// [`PrunedModel::dense`] for an unpruned run), compiling every
+    /// conv layer under the artifact's block-enable maps.
     pub fn new(net: QuantizedNetwork, pruned: PrunedModel) -> Self {
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
         let workers = max_threads().min(host).max(1);
+        let layers = net.compile(&pruned);
         SimEngine(Replicated::new(
-            (0..workers).map(|_| SimScratch::new()),
-            (net, pruned),
+            (0..workers).map(|_| SimWorker),
+            (net, layers),
         ))
     }
 
@@ -477,6 +481,7 @@ mod tests {
     use super::*;
     use crate::chaos::Fault;
     use p3d_fpga::config::{AcceleratorConfig, Ports, Tiling};
+    use p3d_fpga::sim::SimScratch;
     use p3d_models::{build_network, r2plus1d_micro};
     use p3d_tensor::TensorRng;
 
