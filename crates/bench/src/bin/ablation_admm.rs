@@ -90,7 +90,13 @@ fn main() {
     let _ = magnitude_block_prune(&mut mag_net, shape, &targets, KeepRule::Round);
     let mag_hard = p3d_nn::evaluate(&mut mag_net, &test, 16);
     let mut retrainer = Trainer::new(CrossEntropyLoss::new(), Sgd::new(2e-3, 0.9, 1e-4), 16, 13);
-    AdmmPruner::retrain(&mut mag_net, &mut retrainer, &train, &schedule, retrain_epochs);
+    AdmmPruner::retrain(
+        &mut mag_net,
+        &mut retrainer,
+        &train,
+        &schedule,
+        retrain_epochs,
+    );
     let mag_final = p3d_nn::evaluate(&mut mag_net, &test, 16);
 
     // --- ADMM pipeline -------------------------------------------------
@@ -125,7 +131,13 @@ fn main() {
     let _ = pruner.hard_prune(&mut admm_net);
     let admm_hard = p3d_nn::evaluate(&mut admm_net, &test, 16);
     let mut retrainer = Trainer::new(CrossEntropyLoss::new(), Sgd::new(2e-3, 0.9, 1e-4), 16, 13);
-    AdmmPruner::retrain(&mut admm_net, &mut retrainer, &train, &schedule, retrain_epochs);
+    AdmmPruner::retrain(
+        &mut admm_net,
+        &mut retrainer,
+        &train,
+        &schedule,
+        retrain_epochs,
+    );
     let admm_final = p3d_nn::evaluate(&mut admm_net, &test, 16);
 
     println!("==== ADMM vs one-shot magnitude (equal block sparsity) ====");

@@ -18,7 +18,10 @@ fn main() {
         "Gain",
     ]);
     for (net_name, spec) in [("C3D", c3d(101)), ("R(2+1)D", r2plus1d_18(101))] {
-        for cfg in [AcceleratorConfig::paper_tn8(), AcceleratorConfig::paper_tn16()] {
+        for cfg in [
+            AcceleratorConfig::paper_tn8(),
+            AcceleratorConfig::paper_tn16(),
+        ] {
             for (label, pruned) in [
                 ("dense", PrunedModel::dense()),
                 (

@@ -80,7 +80,10 @@ fn main() {
             inst.spec.kernel.0 * inst.spec.kernel.1 * inst.spec.kernel.2,
             shape,
         );
-        blockwise.insert(inst.spec.name.clone(), uniform_mask(grid, eta, KeepRule::Round));
+        blockwise.insert(
+            inst.spec.name.clone(),
+            uniform_mask(grid, eta, KeepRule::Round),
+        );
         unstruct.insert(inst.spec.name.clone(), unstructured(grid, eta, &mut rng));
         chan.insert(inst.spec.name.clone(), channel(grid, eta));
     }

@@ -80,12 +80,7 @@ fn main() {
             }
         }
         let acc = correct as f32 / test.clips().len() as f32;
-        println!(
-            "{:>10} {:>14} {:>10.4}",
-            frac_bits,
-            15 - frac_bits,
-            acc
-        );
+        println!("{:>10} {:>14} {:>10.4}", frac_bits, 15 - frac_bits, acc);
     }
     println!("\nReading: accuracy holds from ~6 fractional bits upward; Q7.8");
     println!("(8 fractional bits) sits safely past the cliff — consistent with");

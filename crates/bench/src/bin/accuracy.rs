@@ -83,12 +83,7 @@ fn main() {
 
     // ---- Baseline (unpruned) training --------------------------------
     let mut net = build_network(&spec, 1);
-    let mut trainer = Trainer::new(
-        CrossEntropyLoss::new(),
-        Sgd::new(1e-2, 0.9, 1e-4),
-        16,
-        7,
-    );
+    let mut trainer = Trainer::new(CrossEntropyLoss::new(), Sgd::new(1e-2, 0.9, 1e-4), 16, 7);
     run_baseline_phase(
         &opts,
         "accuracy_baseline",
@@ -151,12 +146,8 @@ fn main() {
             total_epochs: s.retrain_epochs,
             min_lr: 1e-5,
         };
-        let mut retrainer = Trainer::new(
-            CrossEntropyLoss::new(),
-            Sgd::new(5e-3, 0.9, 1e-4),
-            16,
-            13,
-        );
+        let mut retrainer =
+            Trainer::new(CrossEntropyLoss::new(), Sgd::new(5e-3, 0.9, 1e-4), 16, 13);
 
         // A saved retrain-phase state means ADMM + hard pruning already
         // happened; jump straight back into masked retraining.
@@ -171,7 +162,11 @@ fn main() {
                 "[resume] ({},{}) masked retraining after epoch {done}",
                 shape.tm, shape.tn
             );
-            (pruner.pruned_model_from_masks(&mut pruned_net), acc_hard, done)
+            (
+                pruner.pruned_model_from_masks(&mut pruned_net),
+                acc_hard,
+                done,
+            )
         } else {
             let mut start = AdmmProgress::start();
             if let Some(st) = opts.load(&tag_admm) {
@@ -224,7 +219,8 @@ fn main() {
             start_epoch,
             &mut |t| {
                 if opts.save_every > 0 && (t.epoch + 1) % opts.save_every == 0 {
-                    let mut st = capture_retrain_state(t.network, t.trainer, &schedule, t.epoch + 1);
+                    let mut st =
+                        capture_retrain_state(t.network, t.trainer, &schedule, t.epoch + 1);
                     st.insert(
                         "progress.acc_hard",
                         p3d_tensor::Tensor::from_vec([1], vec![acc_hard]),
@@ -241,12 +237,8 @@ fn main() {
         // crash in a later shape resumes past this one instantly) and
         // drop the now-redundant ADMM state.
         if opts.save_every > 0 {
-            let mut st = capture_retrain_state(
-                &mut pruned_net,
-                &retrainer,
-                &schedule,
-                s.retrain_epochs,
-            );
+            let mut st =
+                capture_retrain_state(&mut pruned_net, &retrainer, &schedule, s.retrain_epochs);
             st.insert(
                 "progress.acc_hard",
                 p3d_tensor::Tensor::from_vec([1], vec![acc_hard]),

@@ -13,7 +13,11 @@ fn show(title: &str, points: &[p3d_fpga::DesignPoint], highlight: &[Tiling]) {
     println!("{title} — top 10 of {} feasible designs\n", points.len());
     let mut t = TableWriter::new(&["Tiling (Tm,Tn,Td,Tr,Tc)", "Latency (ms)", "DSP", "BRAM36"]);
     for p in points.iter().take(10) {
-        let mark = if highlight.contains(&p.tiling) { " *" } else { "" };
+        let mark = if highlight.contains(&p.tiling) {
+            " *"
+        } else {
+            ""
+        };
         t.row(&[
             format!(
                 "({},{},{},{},{}){mark}",
@@ -29,7 +33,11 @@ fn show(title: &str, points: &[p3d_fpga::DesignPoint], highlight: &[Tiling]) {
             t.row(&[
                 format!(
                     "({},{},{},{},{}) * (rank {})",
-                    p.tiling.tm, p.tiling.tn, p.tiling.td, p.tiling.tr, p.tiling.tc,
+                    p.tiling.tm,
+                    p.tiling.tn,
+                    p.tiling.td,
+                    p.tiling.tr,
+                    p.tiling.tc,
                     rank + 1
                 ),
                 format!("{:.0}", p.ms),
@@ -62,10 +70,7 @@ fn main() {
         let pruned = paper_pruned_model(&spec, &tiling, KeepRule::Round);
         let points = explore(&spec, &pruned, &space, &board, 150.0);
         show(
-            &format!(
-                "Pruned R(2+1)D, blocks ({},{})",
-                tiling.tm, tiling.tn
-            ),
+            &format!("Pruned R(2+1)D, blocks ({},{})", tiling.tm, tiling.tn),
             &points,
             &[tiling],
         );

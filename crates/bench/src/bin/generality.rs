@@ -53,7 +53,10 @@ fn main() {
     let log = pruner.admm_train(&mut net, &mut admm_trainer, &train);
     println!(
         "ADMM final primal residual: {:.3}",
-        log.rounds.last().map(|r| r.max_primal_residual).unwrap_or(f32::NAN)
+        log.rounds
+            .last()
+            .map(|r| r.max_primal_residual)
+            .unwrap_or(f32::NAN)
     );
     let pruned = pruner.hard_prune(&mut net);
     let acc_hard = p3d_nn::evaluate(&mut net, &test, 16);
@@ -72,8 +75,14 @@ fn main() {
     println!("\n==== C3D-lite blockwise ADMM pruning ====");
     println!("unpruned:           {acc_unpruned:.4}");
     println!("after hard prune:   {acc_hard:.4}");
-    println!("after retraining:   {acc_final:.4}  (delta {:+.4})", acc_final - acc_unpruned);
-    println!("kept weight fraction in pruned stages: {:.3}", pruned.kept_fraction());
+    println!(
+        "after retraining:   {acc_final:.4}  (delta {:+.4})",
+        acc_final - acc_unpruned
+    );
+    println!(
+        "kept weight fraction in pruned stages: {:.3}",
+        pruned.kept_fraction()
+    );
     println!("\nClaim under test: the blockwise scheme is architecture-agnostic —");
     println!("it needs only conv weight tensors and a (Tm, Tn) grid, and C3D's");
     println!("full 3D kernels prune just like R(2+1)D's factorised ones.");

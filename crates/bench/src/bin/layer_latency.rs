@@ -5,9 +5,7 @@
 
 use p3d_bench::{paper_pruned_model, TableWriter};
 use p3d_core::{KeepRule, PrunedModel};
-use p3d_fpga::{
-    network_latency, network_traffic, AcceleratorConfig, Bottleneck, DoubleBuffering,
-};
+use p3d_fpga::{network_latency, network_traffic, AcceleratorConfig, Bottleneck, DoubleBuffering};
 use p3d_models::r2plus1d_18;
 use std::collections::BTreeMap;
 
@@ -24,14 +22,8 @@ fn main() {
             cfg.freq_mhz,
             lat.ms(&cfg)
         );
-        let mut t = TableWriter::new(&[
-            "Layer",
-            "ms",
-            "Bound",
-            "Skipped",
-            "MACs/byte",
-            "BW (GB/s)",
-        ]);
+        let mut t =
+            TableWriter::new(&["Layer", "ms", "Bound", "Skipped", "MACs/byte", "BW (GB/s)"]);
         for (l, tr) in lat.layers.iter().zip(&traffic) {
             let bound = match l.bottleneck {
                 Bottleneck::Compute => "comp",

@@ -34,7 +34,11 @@ fn main() {
         let mut total_w = 0usize;
         let mut target_kept_w = 0.0f64;
         for inst in &insts {
-            let eta = if inst.spec.stage == "conv2_x" { 0.9 } else { 0.8 };
+            let eta = if inst.spec.stage == "conv2_x" {
+                0.9
+            } else {
+                0.8
+            };
             let grid = BlockGrid::new(
                 inst.spec.out_channels,
                 inst.spec.in_channels,

@@ -29,7 +29,10 @@ fn pruned_at(spec: &p3d_models::NetworkSpec, cfg: &AcceleratorConfig, scale: f64
             inst.spec.kernel.0 * inst.spec.kernel.1 * inst.spec.kernel.2,
             cfg.tiling.block_shape(),
         );
-        pm.insert(inst.spec.name.clone(), uniform_mask(grid, eta, KeepRule::Round));
+        pm.insert(
+            inst.spec.name.clone(),
+            uniform_mask(grid, eta, KeepRule::Round),
+        );
     }
     pm
 }
@@ -72,6 +75,14 @@ fn main() {
     println!("{}", t.render());
     println!("Reading: the curve saturates near ~2.6x because only conv2_x and");
     println!("conv3_x are pruned — conv1 + conv4_x + conv5_x set a latency floor");
-    println!("of ~{:.0} ms. The paper's operating point sits just before the knee.",
-        network_latency(&spec, &cfg, &pruned_at(&spec, &cfg, 1.055), DoubleBuffering::On).ms(&cfg));
+    println!(
+        "of ~{:.0} ms. The paper's operating point sits just before the knee.",
+        network_latency(
+            &spec,
+            &cfg,
+            &pruned_at(&spec, &cfg, 1.055),
+            DoubleBuffering::On
+        )
+        .ms(&cfg)
+    );
 }

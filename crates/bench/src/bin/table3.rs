@@ -22,8 +22,16 @@ fn main() {
         format!("{}K", board.ffs / 1000),
     ]);
     for (label, cfg, paper) in [
-        ("(64,8)", AcceleratorConfig::paper_tn8(), (695, 710.5, 74, 51)),
-        ("(64,16)", AcceleratorConfig::paper_tn16(), (1215, 912.0, 148, 76)),
+        (
+            "(64,8)",
+            AcceleratorConfig::paper_tn8(),
+            (695, 710.5, 74, 51),
+        ),
+        (
+            "(64,16)",
+            AcceleratorConfig::paper_tn16(),
+            (1215, 912.0, 148, 76),
+        ),
     ] {
         let est = estimate_resources(&instances, &cfg);
         let (dsp_pct, bram_pct, lut_pct, ff_pct) = utilization(&est, &board);
@@ -56,7 +64,10 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    println!("Model notes: DSP = Tm*Tn + {} (post-processing/addressing overhead);", p3d_fpga::resources::DSP_OVERHEAD);
+    println!(
+        "Model notes: DSP = Tm*Tn + {} (post-processing/addressing overhead);",
+        p3d_fpga::resources::DSP_OVERHEAD
+    );
     println!("BRAM counts banked buffers (partition-aware); LUT/FF are linear fits");
     println!("through the paper's two design points (see crates/fpga/src/resources.rs).");
 }

@@ -13,7 +13,7 @@
 
 use p3d_bench::published::{ours, TABLE4_ROWS};
 use p3d_bench::{paper_pruned_model, TableWriter};
-use p3d_core::{KeepRule, PruningReport, PrunedModel};
+use p3d_core::{KeepRule, PrunedModel, PruningReport};
 use p3d_fpga::{network_latency, AcceleratorConfig, DoubleBuffering, PowerModel};
 use p3d_models::{c3d, r2plus1d_18};
 
@@ -140,9 +140,7 @@ fn main() {
     let fc3d_eff = TABLE4_ROWS[0].gops / TABLE4_ROWS[0].power_w.unwrap();
     let ours_eff = measured[3].gops / measured[3].power;
     println!("\nHeadline claims (model vs paper):");
-    println!(
-        "  pruned vs unpruned R(2+1)D speedup: {pruned_speedup:.2}x   (paper: ~2.6x-2.7x)"
-    );
+    println!("  pruned vs unpruned R(2+1)D speedup: {pruned_speedup:.2}x   (paper: ~2.6x-2.7x)");
     println!(
         "  pruned R(2+1)D (Tn=16) vs F-C3D [13] latency: {vs_fc3d_latency:.2}x   (paper: ~2.3x)"
     );

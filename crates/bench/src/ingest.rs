@@ -325,7 +325,10 @@ impl IngestBenchReport {
             .str("source", &format!("{}x{} gray8", c.src_w, c.src_h))
             .str(
                 "preprocess",
-                &format!("resize {}x{}, crop {}x{}", p.resize_h, p.resize_w, p.crop_h, p.crop_w),
+                &format!(
+                    "resize {}x{}, crop {}x{}",
+                    p.resize_h, p.resize_w, p.crop_h, p.crop_w
+                ),
             )
             .u64("container_bytes", self.container_bytes)
             .u64("batch", c.batch as u64)
@@ -369,7 +372,10 @@ mod tests {
             assert_eq!(r.grow_events, 0, "arena grew after warm-up");
             assert!((0.0..=1.0).contains(&r.overlap_efficiency));
             let s = r.speedup_spread;
-            assert!(s.reps >= 1 && s.min <= s.median && s.median <= s.max, "{s:?}");
+            assert!(
+                s.reps >= 1 && s.min <= s.median && s.median <= s.max,
+                "{s:?}"
+            );
         }
         let json = report.to_json();
         assert!(json.contains("\"benchmark\": \"streaming_ingest\""));

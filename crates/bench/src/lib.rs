@@ -19,13 +19,13 @@ pub mod resume_cli;
 pub mod table;
 pub mod throughput;
 
+pub use infer::{run_inference_throughput, InferBenchConfig, InferBenchReport};
+pub use ingest::{run_ingest_throughput, IngestBenchConfig, IngestBenchReport};
 pub use masks::{paper_pruned_model, uniform_mask};
+pub use published::{PublishedRow, TABLE4_ROWS};
 pub use resume_cli::{
     capture_baseline, restore_baseline, run_baseline_phase, ResumeOpts, BASELINE_PROGRESS_KEY,
 };
-pub use infer::{run_inference_throughput, InferBenchConfig, InferBenchReport};
-pub use ingest::{run_ingest_throughput, IngestBenchConfig, IngestBenchReport};
-pub use published::{PublishedRow, TABLE4_ROWS};
 pub use table::TableWriter;
 pub use throughput::{run_conv3d_throughput, Conv3dBenchConfig, Conv3dBenchReport};
 
@@ -38,7 +38,10 @@ fn bench_header(benchmark: &str) -> Obj {
     Obj::new()
         .str("benchmark", benchmark)
         .u64("host_cpus", host_cpus as u64)
-        .str("cpu_features", if feats.is_empty() { "none" } else { feats })
+        .str(
+            "cpu_features",
+            if feats.is_empty() { "none" } else { feats },
+        )
 }
 
 /// A paired ratio's spread for the bench tables: `median [min-max]`.

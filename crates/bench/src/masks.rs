@@ -8,8 +8,8 @@
 //! since Eq. 24's trip count is the per-row enabled count.
 
 use p3d_core::{BlockGrid, KeepRule, LayerBlockMask, PrunedModel};
-use p3d_models::NetworkSpec;
 use p3d_fpga::Tiling;
+use p3d_models::NetworkSpec;
 
 /// A mask for `grid` with pruning ratio `eta` whose kept blocks are
 /// distributed as evenly as possible across block rows.
@@ -69,10 +69,7 @@ mod tests {
         assert_eq!(m.enabled_blocks(), KeepRule::Round.kept(24, 0.9));
         // Rows differ by at most one enabled block.
         let counts: Vec<usize> = (0..grid.rows()).map(|bi| m.enabled_in_row(bi)).collect();
-        let (min, max) = (
-            counts.iter().min().unwrap(),
-            counts.iter().max().unwrap(),
-        );
+        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         assert!(max - min <= 1, "{counts:?}");
     }
 
@@ -80,7 +77,10 @@ mod tests {
     fn paper_model_prunes_only_stages_2_and_3() {
         let spec = r2plus1d_18(101);
         let pm = paper_pruned_model(&spec, &Tiling::paper_tn8(), KeepRule::Round);
-        assert!(pm.layers.keys().all(|k| k.starts_with("conv2_") || k.starts_with("conv3_")));
+        assert!(pm
+            .layers
+            .keys()
+            .all(|k| k.starts_with("conv2_") || k.starts_with("conv3_")));
         assert!(!pm.layers.is_empty());
         // 8 primary + shortcut convs per stage: 8 + 8 + 1 = 17 layers.
         assert_eq!(pm.layers.len(), 17);

@@ -101,9 +101,10 @@ impl ResumeOpts {
         if !path.exists() {
             return None;
         }
-        Some(TrainState::load(&path).unwrap_or_else(|e| {
-            panic!("cannot load state file {}: {e}", path.display())
-        }))
+        Some(
+            TrainState::load(&path)
+                .unwrap_or_else(|e| panic!("cannot load state file {}: {e}", path.display())),
+        )
     }
 
     /// Saves `state` for phase `tag` when `epoch` (1-based, completed)
@@ -217,7 +218,7 @@ pub fn run_baseline_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p3d_nn::{CrossEntropyLoss, Checkpoint, Sgd, ToyDataset};
+    use p3d_nn::{Checkpoint, CrossEntropyLoss, Sgd, ToyDataset};
     use p3d_tensor::TensorRng;
 
     fn toy_net(seed: u64) -> p3d_nn::Sequential {
@@ -250,7 +251,8 @@ mod tests {
         for _ in 0..3 {
             tr_b.train_epoch(&mut net_b, &data, None);
         }
-        opts.save_now("t", &capture_baseline(&mut net_b, &tr_b, 3)).unwrap();
+        opts.save_now("t", &capture_baseline(&mut net_b, &tr_b, 3))
+            .unwrap();
 
         let mut net_c = toy_net(77); // different init; must be overwritten
         let mut tr_c = Trainer::new(CrossEntropyLoss::new(), Sgd::new(0.05, 0.9, 0.0), 4, 1);

@@ -262,8 +262,14 @@ impl Conv3dBenchReport {
             .u64("batch", c.batch as u64)
             .u64("in_channels", c.in_channels as u64)
             .u64("out_channels", c.out_channels as u64)
-            .raw("kernel", &format!("[{}, {}, {}]", c.kernel.0, c.kernel.1, c.kernel.2))
-            .raw("input", &format!("[{}, {}, {}]", c.input.0, c.input.1, c.input.2))
+            .raw(
+                "kernel",
+                &format!("[{}, {}, {}]", c.kernel.0, c.kernel.1, c.kernel.2),
+            )
+            .raw(
+                "input",
+                &format!("[{}, {}, {}]", c.input.0, c.input.1, c.input.2),
+            )
             .u64("reps", c.reps as u64)
             .build();
         let rows = self.results.iter().map(|r| {
@@ -272,7 +278,10 @@ impl Conv3dBenchReport {
                 .f64("step_ms", r.step_ms, 4)
                 .f64("speedup_vs_serial", r.speedup_vs_serial, 3)
                 .raw("speedup_spread", &r.speedup_spread.json(3))
-                .raw("max_abs_diff_vs_serial", &format!("{:.3e}", r.max_abs_diff_vs_serial))
+                .raw(
+                    "max_abs_diff_vs_serial",
+                    &format!("{:.3e}", r.max_abs_diff_vs_serial),
+                )
                 .build()
         });
         let mut doc = bench_header("conv3d_train_step")
@@ -409,7 +418,16 @@ pub fn run_sparsity_sweep(cfg: &SparsitySweepConfig) -> SparsitySweepReport {
     let (d, h, w) = c.input;
     let build = || {
         let mut rng = TensorRng::seed(2020);
-        let conv = Conv3d::new("sweep", m, c.in_channels, c.kernel, (1, 1, 1), pad, true, &mut rng);
+        let conv = Conv3d::new(
+            "sweep",
+            m,
+            c.in_channels,
+            c.kernel,
+            (1, 1, 1),
+            pad,
+            true,
+            &mut rng,
+        );
         let x = rng.uniform_tensor([c.batch, c.in_channels, d, h, w], -1.0, 1.0);
         (conv, x)
     };
@@ -542,7 +560,10 @@ mod tests {
             assert!(r.step_ms.is_finite() && r.step_ms > 0.0);
             assert!(r.max_abs_diff_vs_serial <= 1e-5);
             let s = r.speedup_spread;
-            assert!(s.reps >= 1 && s.min <= s.median && s.median <= s.max, "{s:?}");
+            assert!(
+                s.reps >= 1 && s.min <= s.median && s.median <= s.max,
+                "{s:?}"
+            );
         }
         let json = report.to_json(None);
         assert!(json.contains("\"benchmark\": \"conv3d_train_step\""));
@@ -573,7 +594,10 @@ mod tests {
             assert!(s.min <= s.median && s.median <= s.max, "{s:?}");
         }
         // The 0.0 row keeps every block.
-        assert_eq!(sweep.results[0].enabled_blocks, sweep.results[0].total_blocks);
+        assert_eq!(
+            sweep.results[0].enabled_blocks,
+            sweep.results[0].total_blocks
+        );
         let report = run_conv3d_throughput(&Conv3dBenchConfig::smoke());
         let json = report.to_json(Some(&sweep));
         assert!(json.contains("\"sparsity_sweep\""));
