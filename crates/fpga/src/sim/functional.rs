@@ -10,9 +10,8 @@
 //!   each block row's enabled blocks as one list of tile-row runs, the
 //!   weights packed once in that order, the data-independent
 //!   [`ConvStats`] and one 32-bit certificate per channel group (below).
-//!   `SimEngine` compiles every layer when it is built;
-//!   [`run_conv_functional_with_scratch`] compiles into per-thread
-//!   scratch and runs, for callers that hold no compiled layer.
+//!   It is the engine's only form: `SimEngine` compiles every layer
+//!   when it is built, and [`run_conv_functional`] compiles and runs.
 //! * **Lowered input tiles** — the output volume is walked in chunks of
 //!   whole output rows, sized so the chunk's input tile holds at most
 //!   [`TILE_WORDS`] `i16` words. Each chunk lowers the input once into a
@@ -45,15 +44,15 @@
 //! offset still fits in `i32` (`65535 * 2^15 + 128 < 2^31`). The
 //! certificate depends only on the weights, so no input can break it.
 //!
-//! * Full 8-position strips of a certified group run an AVX2 body that
-//!   interleaves two tile rows in registers and multiplies them against
-//!   the broadcast weight pair with `_mm256_madd_epi16`, summing in
-//!   `i32`.
-//! * Full strips of an uncertified group run an AVX2 body that sums in
-//!   `i64` (`_mm256_mul_epi32` on sign-extended operands).
-//! * Ragged strips, and hosts without AVX2 (or under
-//!   [`p3d_tensor::simd::force_scalar`]), run a scalar body that sums
-//!   in `i64`.
+//! * Full 8-position strips of a certified group run the one AVX2 body:
+//!   it interleaves two tile rows in registers and multiplies them
+//!   against the broadcast weight pair with `_mm256_madd_epi16`, summing
+//!   in `i32`.
+//! * Everything else runs the scalar body, which sums in `i64` and is
+//!   the reference: ragged strips, uncertified groups, and hosts without
+//!   AVX2 (or under [`p3d_tensor::simd::force_scalar`]). No measured
+//!   model has an uncertified group: the largest per-channel sums sit
+//!   about 22x under the bound (EXPERIMENTS.md, "Certificate margins").
 //!
 //! # Why the two engines are bitwise identical
 //!
@@ -177,30 +176,7 @@ impl CompiledConv {
         mask: Option<&LayerBlockMask>,
         config: &AcceleratorConfig,
     ) -> Self {
-        let mut layer = CompiledConv {
-            geom: geometry(inst),
-            output: inst.output,
-            lowered: Vec::new(),
-            chunk_rows: 1,
-            runs: Vec::new(),
-            groups: Vec::new(),
-            panel: Vec::new(),
-            stats: ConvStats::default(),
-            largest_l1: 0,
-        };
-        layer.recompile(inst, weights, mask, config);
-        layer
-    }
-
-    /// [`CompiledConv::compile`] into `self`, reusing its buffers.
-    fn recompile(
-        &mut self,
-        inst: &ConvInstance,
-        weights: &FixedTensor,
-        mask: Option<&LayerBlockMask>,
-        config: &AcceleratorConfig,
-    ) {
-        let (n_ch, ..) = inst.input;
+        let (n_ch, di, hi, wi) = inst.input;
         let (m_ch, od, oh, ow) = inst.output;
         let (kd, kr, kc) = inst.spec.kernel;
         assert_eq!(
@@ -222,23 +198,31 @@ impl CompiledConv {
         }
         let enabled = |bi: usize, bj: usize| mask.is_none_or(|m| m.is_enabled(bi, bj));
 
-        self.geom = geometry(inst);
-        self.output = inst.output;
-        self.stats = stats_from_tile_walk(inst, mask, config);
-        self.lowered.clear();
-        self.runs.clear();
-        self.groups.clear();
-        self.panel.clear();
-        self.largest_l1 = 0;
-        self.lowered
-            .extend((0..n_ch).filter(|&n| (0..rows).any(|bi| enabled(bi, n / t.tn))));
+        let mut layer = CompiledConv {
+            geom: ConvGeometry {
+                channels: n_ch,
+                input: (di, hi, wi),
+                kernel: inst.spec.kernel,
+                stride: inst.spec.stride,
+                pad: inst.spec.pad,
+            },
+            output: inst.output,
+            lowered: (0..n_ch)
+                .filter(|&n| (0..rows).any(|bi| enabled(bi, n / t.tn)))
+                .collect(),
+            chunk_rows: 1,
+            runs: Vec::new(),
+            groups: Vec::new(),
+            panel: Vec::new(),
+            stats: stats_from_tile_walk(inst, mask, config),
+            largest_l1: 0,
+        };
         let ktaps = kd * kr * kc;
         let out_rows = od * oh;
-        if self.lowered.is_empty() || out_rows * ow == 0 {
-            self.chunk_rows = 1;
-            return; // every sum is zero: nothing to compute or rail
+        if layer.lowered.is_empty() || out_rows * ow == 0 {
+            return layer; // every sum is zero: nothing to compute or rail
         }
-        self.chunk_rows = (TILE_WORDS / (self.lowered.len() * ktaps * ow)).clamp(1, out_rows);
+        layer.chunk_rows = (TILE_WORDS / (layer.lowered.len() * ktaps * ow)).clamp(1, out_rows);
 
         // Each block row's enabled blocks as runs of tile rows (adjacent
         // block columns merged: their channels are lowered and weighted
@@ -246,10 +230,10 @@ impl CompiledConv {
         // of rows per entry.
         let w_bits = bits_of(weights.data());
         for bi in 0..rows {
-            let first = self.runs.len();
+            let first = layer.runs.len();
             for bj in (0..cols).filter(|&bj| enabled(bi, bj)) {
                 let n0 = bj * t.tn;
-                let lowered = self
+                let lowered = layer
                     .lowered
                     .binary_search(&n0)
                     .expect("an enabled block's channels are lowered");
@@ -258,22 +242,22 @@ impl CompiledConv {
                     w: n0 * ktaps,
                     len: (((bj + 1) * t.tn).min(n_ch) - n0) * ktaps,
                 };
-                match self.runs[first..].last_mut() {
+                match layer.runs[first..].last_mut() {
                     Some(last) if last.row + last.len == run.row && last.w + last.len == run.w => {
                         last.len += run.len
                     }
-                    _ => self.runs.push(run),
+                    _ => layer.runs.push(run),
                 }
             }
-            let runs = first..self.runs.len();
+            let runs = first..layer.runs.len();
             if runs.is_empty() {
                 continue;
             }
             let m_end = ((bi + 1) * t.tm).min(m_ch);
             for m0 in (bi * t.tm..m_end).step_by(GROUP) {
-                let start = self.panel.len();
+                let start = layer.panel.len();
                 let mut l1 = [0u64; GROUP];
-                for run in &self.runs[runs.clone()] {
+                for run in &layer.runs[runs.clone()] {
                     for i in (0..run.len).step_by(2) {
                         for (c, l1) in l1.iter_mut().enumerate() {
                             let m = m0 + c;
@@ -284,21 +268,22 @@ impl CompiledConv {
                                 (0, 0)
                             };
                             *l1 += u64::from(w0.unsigned_abs()) + u64::from(w1.unsigned_abs());
-                            self.panel.push(pair(w0, w1));
+                            layer.panel.push(pair(w0, w1));
                         }
                     }
                 }
                 let largest = l1.into_iter().max().unwrap_or(0);
-                self.largest_l1 = self.largest_l1.max(largest);
-                self.groups.push(Group {
+                layer.largest_l1 = layer.largest_l1.max(largest);
+                layer.groups.push(Group {
                     m0,
                     g: (m_end - m0).min(GROUP),
                     runs: runs.clone(),
-                    panel: start..self.panel.len(),
+                    panel: start..layer.panel.len(),
                     certified: largest <= CERTIFIED_L1,
                 });
             }
         }
+        layer
     }
 
     /// The largest per-output-channel sum of `|w|` over enabled blocks,
@@ -391,31 +376,18 @@ impl CompiledConv {
     }
 }
 
-fn geometry(inst: &ConvInstance) -> ConvGeometry {
-    let (n_ch, di, hi, wi) = inst.input;
-    ConvGeometry {
-        channels: n_ch,
-        input: (di, hi, wi),
-        kernel: inst.spec.kernel,
-        stride: inst.spec.stride,
-        pad: inst.spec.pad,
-    }
-}
-
 thread_local! {
     /// The lowered input tile, grown on first use and reused by every
     /// layer of every clip the thread simulates.
     static TILE: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
-    /// The layer [`run_conv_functional_with_scratch`] compiles into.
-    static COMPILED: RefCell<Option<CompiledConv>> = const { RefCell::new(None) };
 }
 
 /// Runs one convolution layer through the fast functional path:
 /// [`CompiledConv::compile`], then [`CompiledConv::run`].
 ///
-/// Same contract as [`crate::sim::run_conv`]; batch loops should hold a
-/// [`CompiledConv`] per layer, or at least use
-/// [`run_conv_functional_with_scratch`].
+/// Same contract as [`crate::sim::run_conv`]. Callers that run a layer
+/// more than once should hold its [`CompiledConv`] instead, as
+/// `SimEngine` does.
 ///
 /// # Panics
 ///
@@ -430,14 +402,9 @@ pub fn run_conv_functional(
     CompiledConv::compile(inst, weights, mask, config).run(input)
 }
 
-/// [`run_conv_functional`] compiled into per-thread scratch: the layer
-/// is recompiled on every call into buffers reused across calls, so once
-/// they have grown to the largest layer a call allocates only its output
-/// tensor. Callers that run a layer more than once should compile it
-/// once instead, as `SimEngine` does.
-///
-/// `_panel` is no longer read: the weight panel lives in the per-thread
-/// compiled layer. The parameter keeps existing callers compiling.
+/// [`run_conv_functional`]; `_panel` is not read, and the signature
+/// stays for callers written against it. Each call compiles the layer
+/// afresh.
 pub fn run_conv_functional_with_scratch(
     inst: &ConvInstance,
     weights: &FixedTensor,
@@ -446,30 +413,7 @@ pub fn run_conv_functional_with_scratch(
     config: &AcceleratorConfig,
     _panel: &mut Vec<i64>,
 ) -> (FixedTensor, ConvStats) {
-    run_recompiled(inst, weights, input, mask, config)
-}
-
-/// Compiles into this thread's [`COMPILED`] layer and runs it.
-pub(crate) fn run_recompiled(
-    inst: &ConvInstance,
-    weights: &FixedTensor,
-    input: &FixedTensor,
-    mask: Option<&LayerBlockMask>,
-    config: &AcceleratorConfig,
-) -> (FixedTensor, ConvStats) {
-    COMPILED.with(|cell| {
-        let mut slot = cell.take();
-        let layer = match &mut slot {
-            Some(layer) => {
-                layer.recompile(inst, weights, mask, config);
-                layer
-            }
-            None => slot.insert(CompiledConv::compile(inst, weights, mask, config)),
-        };
-        let result = layer.run(input);
-        cell.replace(slot);
-        result
-    })
+    run_conv_functional(inst, weights, input, mask, config)
 }
 
 /// Computes output channels `0..g` (`g <= GROUP`, rows `vol` apart in
@@ -478,8 +422,9 @@ pub(crate) fn run_recompiled(
 /// rows, zero past channel `g`). All `GROUP` channels are summed, but
 /// only the first `g` are written and counted: the rest would land in
 /// the next block row or past the end of `out`. With `use_avx2`, full
-/// strips run the `i32` AVX2 body when the group is `certified` and the
-/// `i64` one otherwise. Returns the number of railed output words.
+/// strips of a `certified` group run the `i32` AVX2 body; everything
+/// else runs the exact scalar `i64` body. Returns the number of railed
+/// output words.
 #[allow(clippy::too_many_arguments)]
 fn conv_group(
     out: &mut [Fixed16],
@@ -506,19 +451,13 @@ fn conv_group(
     let mut j = 0;
     let mut railed = 0;
     #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
+    if use_avx2 && certified {
         // SAFETY: use_avx2 came from simd::use_avx2(), which is true only
         // when runtime detection proved AVX2 support; the asserts above
         // prove that `tile` holds `len` words for every tile row of
-        // `runs` and that `panel` holds `GROUP` entries per row pair. The
-        // `i32` body runs only for certified groups, whose sums fit.
-        (j, railed) = unsafe {
-            if certified {
-                avx2::madd_strips(out, vol, tile, len, runs, panel, g)
-            } else {
-                avx2::wide_strips(out, vol, tile, len, runs, panel, g)
-            }
-        };
+        // `runs` and that `panel` holds `GROUP` entries per row pair; the
+        // group is certified, so its sums fit in `i32`.
+        (j, railed) = unsafe { avx2::madd_strips(out, vol, tile, len, runs, panel, g) };
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (certified, use_avx2);
@@ -633,36 +572,26 @@ fn stats_from_tile_walk(
     stats
 }
 
-/// AVX2 bodies of the register-tiled kernel, both over full 8-position
-/// strips of one 4-channel group.
-///
-/// * [`avx2::madd_strips`], for certified groups: per pair of tile rows
-///   `(r, r + 1)`, the two rows' eight `i16` inputs are interleaved in
-///   registers with `unpacklo/hi_epi16` into eight `(x_r, x_r+1)`
-///   dwords, and `_mm256_madd_epi16` multiplies them by each channel's
-///   broadcast `(w_r, w_r+1)` entry and adds the two products, one
-///   `i32` per position; the sums stay in `i32`. This is exact only
-///   under the certificate: a pair of `(-2^15)^2` products alone
-///   overflows `i32`, and the certificate rules that out, along with
-///   every larger partial sum.
-/// * [`avx2::wide_strips`], for every other group: each row's inputs
-///   are sign-extended to two vectors of four `i64` lanes and multiplied
-///   by each channel's weight with `_mm256_mul_epi32`, a signed
-///   32 x 32 -> 64-bit product of the low halves, exact for every `i16`
-///   pair; the sums stay in `i64`, so no input can overflow them.
-///
-/// Both keep the 4 x 8 sums in registers for the whole run list and
-/// finish through the scalar `finish`, so each is bitwise identical to
-/// the scalar body.
+/// The AVX2 body of the register-tiled kernel, over full 8-position
+/// strips of one certified 4-channel group: per pair of tile rows
+/// `(r, r + 1)`, the two rows' eight `i16` inputs are interleaved in
+/// registers with `unpacklo/hi_epi16` into eight `(x_r, x_r+1)` dwords,
+/// and `_mm256_madd_epi16` multiplies them by each channel's broadcast
+/// `(w_r, w_r+1)` entry and adds the two products, one `i32` per
+/// position; the sums stay in `i32`. This is exact only under the
+/// certificate: a pair of `(-2^15)^2` products alone overflows `i32`,
+/// and the certificate rules that out, along with every larger partial
+/// sum. The 4 x 8 sums stay in registers for the whole run list and
+/// finish through the scalar `finish`, so the body is bitwise identical
+/// to the scalar one.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{finish, half, Run, TileSums, GROUP, STRIP};
+    use super::{finish, Run, TileSums, GROUP, STRIP};
     use p3d_tensor::Fixed16;
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_castsi256_si128,
-        _mm256_cvtepi16_epi64, _mm256_cvtepi32_epi64, _mm256_extracti128_si256, _mm256_madd_epi16,
-        _mm256_mul_epi32, _mm256_set1_epi32, _mm256_set_m128i, _mm256_setzero_si256,
-        _mm256_storeu_si256, _mm_loadl_epi64, _mm_loadu_si128, _mm_setzero_si128,
+        __m128i, __m256i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi32_epi64,
+        _mm256_extracti128_si256, _mm256_madd_epi16, _mm256_set1_epi32, _mm256_set_m128i,
+        _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128, _mm_setzero_si128,
         _mm_unpackhi_epi16, _mm_unpacklo_epi16,
     };
 
@@ -733,72 +662,6 @@ mod avx2 {
                     let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc, 1));
                     _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, lo);
                     _mm256_storeu_si256(s.as_mut_ptr().add(4) as *mut __m256i, hi);
-                }
-            }
-            railed += finish(out, vol, j, &sums, g, STRIP);
-            j += STRIP;
-        }
-        (j, railed)
-    }
-
-    /// [`madd_strips`] for any group, in `i64`.
-    ///
-    /// # Safety
-    ///
-    /// As for [`madd_strips`], without the certificate.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn wide_strips(
-        out: &mut [Fixed16],
-        vol: usize,
-        tile: &[i16],
-        len: usize,
-        runs: &[Run],
-        panel: &[i32],
-        g: usize,
-    ) -> (usize, u64) {
-        let mut railed = 0;
-        let mut j = 0;
-        while j + STRIP <= len {
-            let mut acc = [_mm256_setzero_si256(); 2 * GROUP];
-            let mut wp = panel.as_ptr();
-            for run in runs {
-                // SAFETY: as in `madd_strips`.
-                let mut xp = unsafe { tile.as_ptr().add(run.row * len + j) };
-                for i in (0..run.len).step_by(2) {
-                    for h in 0..(run.len - i).min(2) {
-                        // SAFETY: `xp` points at `STRIP` in-bounds words
-                        // of tile row `run.row + i + h` (8-byte unaligned
-                        // loads), and `wp` at the row pair's `GROUP`
-                        // panel entries; `xp` advances one tile row per
-                        // row, `wp` one pair per pair, and the pointer
-                        // steps after the last row and pair are only
-                        // computed, never read.
-                        unsafe {
-                            let lo = _mm256_cvtepi16_epi64(_mm_loadl_epi64(xp as *const __m128i));
-                            let hi =
-                                _mm256_cvtepi16_epi64(_mm_loadl_epi64(xp.add(4) as *const __m128i));
-                            for c in 0..GROUP {
-                                // `mul_epi32` reads only each lane's low
-                                // dword: the sign-extended weight.
-                                let w = _mm256_set1_epi32(i32::from(half(*wp.add(c), h)));
-                                acc[2 * c] = _mm256_add_epi64(acc[2 * c], _mm256_mul_epi32(lo, w));
-                                acc[2 * c + 1] =
-                                    _mm256_add_epi64(acc[2 * c + 1], _mm256_mul_epi32(hi, w));
-                            }
-                            xp = xp.wrapping_add(len);
-                        }
-                    }
-                    // SAFETY: see above.
-                    wp = unsafe { wp.add(GROUP) };
-                }
-            }
-            let mut sums: TileSums = [[0; STRIP]; GROUP];
-            for (c, s) in sums.iter_mut().enumerate() {
-                // SAFETY: each `s` holds 8 `i64`s, two unaligned
-                // 256-bit stores.
-                unsafe {
-                    _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, acc[2 * c]);
-                    _mm256_storeu_si256(s.as_mut_ptr().add(4) as *mut __m256i, acc[2 * c + 1]);
                 }
             }
             railed += finish(out, vol, j, &sums, g, STRIP);

@@ -16,9 +16,9 @@
 //!   same tile walk, and a certificate per channel group proving when
 //!   32-bit sums are exact), the input lowered once per bounded tile of
 //!   output rows, and one register-tiled exact integer kernel over each
-//!   block row's enabled tile rows for every stride and tap (AVX2 in
-//!   `i32` for certified groups and `i64` otherwise, with a
-//!   bitwise-identical scalar body).
+//!   block row's enabled tile rows for every stride and tap: one AVX2
+//!   body summing in `i32` for certified groups, and the exact scalar
+//!   `i64` body, bitwise identical to it, for everything else.
 //!
 //! The simulator computes real outputs in the paper's Q7.8 fixed point,
 //! so it validates three things the analytic models cannot:
@@ -37,5 +37,5 @@ pub mod post;
 
 pub use cycle::{run_conv, run_conv_with_scratch, ConvStats};
 pub use functional::{run_conv_functional, run_conv_functional_with_scratch, CompiledConv};
-pub use network::{QuantizedNetwork, SimOutput, SimPath, SimScratch};
+pub use network::{QuantizedNetwork, SimOutput, SimScratch};
 pub use post::PostProcessor;

@@ -8,7 +8,7 @@
 
 use crate::config::AcceleratorConfig;
 use crate::sim::cycle::{run_conv_with_scratch, ConvStats};
-use crate::sim::functional::{run_recompiled, CompiledConv};
+use crate::sim::functional::CompiledConv;
 use crate::sim::post::PostProcessor;
 use p3d_core::PrunedModel;
 use p3d_models::{build::bn_names, ConvInstance, NetworkSpec, Node};
@@ -17,33 +17,15 @@ use p3d_tensor::fixed::MacAccumulator;
 use p3d_tensor::{Fixed16, FixedTensor, Tensor};
 use std::collections::BTreeMap;
 
-/// Which convolution engine a simulated forward runs on.
-///
-/// The two engines are **bitwise identical** in both outputs and
-/// statistics (pinned by the `conv_differential` and determinism
-/// suites); the choice only trades speed for loop-level fidelity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SimPath {
-    /// The fast functional Q7.8 path (lowered input tiles, one
-    /// register-tiled exact integer kernel per block row, analytic
-    /// statistics) — the serving default.
-    #[default]
-    Functional,
-    /// The cycle-approximate tile-loop engine that executes Algorithm
-    /// 2's exact loop nest; kept for latency-model validation.
-    CycleApproximate,
-}
-
-/// Reusable per-worker scratch for repeated simulated forwards.
+/// Reusable per-worker scratch for the cycle engine's forwards.
 ///
 /// Holds the tile-accumulator buffer the cycle engine fills per (volume
 /// tile x channel block), so one `SimScratch` per worker turns the cycle
 /// engine's per-layer allocations into buffer reuse across every layer
 /// of every clip. The functional engine needs none of it: its compiled
 /// layers ([`QuantizedNetwork::compile`]) are shared read-only, and its
-/// lowered input tile, its sums' registers and, on the uncompiled path,
-/// the layer it compiles into are per-thread. Outputs are bitwise
-/// identical to the scratch-free path.
+/// lowered input tile is per-thread. Outputs are bitwise identical to
+/// the scratch-free path.
 #[derive(Default)]
 pub struct SimScratch {
     acc: Vec<MacAccumulator>,
@@ -202,7 +184,7 @@ impl QuantizedNetwork {
     /// path. Bitwise identical to [`QuantizedNetwork::forward`] in both
     /// logits and statistics.
     pub fn forward_functional(&self, clip: &Tensor, pruned: &PrunedModel) -> SimOutput {
-        self.forward_functional_with_scratch(clip, pruned, &mut SimScratch::new())
+        self.forward_compiled(clip, &self.compile(pruned))
     }
 
     /// [`QuantizedNetwork::forward`] reusing `scratch` across calls.
@@ -213,36 +195,20 @@ impl QuantizedNetwork {
         pruned: &PrunedModel,
         scratch: &mut SimScratch,
     ) -> SimOutput {
-        self.forward_on_path(clip, pruned, scratch, SimPath::CycleApproximate)
+        self.walk_clip(clip, Convs::Cycle(pruned, &mut scratch.acc))
     }
 
-    /// [`QuantizedNetwork::forward_functional`] reusing `scratch` across
-    /// calls — the batched-serving hot path.
+    /// [`QuantizedNetwork::forward_functional`]: compiles every layer,
+    /// then runs [`QuantizedNetwork::forward_compiled`]. `_scratch` is
+    /// not read; callers that run more than one clip should compile once
+    /// and call `forward_compiled`, as `SimEngine` does.
     pub fn forward_functional_with_scratch(
         &self,
         clip: &Tensor,
         pruned: &PrunedModel,
-        scratch: &mut SimScratch,
+        _scratch: &mut SimScratch,
     ) -> SimOutput {
-        self.forward_on_path(clip, pruned, scratch, SimPath::Functional)
-    }
-
-    /// The shared walk, parameterised by convolution engine. The
-    /// functional engine compiles each layer on every call; serving
-    /// compiles once with [`QuantizedNetwork::compile`] and runs
-    /// [`QuantizedNetwork::forward_compiled`].
-    pub fn forward_on_path(
-        &self,
-        clip: &Tensor,
-        pruned: &PrunedModel,
-        scratch: &mut SimScratch,
-        path: SimPath,
-    ) -> SimOutput {
-        let convs = match path {
-            SimPath::Functional => Convs::Functional(pruned),
-            SimPath::CycleApproximate => Convs::Cycle(pruned, &mut scratch.acc),
-        };
-        self.walk_clip(clip, convs)
+        self.forward_compiled(clip, &self.compile(pruned))
     }
 
     /// Compiles every conv layer under `pruned`'s block-enable maps, in
@@ -330,8 +296,6 @@ enum Convs<'a> {
     /// The cycle engine under the pruned model's masks, with its
     /// accumulator scratch.
     Cycle(&'a PrunedModel, &'a mut Vec<MacAccumulator>),
-    /// The functional engine, compiling each layer per call.
-    Functional(&'a PrunedModel),
     /// The functional engine on layers compiled in walk order.
     Compiled(&'a [CompiledConv]),
 }
@@ -361,20 +325,15 @@ impl WalkCtx<'_> {
                 };
                 let inst = &self.net.instances[self.conv_idx];
                 assert_eq!(inst.spec.name, spec.name, "conv walk order mismatch");
-                let weights = &self.net.conv_weights[&spec.name];
-                let config = &self.net.config;
                 let (mut out, stats) = match &mut self.convs {
                     Convs::Cycle(pruned, acc) => run_conv_with_scratch(
                         inst,
-                        weights,
+                        &self.net.conv_weights[&spec.name],
                         &map,
                         pruned.mask(&spec.name),
-                        config,
+                        &self.net.config,
                         acc,
                     ),
-                    Convs::Functional(pruned) => {
-                        run_recompiled(inst, weights, &map, pruned.mask(&spec.name), config)
-                    }
                     Convs::Compiled(layers) => layers[self.conv_idx].run(&map),
                 };
                 self.conv_idx += 1;
@@ -552,32 +511,46 @@ mod tests {
         assert_eq!(dense_out.logits, sparse_out.logits);
     }
 
+    /// Compiled layers equal both engines, on the pruned micro model as
+    /// built and with its first conv's weights scaled until its channel
+    /// groups lose the 32-bit certificate. That layer reads the clip
+    /// directly, so loud clips drive its sums past `i32`: only the exact
+    /// scalar `i64` body, which uncertified groups run, gets them right.
     #[test]
     fn compiled_forward_equals_both_engines() {
         use p3d_core::{magnitude_block_prune, BlockShape, KeepRule, PruneTarget};
         let spec = r2plus1d_micro(4);
-        let mut net = build_network(&spec, 36);
-        let targets = vec![PruneTarget {
-            layer: "conv2_1b.spatial".into(),
-            eta: 0.5,
-        }];
-        let pruned =
-            magnitude_block_prune(&mut net, BlockShape::new(4, 4), &targets, KeepRule::Round);
-        let q = QuantizedNetwork::from_network(&spec, &mut net, micro_cfg());
-        let layers = q.compile(&pruned);
-        let mut rng = TensorRng::seed(10);
-        for _ in 0..2 {
-            let clip = rng.uniform_tensor([1, 6, 16, 16], -4.0, 4.0);
-            let compiled = q.forward_compiled(&clip, &layers);
-            for reference in [
-                q.forward(&clip, &pruned),
-                q.forward_functional(&clip, &pruned),
-            ] {
-                assert_eq!(compiled.logits, reference.logits);
-                assert_eq!(compiled.stats, reference.stats);
-                assert_eq!(compiled.fc_cycles, reference.fc_cycles);
+        for (scale, loud) in [(1.0, 4.0), (256.0, 120.0)] {
+            let mut net = build_network(&spec, 36);
+            let targets = vec![PruneTarget {
+                layer: "conv2_1b.spatial".into(),
+                eta: 0.5,
+            }];
+            let pruned =
+                magnitude_block_prune(&mut net, BlockShape::new(4, 4), &targets, KeepRule::Round);
+            net.visit_params(&mut |p| {
+                if p.name == "conv1.spatial.weight" {
+                    p.value.map_inplace(|w| w * scale);
+                }
+            });
+            let q = QuantizedNetwork::from_network(&spec, &mut net, micro_cfg());
+            let layers = q.compile(&pruned);
+            let (certified, total) = layers[0].certified_groups();
+            assert_eq!(certified < total, scale > 1.0, "scale {scale}");
+            let mut rng = TensorRng::seed(10);
+            for _ in 0..2 {
+                let clip = rng.uniform_tensor([1, 6, 16, 16], -loud, loud);
+                let compiled = q.forward_compiled(&clip, &layers);
+                for reference in [
+                    q.forward(&clip, &pruned),
+                    q.forward_functional(&clip, &pruned),
+                ] {
+                    assert_eq!(compiled.logits, reference.logits, "scale {scale}");
+                    assert_eq!(compiled.stats, reference.stats, "scale {scale}");
+                    assert_eq!(compiled.fc_cycles, reference.fc_cycles, "scale {scale}");
+                }
+                assert!(compiled.stats.blocks_skipped > 0);
             }
-            assert!(compiled.stats.blocks_skipped > 0);
         }
     }
 }

@@ -1,17 +1,16 @@
 //! Counts heap allocations in the steady-state functional Q7.8 conv.
 //!
-//! Once a warm-up pass has grown the per-thread kernel scratch (the
-//! lowered input tile, and the layer each call compiles into: its
-//! tile-row runs, channel groups and weight panel) to the largest
-//! layer, each [`run_conv_functional_with_scratch`] call on the
-//! lite-wide layers, block-pruned at the paper's stage ratios, must
-//! allocate exactly once: for the output tensor it returns.
+//! Each lite-wide layer, block-pruned at the paper's stage ratios, is
+//! compiled once ([`CompiledConv::compile`]) before the counted window.
+//! Once a warm-up pass has grown the per-thread lowered input tile to
+//! the largest layer, each [`CompiledConv::run`] call must allocate
+//! exactly once: for the output tensor it returns.
 //!
 //! The counting allocator is process-global, so this file runs without
 //! the libtest harness (`harness = false`).
 
 use p3d_core::{magnitude_block_prune, targets_for_stages, BlockShape, KeepRule};
-use p3d_fpga::sim::run_conv_functional_with_scratch;
+use p3d_fpga::sim::CompiledConv;
 use p3d_fpga::{AcceleratorConfig, Ports, Tiling};
 use p3d_models::{build_network, r2plus1d_lite_wide};
 use p3d_nn::Layer;
@@ -85,25 +84,25 @@ fn main() {
                 .expect("every conv has a weight");
             let (n, d, h, wd) = inst.input;
             let x = FixedTensor::quantize(&rng.uniform_tensor([n, d, h, wd], 0.0, 1.0));
-            (inst, w, x, pruned.mask(&inst.spec.name))
+            let mask = pruned.mask(&inst.spec.name);
+            (
+                inst,
+                CompiledConv::compile(inst, w, mask, &cfg),
+                x,
+                mask.is_some(),
+            )
         })
         .collect();
-    assert!(layers.iter().any(|l| l.3.is_some()), "no layer was pruned");
+    assert!(layers.iter().any(|l| l.3), "no layer was pruned");
 
-    // Warm-up: grows the thread's kernel scratch.
-    let mut panel = Vec::new();
-    let baseline: Vec<_> = layers
-        .iter()
-        .map(|(inst, w, x, mask)| {
-            run_conv_functional_with_scratch(inst, w, x, *mask, &cfg, &mut panel)
-        })
-        .collect();
+    // Warm-up: grows the thread's lowered input tile.
+    let baseline: Vec<_> = layers.iter().map(|(_, layer, x, _)| layer.run(x)).collect();
 
     for _ in 0..3 {
-        for ((inst, w, x, mask), want) in layers.iter().zip(&baseline) {
+        for ((inst, layer, x, _), want) in layers.iter().zip(&baseline) {
             ALLOCS.store(0, Ordering::SeqCst);
             ARMED.store(true, Ordering::SeqCst);
-            let got = run_conv_functional_with_scratch(inst, w, x, *mask, &cfg, &mut panel);
+            let got = layer.run(x);
             ARMED.store(false, Ordering::SeqCst);
             let allocs = ALLOCS.load(Ordering::SeqCst);
             let name = &inst.spec.name;

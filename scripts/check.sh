@@ -25,7 +25,7 @@ crates/nn/tests/checkpoint_fuzz.rs                # truncated / bit-flipped / ga
 crates/core/tests/resume.rs                       # kill-and-resume training is bitwise equivalent to an uninterrupted run
 crates/tensor/tests/fixed_properties.rs           # Q7.8 datapath properties and round-to-nearest contracts
 crates/fpga/tests/conv_differential.rs            # Q7.8 vs f32, functional vs cycle engine, AVX2 vs scalar at the i16 rails
-crates/fpga/tests/zero_alloc_conv.rs              # steady-state functional conv allocates only its output tensor
+crates/fpga/tests/zero_alloc_conv.rs              # steady-state CompiledConv::run allocates only its output tensor
 crates/infer/tests/determinism.rs                 # inference bitwise identical across thread counts under load
 crates/infer/tests/zero_alloc.rs                  # zero heap allocations per clip in steady-state serving
 crates/tensor/tests/gemm_properties.rs            # packed and block-CSR GEMM bitwise equal to the naive kernel
@@ -58,8 +58,8 @@ EOF
 
 # Formatting is gated crate by crate, each as it is brought to rustfmt's
 # defaults; crates not listed here still drift.
-echo "==> cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga"
-cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga
+echo "==> cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench"
+cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench
 
 echo "==> cargo build --release"
 cargo build --release --workspace

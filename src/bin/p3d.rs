@@ -939,27 +939,33 @@ fn cmd_models(args: &Args) -> Result<(), String> {
         .rejected()
         .map_err(|e| format!("cannot list rejects in {dir}: {e}"))?;
     if json {
-        let mut s = String::new();
-        s.push_str("{\n  \"models\": [\n");
-        let rows: Vec<String> = models
+        // The same rows `GET /v1/models` serves, without its live
+        // serving/canary fields.
+        let models = models
             .iter()
-            .map(|m| format!("    {{\"hash\": \"{}\", \"bytes\": {}}}", m.hash, m.bytes))
-            .collect();
-        s.push_str(&rows.join(",\n"));
-        s.push_str("\n  ],\n  \"rejected\": [\n");
-        let rows: Vec<String> = rejected
+            .map(|m| {
+                Obj::new()
+                    .str("hash", &m.hash)
+                    .u64("bytes", m.bytes)
+                    .build()
+            })
+            .collect::<Vec<_>>()
+            .join(", ");
+        let rejected = rejected
             .iter()
             .map(|r| {
-                format!(
-                    "    {{\"name\": \"{}\", \"reason\": \"{}\"}}",
-                    r.name,
-                    r.reason.replace('\\', "\\\\").replace('"', "\\\"")
-                )
+                Obj::new()
+                    .str("name", &r.name)
+                    .str("reason", &r.reason)
+                    .build()
             })
-            .collect();
-        s.push_str(&rows.join(",\n"));
-        s.push_str("\n  ]\n}");
-        println!("{s}");
+            .collect::<Vec<_>>()
+            .join(", ");
+        let body = Obj::new()
+            .raw("models", &format!("[{models}]"))
+            .raw("rejected", &format!("[{rejected}]"))
+            .build();
+        println!("{body}");
     } else {
         println!("registry {dir}: {} published, {} rejected", models.len(), rejected.len());
         for m in &models {

@@ -592,6 +592,29 @@ fn models_subcommand_publishes_lists_and_rejects() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("1 published, 1 rejected"), "{text}");
 
+    // A quarantined entry whose name holds a quote and whose reason
+    // holds a tab and an inner newline still lists as valid JSON.
+    let rejects = registry.join("rejected");
+    std::fs::write(rejects.join("odd\"name.bad"), b"junk").unwrap();
+    std::fs::write(
+        rejects.join("odd\"name.reason"),
+        "bad\tmagic\nsecond line\n",
+    )
+    .unwrap();
+    let out = p3d()
+        .args(["models", "--dir", registry_s, "--json"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let json = String::from_utf8_lossy(&out.stdout);
+    let json = json.trim_end();
+    assert!(json.contains(r#""name": "odd\"name""#), "{json}");
+    assert!(
+        json.contains(r#""reason": "bad\tmagic\nsecond line""#),
+        "{json}"
+    );
+    assert!(!json.chars().any(char::is_control), "{json}");
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
