@@ -2,12 +2,16 @@
 
 use crate::spec::{NetworkSpec, Node};
 use p3d_nn::{
-    BatchNorm3d, Conv3d, Flatten, GlobalAvgPool, Linear, MaxPool3d, Relu, ResidualBlock,
-    Sequential,
+    BatchNorm3d, Conv3d, Flatten, GlobalAvgPool, Linear, MaxPool3d, Relu, ResidualBlock, Sequential,
 };
 use p3d_tensor::TensorRng;
 
-fn build_nodes(nodes: &[Node], rng: &mut TensorRng, flat: &mut bool, bn_counter: &mut usize) -> Sequential {
+fn build_nodes(
+    nodes: &[Node],
+    rng: &mut TensorRng,
+    flat: &mut bool,
+    bn_counter: &mut usize,
+) -> Sequential {
     let mut seq = Sequential::new();
     for node in nodes {
         match node {
@@ -28,11 +32,18 @@ fn build_nodes(nodes: &[Node], rng: &mut TensorRng, flat: &mut bool, bn_counter:
                 // before shortcut) so external consumers — notably the
                 // FPGA simulator's parameter extraction — can re-derive
                 // them by walking the spec the same way.
-                seq.add(Box::new(BatchNorm3d::new(&format!("bn{bn_counter}"), *channels)));
+                seq.add(Box::new(BatchNorm3d::new(
+                    &format!("bn{bn_counter}"),
+                    *channels,
+                )));
                 *bn_counter += 1;
             }
             Node::Relu => seq.add(Box::new(Relu::new())),
-            Node::MaxPool { kernel, stride, pad } => {
+            Node::MaxPool {
+                kernel,
+                stride,
+                pad,
+            } => {
                 assert_eq!(
                     *pad,
                     (0, 0, 0),
@@ -54,7 +65,13 @@ fn build_nodes(nodes: &[Node], rng: &mut TensorRng, flat: &mut bool, bn_counter:
                     seq.add(Box::new(Flatten::new()));
                     *flat = true;
                 }
-                seq.add(Box::new(Linear::new(name, *out_features, *in_features, true, rng)));
+                seq.add(Box::new(Linear::new(
+                    name,
+                    *out_features,
+                    *in_features,
+                    true,
+                    rng,
+                )));
             }
             Node::Residual { main, shortcut } => {
                 let main_seq = build_nodes(main, rng, flat, bn_counter);

@@ -7,7 +7,11 @@ use crate::spec::{Conv3dSpec, NetworkSpec, Node};
 fn conv(name: &str, m: usize, n: usize) -> Node {
     Node::Conv(Conv3dSpec {
         name: name.to_string(),
-        stage: name.split(|c: char| c.is_ascii_digit()).next().unwrap_or("conv").to_string()
+        stage: name
+            .split(|c: char| c.is_ascii_digit())
+            .next()
+            .unwrap_or("conv")
+            .to_string()
             + &name
                 .chars()
                 .filter(|c| c.is_ascii_digit())
@@ -125,7 +129,9 @@ mod tests {
     fn classifier_head_is_8192_wide() {
         let spec = c3d(101);
         let fc6 = spec.nodes.iter().find_map(|n| match n {
-            Node::Linear { name, in_features, .. } if name == "fc6" => Some(*in_features),
+            Node::Linear {
+                name, in_features, ..
+            } if name == "fc6" => Some(*in_features),
             _ => None,
         });
         assert_eq!(fc6, Some(8192));

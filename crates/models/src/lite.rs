@@ -34,7 +34,14 @@ fn conv(
     })
 }
 
-fn conv2plus1d(name: &str, stage: &str, m: usize, n: usize, stride: (usize, usize, usize), nodes: &mut Vec<Node>) {
+fn conv2plus1d(
+    name: &str,
+    stage: &str,
+    m: usize,
+    n: usize,
+    stride: (usize, usize, usize),
+    nodes: &mut Vec<Node>,
+) {
     let mid = midplanes(n, m, 3, 3).max(1);
     nodes.push(conv(
         format!("{name}.spatial"),
@@ -235,7 +242,15 @@ pub fn r2plus1d_micro(num_classes: usize) -> NetworkSpec {
 /// convolutions with interleaved pooling, global pooling, FC.
 pub fn c3d_lite(num_classes: usize) -> NetworkSpec {
     let conv3 = |name: &str, stage: &str, m: usize, n: usize| {
-        conv(name.to_string(), stage, m, n, (3, 3, 3), (1, 1, 1), (1, 1, 1))
+        conv(
+            name.to_string(),
+            stage,
+            m,
+            n,
+            (3, 3, 3),
+            (1, 1, 1),
+            (1, 1, 1),
+        )
     };
     let nodes = vec![
         conv3("conv1a", "conv1", 8, 1),

@@ -96,7 +96,16 @@ fn residual_unit(
     conv2plus1d(&name("a"), &stage, out_ch, in_ch, stride, 3, 3, &mut main);
     main.push(Node::BatchNorm { channels: out_ch });
     main.push(Node::Relu);
-    conv2plus1d(&name("b"), &stage, out_ch, out_ch, (1, 1, 1), 3, 3, &mut main);
+    conv2plus1d(
+        &name("b"),
+        &stage,
+        out_ch,
+        out_ch,
+        (1, 1, 1),
+        3,
+        3,
+        &mut main,
+    );
     main.push(Node::BatchNorm { channels: out_ch });
 
     let shortcut = if downsample || in_ch != out_ch {
@@ -252,11 +261,31 @@ mod tests {
                 .sum::<f64>()
                 / 1e9
         };
-        assert!((gops_of("conv1") - 1.53).abs() < 0.01, "{}", gops_of("conv1"));
-        assert!((gops_of("conv2_x") - 44.39).abs() < 0.05, "{}", gops_of("conv2_x"));
-        assert!((gops_of("conv3_x") - 21.21).abs() < 0.05, "{}", gops_of("conv3_x"));
-        assert!((gops_of("conv4_x") - 10.61).abs() < 0.05, "{}", gops_of("conv4_x"));
-        assert!((gops_of("conv5_x") - 5.31).abs() < 0.05, "{}", gops_of("conv5_x"));
+        assert!(
+            (gops_of("conv1") - 1.53).abs() < 0.01,
+            "{}",
+            gops_of("conv1")
+        );
+        assert!(
+            (gops_of("conv2_x") - 44.39).abs() < 0.05,
+            "{}",
+            gops_of("conv2_x")
+        );
+        assert!(
+            (gops_of("conv3_x") - 21.21).abs() < 0.05,
+            "{}",
+            gops_of("conv3_x")
+        );
+        assert!(
+            (gops_of("conv4_x") - 10.61).abs() < 0.05,
+            "{}",
+            gops_of("conv4_x")
+        );
+        assert!(
+            (gops_of("conv5_x") - 5.31).abs() < 0.05,
+            "{}",
+            gops_of("conv5_x")
+        );
         let total = spec.conv_ops().unwrap() as f64 / 1e9;
         assert!((total - 83.05).abs() < 0.1, "total {total}");
     }

@@ -29,11 +29,8 @@ pub struct Conv3dSpec {
 impl Conv3dSpec {
     /// Weight parameter count `M * N * Kd * Kr * Kc` (+ bias).
     pub fn params(&self) -> usize {
-        let w = self.out_channels
-            * self.in_channels
-            * self.kernel.0
-            * self.kernel.1
-            * self.kernel.2;
+        let w =
+            self.out_channels * self.in_channels * self.kernel.0 * self.kernel.1 * self.kernel.2;
         w + if self.bias { self.out_channels } else { 0 }
     }
 
@@ -180,7 +177,10 @@ impl std::fmt::Display for SpecError {
                 layer,
                 expected,
                 actual,
-            } => write!(f, "layer {layer}: expected {expected} input channels, got {actual}"),
+            } => write!(
+                f,
+                "layer {layer}: expected {expected} input channels, got {actual}"
+            ),
             SpecError::ResidualShapeMismatch { main, shortcut } => write!(
                 f,
                 "residual paths disagree: main {main:?} vs shortcut {shortcut:?}"
@@ -232,7 +232,11 @@ fn walk(
                 }
             }
             Node::Relu => {}
-            Node::MaxPool { kernel, stride, pad } => {
+            Node::MaxPool {
+                kernel,
+                stride,
+                pad,
+            } => {
                 let (c, d, h, w) = shape.ok_or(SpecError::LinearBeforeFlatten)?;
                 let (od, oh, ow) = conv_out3((d, h, w), *kernel, *stride, *pad);
                 shape = Some((c, od, oh, ow));
@@ -270,7 +274,10 @@ fn walk(
                 match (main_out, short_out) {
                     (Some(a), Some(b)) if a == b => shape = Some(a),
                     (Some(a), Some(b)) => {
-                        return Err(SpecError::ResidualShapeMismatch { main: a, shortcut: b })
+                        return Err(SpecError::ResidualShapeMismatch {
+                            main: a,
+                            shortcut: b,
+                        })
                     }
                     _ => return Err(SpecError::LinearBeforeFlatten),
                 }
@@ -404,7 +411,9 @@ mod tests {
             c.in_channels = 2;
         }
         match spec.conv_instances() {
-            Err(SpecError::ChannelMismatch { expected, actual, .. }) => {
+            Err(SpecError::ChannelMismatch {
+                expected, actual, ..
+            }) => {
                 assert_eq!((expected, actual), (2, 1));
             }
             other => panic!("expected mismatch, got {other:?}"),

@@ -169,7 +169,10 @@ mod tests {
         // construction of the midplane formula.
         let p_r3d = r3d.conv_params().unwrap();
         let p_r21 = r2plus1d_18(101).conv_params().unwrap();
-        assert!((p_r3d as f64 / p_r21 as f64 - 1.0).abs() < 0.02, "{p_r3d} vs {p_r21}");
+        assert!(
+            (p_r3d as f64 / p_r21 as f64 - 1.0).abs() < 0.02,
+            "{p_r3d} vs {p_r21}"
+        );
     }
 
     #[test]
@@ -178,7 +181,10 @@ mod tests {
         assert_eq!(mc3.output_shape().unwrap(), Some((101, 1, 1, 1)));
         let p_mc3 = mc3.conv_params().unwrap();
         let p_r3d = r3d_18(101).conv_params().unwrap();
-        assert!(p_mc3 < p_r3d, "MC3 should drop the temporal taps of the top stages");
+        assert!(
+            p_mc3 < p_r3d,
+            "MC3 should drop the temporal taps of the top stages"
+        );
         // Dropping Kd=3 -> 1 in conv3..conv5 removes roughly 2/3 of
         // their weights; whole-model reduction lands near 2.9x.
         let ratio = p_r3d as f64 / p_mc3 as f64;
@@ -204,10 +210,11 @@ mod tests {
         // Same downsampling points: 16x56x56 after conv2, 2x7x7 at conv5.
         let spec = r3d_18(101);
         let insts = spec.conv_instances().unwrap();
-        let last = insts.iter().rev().find(|i| i.spec.stage == "conv5_x").unwrap();
-        assert_eq!(
-            (last.output.1, last.output.2, last.output.3),
-            (2, 7, 7)
-        );
+        let last = insts
+            .iter()
+            .rev()
+            .find(|i| i.spec.stage == "conv5_x")
+            .unwrap();
+        assert_eq!((last.output.1, last.output.2, last.output.3), (2, 7, 7));
     }
 }

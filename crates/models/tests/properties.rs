@@ -12,14 +12,14 @@ use proptest::prelude::*;
 /// optional pool, classifier head.
 fn arb_spec() -> impl Strategy<Value = NetworkSpec> {
     (
-        1usize..4,  // input channels
-        2usize..5,  // frames
+        1usize..4, // input channels
+        2usize..5, // frames
         prop::sample::select(vec![8usize, 10, 12]),
-        2usize..6,  // stem width
+        2usize..6, // stem width
         prop::sample::select(vec![(1usize, 3usize, 3usize), (3, 1, 1), (3, 3, 3)]),
         any::<bool>(), // residual unit?
         any::<bool>(), // with projection (wider)?
-        2usize..5,  // classes
+        2usize..5,     // classes
     )
         .prop_map(|(cin, d, hw, width, kernel, residual, project, classes)| {
             let mut nodes = vec![
