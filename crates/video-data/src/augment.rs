@@ -11,13 +11,16 @@ use p3d_tensor::{Tensor, TensorRng};
 pub fn jitter_noise(clip: &Tensor, std: f32, rng: &mut TensorRng) -> Tensor {
     assert!(std >= 0.0, "noise std must be non-negative");
     clip.map(|x| x) // clone via map to keep shape
-        .zip(&{
-            let mut noise = Tensor::zeros(clip.shape());
-            for v in noise.data_mut() {
-                *v = rng.normal_with(0.0, std);
-            }
-            noise
-        }, |a, b| (a + b).clamp(0.0, 1.0))
+        .zip(
+            &{
+                let mut noise = Tensor::zeros(clip.shape());
+                for v in noise.data_mut() {
+                    *v = rng.normal_with(0.0, std);
+                }
+                noise
+            },
+            |a, b| (a + b).clamp(0.0, 1.0),
+        )
 }
 
 /// Scales intensity by a random factor in `[lo, hi]` (brightness jitter).

@@ -83,8 +83,14 @@ impl GeneratorConfig {
             "num_classes must be 1..=10"
         );
         assert!(self.noise_std >= 0.0, "noise_std must be non-negative");
-        assert!(self.speed.0 > 0.0 && self.speed.1 >= self.speed.0, "bad speed range");
-        assert!(self.radius.0 > 0.0 && self.radius.1 >= self.radius.0, "bad radius range");
+        assert!(
+            self.speed.0 > 0.0 && self.speed.1 >= self.speed.0,
+            "bad speed range"
+        );
+        assert!(
+            self.radius.0 > 0.0 && self.radius.1 >= self.radius.0,
+            "bad radius range"
+        );
     }
 }
 

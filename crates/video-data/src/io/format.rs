@@ -181,8 +181,7 @@ impl VidHeader {
 
     /// Byte offset of frame record `index` within the stream.
     pub fn frame_offset(&self, index: u32) -> u64 {
-        VID_HEADER_LEN as u64
-            + index as u64 * (FRAME_OVERHEAD as u64 + self.frame_bytes() as u64)
+        VID_HEADER_LEN as u64 + index as u64 * (FRAME_OVERHEAD as u64 + self.frame_bytes() as u64)
     }
 
     fn encode(&self) -> [u8; VID_HEADER_LEN] {
@@ -478,7 +477,8 @@ impl<R: Read + Seek> IndexedVidReader<R> {
                 self.header.frames
             )));
         }
-        self.r.seek(SeekFrom::Start(self.header.frame_offset(index)))?;
+        self.r
+            .seek(SeekFrom::Start(self.header.frame_offset(index)))?;
         read_record(
             &mut self.r,
             index,

@@ -196,7 +196,11 @@ impl Prefetcher {
         drop(probe);
         // Validate resize geometry against the source dims up front so
         // workers cannot hit a construction error mid-stream.
-        FrameResizer::new(header.width as usize, header.height as usize, cfg.preprocess)?;
+        FrameResizer::new(
+            header.width as usize,
+            header.height as usize,
+            cfg.preprocess,
+        )?;
         let total_clips = header.frames as u64 / cfg.clip_depth as u64;
         if total_clips == 0 {
             return Err(invalid(format!(
@@ -228,7 +232,15 @@ impl Prefetcher {
             let handle = std::thread::Builder::new()
                 .name(format!("p3d-ingest-{w}"))
                 .spawn(move || {
-                    worker_loop(ring, arena, file, cfg, w as u64, n_workers as u64, total_clips)
+                    worker_loop(
+                        ring,
+                        arena,
+                        file,
+                        cfg,
+                        w as u64,
+                        n_workers as u64,
+                        total_clips,
+                    )
                 })
                 .map_err(|e| io::Error::other(e.to_string()))?;
             workers.push(handle);
@@ -334,8 +346,11 @@ fn worker_loop(
         Err(e) => return ring.poison(format!("ingest worker failed to open source: {e}")),
     };
     let header = *reader.header();
-    let resizer = match FrameResizer::new(header.width as usize, header.height as usize, cfg.preprocess)
-    {
+    let resizer = match FrameResizer::new(
+        header.width as usize,
+        header.height as usize,
+        cfg.preprocess,
+    ) {
         Ok(r) => r,
         Err(e) => return ring.poison(format!("ingest worker preprocess setup failed: {e}")),
     };
@@ -401,7 +416,10 @@ fn decode_clip(
     for f in 0..cfg.clip_depth {
         let frame = clip_idx * cfg.clip_depth as u64 + f as u64;
         reader.read_frame(frame as u32, frame_buf)?;
-        resizer.run(frame_buf, &mut clip.data_mut()[f * out_len..(f + 1) * out_len]);
+        resizer.run(
+            frame_buf,
+            &mut clip.data_mut()[f * out_len..(f + 1) * out_len],
+        );
     }
     Ok(clip)
 }

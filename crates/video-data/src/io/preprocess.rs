@@ -221,8 +221,16 @@ impl FrameResizer {
     /// Bitwise identical to [`decode_frame_reference`]; allocates
     /// nothing.
     pub fn run(&self, src: &[u8], out: &mut [f32]) {
-        assert_eq!(src.len(), self.src_w * self.src_h, "source frame size mismatch");
-        assert_eq!(out.len(), self.cfg.output_len(), "output buffer size mismatch");
+        assert_eq!(
+            src.len(),
+            self.src_w * self.src_h,
+            "source frame size mismatch"
+        );
+        assert_eq!(
+            out.len(),
+            self.cfg.output_len(),
+            "output buffer size mismatch"
+        );
         let w = self.src_w;
         for (oy, ty) in self.row_taps.iter().enumerate() {
             let row0 = &src[ty.i0 * w..ty.i0 * w + w];

@@ -83,7 +83,10 @@ impl Motion {
 
     /// The class label of this motion.
     pub fn label(&self) -> usize {
-        Motion::ALL.iter().position(|m| m == self).expect("motion in ALL")
+        Motion::ALL
+            .iter()
+            .position(|m| m == self)
+            .expect("motion in ALL")
     }
 
     /// State of the shape at frame `t` of `frames`: centre `(y, x)`,
@@ -128,13 +131,10 @@ impl Motion {
                 };
                 MotionState::visible((cy + r * theta.sin(), cx + r * theta.cos()), radius)
             }
-            Motion::Expand => {
-                MotionState::visible((sy, sx), radius * (1.0 + 0.12 * speed * tf))
+            Motion::Expand => MotionState::visible((sy, sx), radius * (1.0 + 0.12 * speed * tf)),
+            Motion::Shrink => {
+                MotionState::visible((sy, sx), (radius * (1.0 - 0.08 * speed * tf)).max(0.8))
             }
-            Motion::Shrink => MotionState::visible(
-                (sy, sx),
-                (radius * (1.0 - 0.08 * speed * tf)).max(0.8),
-            ),
             Motion::Blink => {
                 // Period tied to speed; ~half duty cycle.
                 let period = (6.0 / speed.max(0.25)).max(2.0);
@@ -248,7 +248,11 @@ mod tests {
     fn blink_toggles() {
         let start = (12.0, 12.0);
         let states: Vec<f32> = (0..12)
-            .map(|t| Motion::Blink.state_at(t, start, 1.0, 3.0, (24, 24)).visibility)
+            .map(|t| {
+                Motion::Blink
+                    .state_at(t, start, 1.0, 3.0, (24, 24))
+                    .visibility
+            })
             .collect();
         assert!(states.contains(&1.0));
         assert!(states.contains(&0.0), "blink never hides: {states:?}");
@@ -258,7 +262,10 @@ mod tests {
     fn shape_coverage_profiles() {
         // Full coverage at centre, zero far away, soft in between.
         for shape in ShapeKind::ALL {
-            assert!(shape.coverage(0.0, 0.0, 3.0) >= 1.0 - 1e-6, "{shape:?} centre");
+            assert!(
+                shape.coverage(0.0, 0.0, 3.0) >= 1.0 - 1e-6,
+                "{shape:?} centre"
+            );
             assert_eq!(shape.coverage(20.0, 20.0, 3.0), 0.0, "{shape:?} far");
         }
         // Disc edge is soft: halfway across the boundary pixel.

@@ -33,7 +33,10 @@ fn preprocess() -> PreprocessConfig {
 }
 
 fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("p3d-ingest-test-{}-{tag}.p3dvid", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "p3d-ingest-test-{}-{tag}.p3dvid",
+        std::process::id()
+    ))
 }
 
 /// Writes a deterministic test container and returns its path.

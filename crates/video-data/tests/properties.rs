@@ -1,29 +1,31 @@
 //! Property-based tests for the synthetic video generator.
 
 use p3d_nn::Dataset;
-use p3d_video_data::{GeneratorConfig, Motion, SyntheticVideo};
 use p3d_tensor::TensorRng;
+use p3d_video_data::{GeneratorConfig, Motion, SyntheticVideo};
 use proptest::prelude::*;
 
 fn any_config() -> impl Strategy<Value = GeneratorConfig> {
     (
-        2usize..10,   // frames
-        12usize..33,  // height
-        12usize..33,  // width
-        1usize..=10,  // classes
-        0usize..3,    // distractors
-        0u8..2,       // noise on/off
+        2usize..10,  // frames
+        12usize..33, // height
+        12usize..33, // width
+        1usize..=10, // classes
+        0usize..3,   // distractors
+        0u8..2,      // noise on/off
     )
-        .prop_map(|(frames, height, width, num_classes, distractors, noise)| GeneratorConfig {
-            frames,
-            height,
-            width,
-            num_classes,
-            noise_std: if noise == 1 { 0.02 } else { 0.0 },
-            speed: (1.0, 2.0),
-            radius: (2.0, 3.5),
-            distractors,
-        })
+        .prop_map(
+            |(frames, height, width, num_classes, distractors, noise)| GeneratorConfig {
+                frames,
+                height,
+                width,
+                num_classes,
+                noise_std: if noise == 1 { 0.02 } else { 0.0 },
+                speed: (1.0, 2.0),
+                radius: (2.0, 3.5),
+                distractors,
+            },
+        )
 }
 
 proptest! {
