@@ -9,9 +9,11 @@
 //!   layer that depends only on its weights, block mask and tiling:
 //!   each block row's enabled blocks as one list of tile-row runs, the
 //!   weights packed once in that order, the data-independent
-//!   [`ConvStats`] and one 32-bit certificate per channel group (below).
-//!   It is the engine's only form: `SimEngine` compiles every layer
-//!   when it is built, and [`run_conv_functional`] compiles and runs.
+//!   [`ConvStats`], one 32-bit certificate per channel group (below)
+//!   and the layer's fused [`Epilogue`]. It is the engine's only form:
+//!   `SimEngine` compiles every layer, epilogue included, when it is
+//!   built, and [`run_conv_functional`] compiles with the identity
+//!   epilogue and runs.
 //! * **Lowered input tiles** — the output volume is walked in chunks of
 //!   whole output rows, sized so the chunk's input tile holds at most
 //!   [`TILE_WORDS`] `i16` words. Each chunk lowers the input once into a
@@ -25,15 +27,25 @@
 //!   same input channels, so the kernel walks a block row's channels in
 //!   groups of up to 4 and the chunk in strips of 8 positions, holding
 //!   the 4 x 8 sums in registers across the row's whole run list, then
-//!   rounds and saturates each sum once. The panel stores each run's
+//!   finishes each sum once (below). The panel stores each run's
 //!   tile rows in pairs `(r, r + 1)`, one `i32` per channel holding
 //!   both `i16` weights, an odd-length run's last row paired with a
 //!   zero weight; a block row's last group is padded to 4 channels with
 //!   zero weights, and only its real channels are written.
+//! * **Fused post-processing** — the finish that rounds and saturates
+//!   each sum also applies its channel's epilogue: `+ bias`, then
+//!   `* scale + shift` (folded batch norm), then ReLU, in the saturating
+//!   `Fixed16` operations [`crate::sim::PostProcessor`] uses, in its
+//!   order, as the paper's post-processing unit works on each output
+//!   tile while the convolution engine runs. The network walk therefore
+//!   never revisits a conv's output for its bias, batch norm or ReLU.
+//!   A missing part is its identity (bias 0, scale 1.0, shift 0), which
+//!   is exact, so one finish serves every layer.
 //! * **Block-enable skipping** — disabled `(bi, bj)` blocks contribute
 //!   neither arithmetic nor, when no block row reads an input channel,
 //!   lowering; a block row with no enabled block is never visited (its
-//!   outputs are exact zeros).
+//!   conv outputs are exact zeros, so its channels hold the epilogue of
+//!   zero).
 //!
 //! # The 32-bit certificate, and which body runs
 //!
@@ -47,31 +59,37 @@
 //! * Full 8-position strips of a certified group run the one AVX2 body:
 //!   it interleaves two tile rows in registers and multiplies them
 //!   against the broadcast weight pair with `_mm256_madd_epi16`, summing
-//!   in `i32`.
-//! * Everything else runs the scalar body, which sums in `i64` and is
-//!   the reference: ragged strips, uncertified groups, and hosts without
-//!   AVX2 (or under [`p3d_tensor::simd::force_scalar`]). No measured
-//!   model has an uncertified group: the largest per-channel sums sit
-//!   about 22x under the bound (EXPERIMENTS.md, "Certificate margins").
+//!   in `i32`, and finishes the sums in registers, epilogue included,
+//!   with one 128-bit store per channel.
+//! * Everything else runs the scalar body, which sums in `i64`, finishes
+//!   with the same epilogue and is the reference: ragged strips,
+//!   uncertified groups, and hosts without AVX2 (or under
+//!   [`p3d_tensor::simd::force_scalar`]). No measured model has an
+//!   uncertified group: the largest per-channel sums sit about 22x under
+//!   the bound (EXPERIMENTS.md, "Certificate margins").
 //!
 //! # Why the two engines are bitwise identical
 //!
 //! Both paths accumulate **every** contribution of an output element
 //! exactly — in `i64`, or in `i32` where the certificate proves no sum
 //! leaves it — then round-and-saturate once with the same
-//! `(acc + 128) >> 8` rule. Integer addition is associative and
-//! commutative, so the loop order — tiled there, lowered, chunked and
-//! paired here, vectorized or not — cannot change a single bit, and a
-//! lowered padding word or a zero weight adds nothing. The
-//! `conv_differential` suite pins this on random geometries, on every
-//! lite-wide layer and at both sides of the certificate's boundary; the
-//! statistics (cycles included) are reproduced analytically from the
-//! same tile walk the cycle engine executes, so the whole
-//! `(output, ConvStats)` pair is equal, not just the tensor.
+//! `(acc + 128) >> 8` rule, and apply the same epilogue operations in
+//! the same order (the AVX2 finish lane for lane, the cycle engine as
+//! `PostProcessor` passes after the conv). Integer addition is
+//! associative and commutative, so the loop order — tiled there,
+//! lowered, chunked and paired here, vectorized or not — cannot change a
+//! single bit, and a lowered padding word or a zero weight adds nothing.
+//! The `conv_differential` suite pins this on random geometries, on
+//! every lite-wide layer, at both sides of the certificate's boundary
+//! and for fused epilogues at the rails; the statistics (cycles
+//! included) are reproduced analytically from the same tile walk the
+//! cycle engine executes, so the whole `(output, ConvStats)` pair is
+//! equal, not just the tensor.
 
 use crate::config::AcceleratorConfig;
 use crate::latency::tile_terms;
 use crate::sim::cycle::ConvStats;
+use crate::sim::post::Epilogue;
 use p3d_core::LayerBlockMask;
 use p3d_models::ConvInstance;
 use p3d_nn::im2col::{lower_row, ConvGeometry};
@@ -97,6 +115,36 @@ const STRIP: usize = 8;
 
 /// Exact sums of one register tile: `[channel][position]`.
 type TileSums = [[i64; STRIP]; GROUP];
+
+/// One output channel's [`Epilogue`] with every part present; a missing
+/// part is its identity (bias 0, scale 1.0, shift 0), which is exact:
+/// `y + 0 == y` and `(256 * y + 128) >> 8 == y`.
+#[derive(Clone, Copy)]
+struct Post {
+    bias: Fixed16,
+    scale: Fixed16,
+    shift: Fixed16,
+}
+
+impl Post {
+    const IDENTITY: Post = Post {
+        bias: Fixed16::ZERO,
+        scale: Fixed16::ONE,
+        shift: Fixed16::ZERO,
+    };
+
+    /// `relu?((y + bias) * scale + shift)` in `PostProcessor`'s saturating
+    /// `Fixed16` operations, in its order.
+    #[inline(always)]
+    fn apply(self, y: Fixed16, relu: bool) -> Fixed16 {
+        let v = (y + self.bias) * self.scale + self.shift;
+        if relu {
+            v.relu()
+        } else {
+            v
+        }
+    }
+}
 
 /// The tile rows of one or more adjacent enabled block columns:
 /// consecutive, as are their weights within each output channel's
@@ -127,8 +175,10 @@ struct Group {
 /// One conv layer compiled for the functional engine against fixed
 /// weights, block mask and tiling: the lowered input channels, each
 /// block row's tile-row runs, the packed weight panel, one 32-bit
-/// certificate per channel group and the data-independent
-/// [`ConvStats`]. Running it touches only the input.
+/// certificate per channel group, the data-independent [`ConvStats`]
+/// and the [`Epilogue`] its finish applies (the identity unless
+/// [`CompiledConv::with_epilogue`] sets one). Running it touches only
+/// the input.
 pub struct CompiledConv {
     geom: ConvGeometry,
     /// `(M, Do, Ho, Wo)`.
@@ -147,6 +197,13 @@ pub struct CompiledConv {
     stats: ConvStats,
     /// Largest per-channel sum of `|w|` over enabled blocks.
     largest_l1: u64,
+    /// Per output channel, the epilogue's bias, scale and shift.
+    post: Vec<Post>,
+    /// The epilogue ends in ReLU.
+    relu: bool,
+    /// Output channels no group computes: their conv outputs are exact
+    /// zeros, so they hold the epilogue of zero.
+    idle: Vec<usize>,
 }
 
 /// One panel entry: `w0` in the low half, `w1` in the high half — the
@@ -216,6 +273,9 @@ impl CompiledConv {
             panel: Vec::new(),
             stats: stats_from_tile_walk(inst, mask, config),
             largest_l1: 0,
+            post: vec![Post::IDENTITY; m_ch],
+            relu: false,
+            idle: (0..m_ch).collect(),
         };
         let ktaps = kd * kr * kc;
         let out_rows = od * oh;
@@ -283,7 +343,45 @@ impl CompiledConv {
                 });
             }
         }
+        let groups = &layer.groups;
         layer
+            .idle
+            .retain(|&m| !groups.iter().any(|g| (g.m0..g.m0 + g.g).contains(&m)));
+        layer
+    }
+
+    /// Fuses `epilogue` onto the layer: every output word the layer
+    /// writes is its rounded conv sum with `epilogue` applied, bitwise
+    /// equal to [`crate::sim::PostProcessor::epilogue`] on the unfused
+    /// output. `saturated_words` still counts only the conv's own
+    /// rounding rails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bias, scale or shift vector does not have one entry
+    /// per output channel.
+    pub fn with_epilogue(mut self, epilogue: &Epilogue) -> Self {
+        let m_ch = self.post.len();
+        let parts = epilogue.bias.iter().chain(
+            epilogue
+                .batch_norm
+                .iter()
+                .flat_map(|(scale, shift)| [scale, shift]),
+        );
+        for part in parts {
+            assert_eq!(part.len(), m_ch, "epilogue length mismatch");
+        }
+        for (m, post) in self.post.iter_mut().enumerate() {
+            *post = Post::IDENTITY;
+            if let Some(bias) = &epilogue.bias {
+                post.bias = bias[m];
+            }
+            if let Some((scale, shift)) = &epilogue.batch_norm {
+                (post.scale, post.shift) = (scale[m], shift[m]);
+            }
+        }
+        self.relu = epilogue.relu;
+        self
     }
 
     /// The largest per-output-channel sum of `|w|` over enabled blocks,
@@ -328,6 +426,13 @@ impl CompiledConv {
                 )
             });
         }
+        let vol = od * oh * ow;
+        for &m in &self.idle {
+            let v = self.post[m].apply(Fixed16::ZERO, self.relu);
+            if v != Fixed16::ZERO {
+                out.data_mut()[m * vol..(m + 1) * vol].fill(v);
+            }
+        }
         (out, stats)
     }
 
@@ -366,7 +471,8 @@ impl CompiledConv {
                     len,
                     &self.runs[group.runs.clone()],
                     &self.panel[group.panel.clone()],
-                    group.g,
+                    &self.post[group.m0..group.m0 + group.g],
+                    self.relu,
                     group.certified,
                     use_avx2,
                 );
@@ -416,15 +522,16 @@ pub fn run_conv_functional_with_scratch(
     run_conv_functional(inst, weights, input, mask, config)
 }
 
-/// Computes output channels `0..g` (`g <= GROUP`, rows `vol` apart in
-/// `out`) at the `len` positions of one lowered chunk, reading the
-/// tile rows in `runs` against `panel` (`GROUP` entries per pair of run
-/// rows, zero past channel `g`). All `GROUP` channels are summed, but
-/// only the first `g` are written and counted: the rest would land in
-/// the next block row or past the end of `out`. With `use_avx2`, full
-/// strips of a `certified` group run the `i32` AVX2 body; everything
-/// else runs the exact scalar `i64` body. Returns the number of railed
-/// output words.
+/// Computes output channels `0..g` (`g = post.len() <= GROUP`, rows
+/// `vol` apart in `out`) at the `len` positions of one lowered chunk,
+/// reading the tile rows in `runs` against `panel` (`GROUP` entries per
+/// pair of run rows, zero past channel `g`), and finishes each with its
+/// channel's epilogue `post`, then ReLU when `relu`. All `GROUP`
+/// channels are summed, but only the first `g` are written and counted:
+/// the rest would land in the next block row or past the end of `out`.
+/// With `use_avx2`, full strips of a `certified` group run the `i32`
+/// AVX2 body; everything else runs the exact scalar `i64` body. Returns
+/// the number of railed conv sums.
 #[allow(clippy::too_many_arguments)]
 fn conv_group(
     out: &mut [Fixed16],
@@ -433,10 +540,12 @@ fn conv_group(
     len: usize,
     runs: &[Run],
     panel: &[i32],
-    g: usize,
+    post: &[Post],
+    relu: bool,
     certified: bool,
     use_avx2: bool,
 ) -> u64 {
+    assert!(post.len() <= GROUP, "a group holds at most GROUP channels");
     let pairs: usize = runs.iter().map(|run| run.len.div_ceil(2)).sum();
     assert_eq!(
         panel.len(),
@@ -457,7 +566,7 @@ fn conv_group(
         // prove that `tile` holds `len` words for every tile row of
         // `runs` and that `panel` holds `GROUP` entries per row pair; the
         // group is certified, so its sums fit in `i32`.
-        (j, railed) = unsafe { avx2::madd_strips(out, vol, tile, len, runs, panel, g) };
+        (j, railed) = unsafe { avx2::madd_strips(out, vol, tile, len, runs, panel, post, relu) };
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (certified, use_avx2);
@@ -481,27 +590,37 @@ fn conv_group(
                 }
             }
         }
-        railed += finish(out, vol, j, &sums, g, w);
+        railed += finish(out, vol, j, &sums, post, relu, w);
         j += w;
     }
     railed
 }
 
-/// Rounds and saturates the first `g x w` sums of a register tile into
-/// `out` at position `j` (channel rows `vol` apart): the same
-/// `(acc + 128) >> 8` rule as `MacAccumulator::finish`, counting railed
-/// words for the saturation-anomaly signal.
+/// Rounds and saturates the first `post.len() x w` sums of a register
+/// tile with the same `(acc + 128) >> 8` rule as
+/// `MacAccumulator::finish`, counting railed sums for the
+/// saturation-anomaly signal, then applies each channel's epilogue and
+/// writes the words into `out` at position `j` (channel rows `vol`
+/// apart).
 #[inline(always)]
-fn finish(out: &mut [Fixed16], vol: usize, j: usize, sums: &TileSums, g: usize, w: usize) -> u64 {
+fn finish(
+    out: &mut [Fixed16],
+    vol: usize,
+    j: usize,
+    sums: &TileSums,
+    post: &[Post],
+    relu: bool,
+    w: usize,
+) -> u64 {
     const LO: i64 = i16::MIN as i64;
     const HI: i64 = i16::MAX as i64;
     let mut railed = 0;
-    for (c, acc) in sums[..g].iter().enumerate() {
+    for (c, (acc, &post)) in sums.iter().zip(post).enumerate() {
         for (o, &a) in out[c * vol + j..][..w].iter_mut().zip(acc) {
             let rounded = (a + (1 << (FRAC_BITS - 1))) >> FRAC_BITS;
             let clamped = rounded.clamp(LO, HI);
             railed += u64::from(clamped != rounded);
-            *o = Fixed16::from_bits(clamped as i16);
+            *o = post.apply(Fixed16::from_bits(clamped as i16), relu);
         }
     }
     railed
@@ -581,24 +700,55 @@ fn stats_from_tile_walk(
 /// position; the sums stay in `i32`. This is exact only under the
 /// certificate: a pair of `(-2^15)^2` products alone overflows `i32`,
 /// and the certificate rules that out, along with every larger partial
-/// sum. The 4 x 8 sums stay in registers for the whole run list and
-/// finish through the scalar `finish`, so the body is bitwise identical
-/// to the scalar one.
+/// sum. The 4 x 8 sums stay in registers for the whole run list, and
+/// each channel's finish runs there too, step for step the scalar
+/// `finish`:
+///
+/// 1. round, `(acc + 128) >> 8` (`srai_epi32`), still in `i32`;
+/// 2. count the rounded sums outside `i16` (`cmpgt` and `movemask`);
+/// 3. saturate to `i16` (`packs_epi32`);
+/// 4. add the bias, saturating (`adds_epi16`);
+/// 5. multiply by the scale exactly in `i32` (`cvtepi16_epi32`,
+///    `mullo_epi32`), round the same way and saturate (`packs_epi32`);
+/// 6. add the shift, saturating (`adds_epi16`);
+/// 7. ReLU as `max_epi16` against zero (against `i16::MIN`, a no-op,
+///    without ReLU);
+/// 8. store the eight words with one 128-bit store.
+///
+/// Every step is the scalar operation's exact lane-wise counterpart, so
+/// the body is bitwise identical to the scalar one.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{finish, Run, TileSums, GROUP, STRIP};
+    use super::{Post, Run, GROUP, STRIP};
     use p3d_tensor::Fixed16;
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi32_epi64,
-        _mm256_extracti128_si256, _mm256_madd_epi16, _mm256_set1_epi32, _mm256_set_m128i,
-        _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128, _mm_setzero_si128,
+        __m128i, __m256i, _mm256_add_epi32, _mm256_castsi256_ps, _mm256_castsi256_si128,
+        _mm256_cmpgt_epi32, _mm256_cvtepi16_epi32, _mm256_extracti128_si256, _mm256_madd_epi16,
+        _mm256_movemask_ps, _mm256_mullo_epi32, _mm256_or_si256, _mm256_set1_epi32,
+        _mm256_set_m128i, _mm256_setzero_si256, _mm256_srai_epi32, _mm_adds_epi16, _mm_loadu_si128,
+        _mm_max_epi16, _mm_packs_epi32, _mm_set1_epi16, _mm_setzero_si128, _mm_storeu_si128,
         _mm_unpackhi_epi16, _mm_unpacklo_epi16,
     };
 
+    /// `(v + 128) >> 8` on eight `i32` lanes; `v + 128` must not
+    /// overflow.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn round(v: __m256i) -> __m256i {
+        _mm256_srai_epi32(_mm256_add_epi32(v, _mm256_set1_epi32(128)), 8)
+    }
+
+    /// Eight `i32` lanes saturated to eight `i16`, in order.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn pack(v: __m256i) -> __m128i {
+        _mm_packs_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1))
+    }
+
     /// Computes every full 8-position strip of a certified 4-channel
-    /// group in `i32` and writes its first `g` channels (the contract of
-    /// `super::conv_group`), returning the first position left for the
-    /// scalar body and the railed words.
+    /// group in `i32` and writes its first `post.len()` channels with
+    /// their epilogues (the contract of `super::conv_group`), returning
+    /// the first position left for the scalar body and the railed sums.
     ///
     /// # Safety
     ///
@@ -607,6 +757,7 @@ mod avx2 {
     /// every tile row in `runs`, and `panel` `GROUP` entries per pair of
     /// run rows. Every channel's sum of `|w|` must be at most
     /// [`super::CERTIFIED_L1`], or sums wrap.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub unsafe fn madd_strips(
         out: &mut [Fixed16],
@@ -615,8 +766,20 @@ mod avx2 {
         len: usize,
         runs: &[Run],
         panel: &[i32],
-        g: usize,
+        post: &[Post],
+        relu: bool,
     ) -> (usize, u64) {
+        let hi = _mm256_set1_epi32(i32::from(i16::MAX));
+        let lo = _mm256_set1_epi32(i32::from(i16::MIN));
+        let floor = _mm_set1_epi16(if relu { 0 } else { i16::MIN });
+        let mut bias = [_mm_setzero_si128(); GROUP];
+        let mut scale = [_mm256_setzero_si256(); GROUP];
+        let mut shift = [_mm_setzero_si128(); GROUP];
+        for (c, p) in post.iter().enumerate() {
+            bias[c] = _mm_set1_epi16(p.bias.to_bits());
+            scale[c] = _mm256_set1_epi32(i32::from(p.scale.to_bits()));
+            shift[c] = _mm_set1_epi16(p.shift.to_bits());
+        }
         let mut railed = 0;
         let mut j = 0;
         while j + STRIP <= len {
@@ -653,18 +816,24 @@ mod avx2 {
                     }
                 }
             }
-            let mut sums: TileSums = [[0; STRIP]; GROUP];
-            for (s, &acc) in sums.iter_mut().zip(&acc) {
-                // SAFETY: each `s` holds 8 `i64`s, two unaligned
-                // 256-bit stores of the widened `i32` sums.
-                unsafe {
-                    let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc));
-                    let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc, 1));
-                    _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, lo);
-                    _mm256_storeu_si256(s.as_mut_ptr().add(4) as *mut __m256i, hi);
-                }
+            for (c, &acc) in acc[..post.len()].iter().enumerate() {
+                // The certificate keeps `acc + 128` in `i32`; an
+                // `i16 * i16` product plus 128 always fits.
+                let r = round(acc);
+                let over = _mm256_or_si256(_mm256_cmpgt_epi32(r, hi), _mm256_cmpgt_epi32(lo, r));
+                railed += u64::from(_mm256_movemask_ps(_mm256_castsi256_ps(over)).count_ones());
+                let y = _mm_adds_epi16(pack(r), bias[c]);
+                let y = pack(round(_mm256_mullo_epi32(
+                    _mm256_cvtepi16_epi32(y),
+                    scale[c],
+                )));
+                let y = _mm_max_epi16(_mm_adds_epi16(y, shift[c]), floor);
+                let dst = &mut out[c * vol + j..][..STRIP];
+                // SAFETY: `dst` holds exactly eight `Fixed16`, which is
+                // `repr(transparent)` over `i16`: one unaligned 128-bit
+                // store.
+                unsafe { _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, y) };
             }
-            railed += finish(out, vol, j, &sums, g, STRIP);
             j += STRIP;
         }
         (j, railed)

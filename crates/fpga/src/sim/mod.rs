@@ -18,7 +18,10 @@
 //!   output rows, and one register-tiled exact integer kernel over each
 //!   block row's enabled tile rows for every stride and tap: one AVX2
 //!   body summing in `i32` for certified groups, and the exact scalar
-//!   `i64` body, bitwise identical to it, for everything else.
+//!   `i64` body, bitwise identical to it, for everything else. Both
+//!   finish each output with the conv's fused [`Epilogue`] (bias, folded
+//!   batch norm, ReLU), which the cycle engine applies afterwards with
+//!   [`PostProcessor`].
 //!
 //! The simulator computes real outputs in the paper's Q7.8 fixed point,
 //! so it validates three things the analytic models cannot:
@@ -38,4 +41,4 @@ pub mod post;
 pub use cycle::{run_conv, run_conv_with_scratch, ConvStats};
 pub use functional::{run_conv_functional, run_conv_functional_with_scratch, CompiledConv};
 pub use network::{QuantizedNetwork, SimOutput, SimScratch};
-pub use post::PostProcessor;
+pub use post::{Epilogue, PostProcessor};

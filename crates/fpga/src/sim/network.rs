@@ -5,13 +5,19 @@
 //! into per-channel scale/shift pairs, as the real post-processing unit
 //! does), and executes the network spec layer by layer through the tiled
 //! convolution engine with block-enable maps.
+//!
+//! Each conv, with the batch norm and the ReLU that directly follow it
+//! in the spec (`conv -> [BatchNorm] -> [ReLU]`) and its bias, is one
+//! stage of the walk: its [`Epilogue`] is derived once, when the network
+//! is quantised. The cycle engine applies it with [`PostProcessor`]
+//! after the conv; compiled layers apply it in the conv's own finish.
 
 use crate::config::AcceleratorConfig;
 use crate::sim::cycle::{run_conv_with_scratch, ConvStats};
 use crate::sim::functional::CompiledConv;
-use crate::sim::post::PostProcessor;
+use crate::sim::post::{Epilogue, PostProcessor};
 use p3d_core::PrunedModel;
-use p3d_models::{build::bn_names, ConvInstance, NetworkSpec, Node};
+use p3d_models::{build::bn_names, Conv3dSpec, ConvInstance, NetworkSpec, Node};
 use p3d_nn::Layer;
 use p3d_tensor::fixed::MacAccumulator;
 use p3d_tensor::{Fixed16, FixedTensor, Tensor};
@@ -70,8 +76,11 @@ pub struct QuantizedNetwork {
     spec: NetworkSpec,
     instances: Vec<ConvInstance>,
     conv_weights: BTreeMap<String, FixedTensor>,
-    conv_bias: BTreeMap<String, Vec<Fixed16>>,
-    /// Folded `(scale, shift)` per batch-norm node, in document order.
+    /// Per conv, in walk order: its bias and the batch norm and ReLU
+    /// fused onto it.
+    epilogues: Vec<Epilogue>,
+    /// Folded `(scale, shift)` per batch-norm node that no conv's
+    /// epilogue holds, in document order.
     bn_folded: Vec<(Vec<Fixed16>, Vec<Fixed16>)>,
     linears: BTreeMap<String, (FixedTensor, Vec<Fixed16>)>,
     config: AcceleratorConfig,
@@ -143,6 +152,16 @@ impl QuantizedNetwork {
             }
             bn_folded.push((scale, shift));
         }
+        let mut epilogues = Vec::new();
+        let mut standalone_bn = Vec::new();
+        fuse_epilogues(
+            &spec.nodes,
+            &mut conv_bias,
+            &mut bn_folded.into_iter(),
+            &mut epilogues,
+            &mut standalone_bn,
+        );
+        assert_eq!(epilogues.len(), instances.len(), "conv count mismatch");
 
         let mut linears = BTreeMap::new();
         collect_linears(&spec.nodes, &mut |name, out_f, in_f| {
@@ -161,8 +180,8 @@ impl QuantizedNetwork {
             spec: spec.clone(),
             instances,
             conv_weights,
-            conv_bias,
-            bn_folded,
+            epilogues,
+            bn_folded: standalone_bn,
             linears,
             config,
         }
@@ -213,15 +232,18 @@ impl QuantizedNetwork {
 
     /// Compiles every conv layer under `pruned`'s block-enable maps, in
     /// walk order, for [`QuantizedNetwork::forward_compiled`]: runs,
-    /// weight panels, 32-bit certificates and the data-independent
-    /// statistics, built once instead of per clip.
+    /// weight panels, 32-bit certificates, the data-independent
+    /// statistics and each conv's fused [`Epilogue`], built once instead
+    /// of per clip.
     pub fn compile(&self, pruned: &PrunedModel) -> Vec<CompiledConv> {
         self.instances
             .iter()
-            .map(|inst| {
+            .zip(&self.epilogues)
+            .map(|(inst, epilogue)| {
                 let name = &inst.spec.name;
                 let weights = &self.conv_weights[name];
                 CompiledConv::compile(inst, weights, pruned.mask(name), &self.config)
+                    .with_epilogue(epilogue)
             })
             .collect()
     }
@@ -272,6 +294,52 @@ impl QuantizedNetwork {
     }
 }
 
+/// The spec nodes after a conv that its epilogue stands for: the batch
+/// norm and the ReLU fused onto it.
+fn fused_nodes(epilogue: &Epilogue) -> usize {
+    usize::from(epilogue.batch_norm.is_some()) + usize::from(epilogue.relu)
+}
+
+/// Derives each conv's [`Epilogue`] in walk order into `epilogues`: its
+/// bias from `conv_bias`, and the batch norm (the next of `bn`) and ReLU
+/// nodes that directly follow it, `conv -> [BatchNorm] -> [ReLU]`. Every
+/// other batch-norm node's folded pair goes to `standalone`, in order.
+fn fuse_epilogues(
+    nodes: &[Node],
+    conv_bias: &mut BTreeMap<String, Vec<Fixed16>>,
+    bn: &mut impl Iterator<Item = (Vec<Fixed16>, Vec<Fixed16>)>,
+    epilogues: &mut Vec<Epilogue>,
+    standalone: &mut Vec<(Vec<Fixed16>, Vec<Fixed16>)>,
+) {
+    const BN: &str = "one folded pair per batch-norm node";
+    let mut i = 0;
+    while i < nodes.len() {
+        match &nodes[i] {
+            Node::Conv(spec) => {
+                let batch_norm = matches!(nodes.get(i + 1), Some(Node::BatchNorm { .. }))
+                    .then(|| bn.next().expect(BN));
+                let after = i + 1 + usize::from(batch_norm.is_some());
+                let epilogue = Epilogue {
+                    bias: conv_bias.remove(&spec.name),
+                    batch_norm,
+                    relu: matches!(nodes.get(after), Some(Node::Relu)),
+                };
+                i += fused_nodes(&epilogue);
+                epilogues.push(epilogue);
+            }
+            Node::BatchNorm { .. } => standalone.push(bn.next().expect(BN)),
+            Node::Residual { main, shortcut } => {
+                fuse_epilogues(main, conv_bias, bn, epilogues, standalone);
+                if let Some(s) = shortcut {
+                    fuse_epilogues(s, conv_bias, bn, epilogues, standalone);
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+}
+
 fn collect_linears(nodes: &[Node], f: &mut impl FnMut(&str, usize, usize)) {
     for node in nodes {
         match node {
@@ -311,38 +379,51 @@ struct WalkCtx<'a> {
 
 impl WalkCtx<'_> {
     fn walk(&mut self, nodes: &[Node], mut feat: Feat) -> Feat {
-        for node in nodes {
-            feat = self.step(node, feat);
+        let mut i = 0;
+        while i < nodes.len() {
+            if let Node::Conv(spec) = &nodes[i] {
+                let epilogue = &self.net.epilogues[self.conv_idx];
+                feat = self.conv(spec, epilogue, feat);
+                i += fused_nodes(epilogue);
+            } else {
+                feat = self.step(&nodes[i], feat);
+            }
+            i += 1;
         }
         feat
     }
 
+    /// One conv stage: the conv, then its `epilogue`, which stands for
+    /// the nodes fused onto it.
+    fn conv(&mut self, spec: &Conv3dSpec, epilogue: &Epilogue, feat: Feat) -> Feat {
+        let Feat::Map(map) = feat else {
+            panic!("conv after flatten")
+        };
+        let inst = &self.net.instances[self.conv_idx];
+        assert_eq!(inst.spec.name, spec.name, "conv walk order mismatch");
+        let (out, stats) = match &mut self.convs {
+            Convs::Cycle(pruned, acc) => {
+                let (mut out, stats) = run_conv_with_scratch(
+                    inst,
+                    &self.net.conv_weights[&spec.name],
+                    &map,
+                    pruned.mask(&spec.name),
+                    &self.net.config,
+                    acc,
+                );
+                PostProcessor::epilogue(&mut out, epilogue);
+                (out, stats)
+            }
+            Convs::Compiled(layers) => layers[self.conv_idx].run(&map),
+        };
+        self.conv_idx += 1;
+        self.accumulate(stats);
+        Feat::Map(out)
+    }
+
     fn step(&mut self, node: &Node, feat: Feat) -> Feat {
         match node {
-            Node::Conv(spec) => {
-                let Feat::Map(map) = feat else {
-                    panic!("conv after flatten")
-                };
-                let inst = &self.net.instances[self.conv_idx];
-                assert_eq!(inst.spec.name, spec.name, "conv walk order mismatch");
-                let (mut out, stats) = match &mut self.convs {
-                    Convs::Cycle(pruned, acc) => run_conv_with_scratch(
-                        inst,
-                        &self.net.conv_weights[&spec.name],
-                        &map,
-                        pruned.mask(&spec.name),
-                        &self.net.config,
-                        acc,
-                    ),
-                    Convs::Compiled(layers) => layers[self.conv_idx].run(&map),
-                };
-                self.conv_idx += 1;
-                self.accumulate(stats);
-                if let Some(bias) = self.net.conv_bias.get(&spec.name) {
-                    PostProcessor::bias(&mut out, bias);
-                }
-                Feat::Map(out)
-            }
+            Node::Conv(_) => unreachable!("convs run as stages in `walk`"),
             Node::BatchNorm { .. } => {
                 let Feat::Map(mut map) = feat else {
                     panic!("batchnorm after flatten")
@@ -509,6 +590,104 @@ mod tests {
         assert!(sparse_out.stats.blocks_skipped > 0);
         // Pruned weights are zero, so outputs agree exactly.
         assert_eq!(dense_out.logits, sparse_out.logits);
+    }
+
+    /// A hand-built spec whose convs carry a bias and whose runs differ
+    /// from lite-wide's `conv -> BatchNorm [-> ReLU]`: `conv -> ReLU`
+    /// without batch norm, bias alone, ReLU alone, and a batch norm
+    /// after a pool that no conv's epilogue can hold.
+    fn biased_spec() -> NetworkSpec {
+        let conv = |name: &str, m, n, kernel, pad, bias| {
+            Node::Conv(Conv3dSpec {
+                name: name.into(),
+                stage: "s".into(),
+                out_channels: m,
+                in_channels: n,
+                kernel,
+                stride: (1, 1, 1),
+                pad,
+                bias,
+            })
+        };
+        NetworkSpec {
+            name: "biased".into(),
+            input: (1, 4, 10, 10),
+            nodes: vec![
+                conv("c1", 6, 1, (1, 3, 3), (0, 1, 1), true),
+                Node::Relu,
+                conv("c2", 8, 6, (3, 1, 1), (1, 0, 0), true),
+                Node::BatchNorm { channels: 8 },
+                Node::Relu,
+                conv("c3", 8, 8, (1, 3, 3), (0, 1, 1), true),
+                Node::MaxPool {
+                    kernel: (1, 2, 2),
+                    stride: (1, 2, 2),
+                    pad: (0, 0, 0),
+                },
+                Node::BatchNorm { channels: 8 },
+                Node::Relu,
+                conv("c4", 8, 8, (1, 1, 1), (0, 0, 0), false),
+                Node::Relu,
+                Node::GlobalAvgPool,
+                Node::Linear {
+                    name: "fc".into(),
+                    out_features: 3,
+                    in_features: 8,
+                },
+            ],
+        }
+    }
+
+    /// The epilogue's bias branch, which lite-wide never takes: on
+    /// [`biased_spec`] with random conv biases and batch-norm affine
+    /// parameters, block-pruned, compiled layers equal the cycle engine
+    /// in logits, `ConvStats` and FC cycles, on quiet and loud clips.
+    #[test]
+    fn compiled_forward_equals_cycle_with_bias_and_no_batch_norm() {
+        use p3d_core::{magnitude_block_prune, BlockShape, KeepRule, PruneTarget};
+        let spec = biased_spec();
+        let mut net = build_network(&spec, 37);
+        let mut rng = TensorRng::seed(11);
+        net.visit_params(&mut |p| {
+            if p.name.ends_with(".bias") || p.name.ends_with(".beta") {
+                p.value = rng.uniform_tensor(p.value.shape().dims(), -0.5, 0.5);
+            } else if p.name.ends_with(".gamma") {
+                p.value = rng.uniform_tensor(p.value.shape().dims(), -1.5, 1.5);
+            }
+        });
+        let targets = vec![PruneTarget {
+            layer: "c3".into(),
+            eta: 0.5,
+        }];
+        let pruned =
+            magnitude_block_prune(&mut net, BlockShape::new(4, 4), &targets, KeepRule::Round);
+        let q = QuantizedNetwork::from_network(&spec, &mut net, micro_cfg());
+        let fused: Vec<_> = q
+            .epilogues
+            .iter()
+            .map(|e| (e.bias.is_some(), e.batch_norm.is_some(), e.relu))
+            .collect();
+        assert_eq!(
+            fused,
+            [
+                (true, false, true),
+                (true, true, true),
+                (true, false, false),
+                (false, false, true),
+            ]
+        );
+        assert_eq!(q.bn_folded.len(), 1, "the pooled batch norm stands alone");
+        let layers = q.compile(&pruned);
+        for loud in [1.0, 60.0] {
+            let clip = rng.uniform_tensor([1, 4, 10, 10], -loud, loud);
+            let compiled = q.forward_compiled(&clip, &layers);
+            let cycle = q.forward(&clip, &pruned);
+            assert_eq!(compiled.logits, cycle.logits, "loudness {loud}");
+            assert_eq!(compiled.stats, cycle.stats, "loudness {loud}");
+            assert_eq!(compiled.fc_cycles, cycle.fc_cycles, "loudness {loud}");
+            assert!(compiled.stats.blocks_skipped > 0);
+            assert_eq!(compiled.stats.saturated_words > 0, loud > 1.0);
+        }
     }
 
     /// Compiled layers equal both engines, on the pruned micro model as

@@ -7,13 +7,49 @@
 //! layer." All operations run in Q7.8 fixed point and are overlapped with
 //! the convolution engine, so they contribute no cycles in the
 //! performance model.
+//!
+//! [`PostProcessor`] is the reference for these operations, one walk over
+//! the whole map each, and the cycle engine's path. The functional
+//! engine instead applies a conv's [`Epilogue`] (bias, folded batch norm,
+//! ReLU) to each strip in the finish that rounds it, as the hardware
+//! overlaps the unit with the convolution; it uses the same saturating
+//! `Fixed16` operations in the same order, so both paths are bitwise
+//! equal.
 
 use p3d_tensor::{div_round_nearest, Fixed16, FixedTensor, Shape};
+
+/// The per-output-channel post-processing fused onto one conv: bias, then
+/// folded batch norm, then ReLU, each optional. The default is the
+/// identity.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Epilogue {
+    /// Per-channel conv bias.
+    pub bias: Option<Vec<Fixed16>>,
+    /// Folded batch norm `(scale, shift)` per channel.
+    pub batch_norm: Option<(Vec<Fixed16>, Vec<Fixed16>)>,
+    /// ReLU after the rest.
+    pub relu: bool,
+}
 
 /// Stateless fixed-point post-processing operations.
 pub struct PostProcessor;
 
 impl PostProcessor {
+    /// Applies `ep` to a `[M, D, H, W]` conv output: [`PostProcessor::bias`],
+    /// then [`PostProcessor::batch_norm`], then [`PostProcessor::relu`],
+    /// each only when present.
+    pub fn epilogue(t: &mut FixedTensor, ep: &Epilogue) {
+        if let Some(bias) = &ep.bias {
+            PostProcessor::bias(t, bias);
+        }
+        if let Some((scale, shift)) = &ep.batch_norm {
+            PostProcessor::batch_norm(t, scale, shift);
+        }
+        if ep.relu {
+            PostProcessor::relu(t);
+        }
+    }
+
     /// Per-channel bias addition on a `[M, D, H, W]` map.
     pub fn bias(t: &mut FixedTensor, bias: &[Fixed16]) {
         let s = t.shape();

@@ -654,3 +654,96 @@ fn certificate_boundary_equals_cycle_at_the_rails() {
         assert!(saturated > 0, "weights {w:?}: the rails must saturate");
     }
 }
+
+/// The fused epilogue at the rails. A compiled layer carrying bias,
+/// folded batch norm and (or not) ReLU must equal the cycle conv
+/// followed by `PostProcessor::bias`, `batch_norm` and `relu`, word for
+/// word, with the same statistics: `saturated_words` counts only the
+/// conv's own rails. Under the paper's 8x4 blocks the 18 output
+/// channels form three block rows: channels 0..8 (a certified group and
+/// one whose channel 5 sums `-32768` weights past the certificate),
+/// 8..16 (every block disabled, so each channel holds its epilogue of
+/// zero) and 16..18 (a ragged group of two). Each output row is 7 wide,
+/// 21 positions per chunk: two full strips and a 5-position tail. The
+/// epilogue parameters rotate through every channel: scales
+/// `{-32768, -1, 0, 1, 256, 32767}` (`1` is one ULP, `256` is 1.0),
+/// biases and shifts at both rails, zero and in between. Inputs are a
+/// rail-heavy pattern, whose conv outputs rail at both ends, and a
+/// moderate one, whose outputs leave the epilogue's own saturation to
+/// do the work. Each case runs with the detected SIMD level and under
+/// forced scalar.
+#[test]
+fn fused_epilogue_equals_cycle_then_post_processor_at_the_rails() {
+    use p3d_fpga::sim::{CompiledConv, Epilogue, PostProcessor};
+
+    const SCALES: [i16; 6] = [-32768, -1, 0, 1, 256, 32767];
+    const BIASES: [i16; 5] = [i16::MIN, i16::MAX, 0, -300, 450];
+    const SHIFTS: [i16; 7] = [i16::MAX, 0, i16::MIN, 123, -77, 2000, -4000];
+    let cfg = paper_cfg();
+    let (m, n) = (18, 5);
+    let inst = conv_inst("fused", (m, n), (1, 1, 3), (1, 1, 1), (0, 0, 0), (1, 3, 9));
+    assert_eq!(inst.output, (m, 1, 3, 7));
+    let mut rng = TensorRng::seed(0xe91);
+    let mut qw = FixedTensor::quantize(&rng.uniform_tensor([m, n, 1, 1, 3], -2.0, 2.0));
+    qw.data_mut()[5 * n * 3..6 * n * 3].fill(Fixed16::MIN);
+    let grid = BlockGrid::for_weight(&qw.dequantize(), BlockShape::new(8, 4));
+    assert_eq!((grid.rows(), grid.cols()), (3, 2));
+    let mask = LayerBlockMask::new(grid, vec![true, true, false, false, true, false]);
+    let layer = CompiledConv::compile(&inst, &qw, Some(&mask), &cfg);
+    assert_eq!(layer.certified_groups(), (2, 3), "one uncertified group");
+
+    let moderate = FixedTensor::quantize(&rng.uniform_tensor([n, 1, 3, 9], -1.0, 1.0));
+    let inputs = [
+        ("rails", full_range_tensor(&[n, 1, 3, 9], 0x5a7)),
+        ("moderate", moderate),
+    ];
+    let _guard = SIMD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+    for (name, qx) in &inputs {
+        let (conv, conv_stats) = run_conv(&inst, &qw, qx, Some(&mask), &cfg);
+        if *name == "rails" {
+            assert!(
+                conv.data().contains(&Fixed16::MIN),
+                "no output at the low rail"
+            );
+            assert!(
+                conv.data().contains(&Fixed16::MAX),
+                "no output at the high rail"
+            );
+            assert!(conv_stats.saturated_words > 0);
+        }
+        for rot in 0..SCALES.len() {
+            let param =
+                |table: &[i16], c: usize| Fixed16::from_bits(table[(c + rot) % table.len()]);
+            let bias: Vec<_> = (0..m).map(|c| param(&BIASES, c)).collect();
+            let scale: Vec<_> = (0..m).map(|c| param(&SCALES, c)).collect();
+            let shift: Vec<_> = (0..m).map(|c| param(&SHIFTS, c)).collect();
+            for relu in [false, true] {
+                let mut want = conv.clone();
+                PostProcessor::bias(&mut want, &bias);
+                PostProcessor::batch_norm(&mut want, &scale, &shift);
+                if relu {
+                    PostProcessor::relu(&mut want);
+                }
+                let epilogue = Epilogue {
+                    bias: Some(bias.clone()),
+                    batch_norm: Some((scale.clone(), shift.clone())),
+                    relu,
+                };
+                let fused =
+                    CompiledConv::compile(&inst, &qw, Some(&mask), &cfg).with_epilogue(&epilogue);
+                for forced in [false, true] {
+                    simd::force_scalar(forced);
+                    let (got, stats) = fused.run(qx);
+                    simd::force_scalar(false);
+                    let what = format!(
+                        "{name} inputs, rotation {rot}, relu {relu}, forced scalar {forced}"
+                    );
+                    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+                        assert_eq!(g, w, "{what}: word {i} (channel {}) diverged", i / 21);
+                    }
+                    assert_eq!(stats, conv_stats, "{what}: stats diverged");
+                }
+            }
+        }
+    }
+}

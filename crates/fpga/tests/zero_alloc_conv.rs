@@ -1,7 +1,10 @@
 //! Counts heap allocations in the steady-state functional Q7.8 conv.
 //!
 //! Each lite-wide layer, block-pruned at the paper's stage ratios, is
-//! compiled once ([`CompiledConv::compile`]) before the counted window.
+//! compiled once ([`CompiledConv::compile`]) before the counted window,
+//! with a fused epilogue ([`CompiledConv::with_epilogue`]: bias, folded
+//! batch norm and, on every other layer, ReLU) so the counted finish is
+//! the one serving runs.
 //! Once a warm-up pass has grown the per-thread lowered input tile to
 //! the largest layer, each [`CompiledConv::run`] call must allocate
 //! exactly once: for the output tensor it returns.
@@ -10,11 +13,11 @@
 //! the libtest harness (`harness = false`).
 
 use p3d_core::{magnitude_block_prune, targets_for_stages, BlockShape, KeepRule};
-use p3d_fpga::sim::CompiledConv;
+use p3d_fpga::sim::{CompiledConv, Epilogue};
 use p3d_fpga::{AcceleratorConfig, Ports, Tiling};
 use p3d_models::{build_network, r2plus1d_lite_wide};
 use p3d_nn::Layer;
-use p3d_tensor::{FixedTensor, TensorRng};
+use p3d_tensor::{Fixed16, FixedTensor, TensorRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -76,7 +79,8 @@ fn main() {
     let mut rng = TensorRng::seed(5);
     let layers: Vec<_> = insts
         .iter()
-        .map(|inst| {
+        .enumerate()
+        .map(|(i, inst)| {
             let name = format!("{}.weight", inst.spec.name);
             let (_, w) = weights
                 .iter()
@@ -85,9 +89,18 @@ fn main() {
             let (n, d, h, wd) = inst.input;
             let x = FixedTensor::quantize(&rng.uniform_tensor([n, d, h, wd], 0.0, 1.0));
             let mask = pruned.mask(&inst.spec.name);
+            let mut per_channel = |lo, hi| -> Vec<Fixed16> {
+                let t = rng.uniform_tensor([inst.output.0], lo, hi);
+                t.data().iter().map(|&v| Fixed16::from_f32(v)).collect()
+            };
+            let epilogue = Epilogue {
+                bias: Some(per_channel(-0.5, 0.5)),
+                batch_norm: Some((per_channel(0.5, 2.0), per_channel(-0.5, 0.5))),
+                relu: i % 2 == 0,
+            };
             (
                 inst,
-                CompiledConv::compile(inst, w, mask, &cfg),
+                CompiledConv::compile(inst, w, mask, &cfg).with_epilogue(&epilogue),
                 x,
                 mask.is_some(),
             )
@@ -117,7 +130,7 @@ fn main() {
         }
     }
     println!(
-        "functional conv: {} lite-wide layers x 3 steady-state passes, one allocation per call",
+        "fused functional conv: {} lite-wide layers x 3 steady-state passes, one allocation per call",
         layers.len()
     );
 }

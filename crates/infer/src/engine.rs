@@ -443,9 +443,12 @@ impl Worker for SimWorker {
 /// bounded tiles of output rows and sums every enabled weight's tile
 /// row with one AVX2 integer kernel, in `i32` for channel groups whose
 /// certificate proves it exact and in `i64` otherwise, rounding once
-/// per output. Integer sums do not depend on order, so it is bitwise
-/// identical in logits and statistics to the cycle-approximate engine
-/// that `p3d simulate` uses for latency validation.
+/// per output and applying the conv's bias, folded batch norm and ReLU
+/// in the same finish. Integer sums do not depend on order, and the
+/// finish uses the post-processor's saturating operations in its order,
+/// so it is bitwise identical in logits and statistics to the
+/// cycle-approximate engine that `p3d simulate` uses for latency
+/// validation.
 ///
 /// The worker count is fixed when the engine is built: the thread count
 /// in force then, but never more than the host can run in parallel. The
