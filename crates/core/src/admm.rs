@@ -70,7 +70,10 @@ impl AdmmConfig {
             self.rho_schedule.iter().all(|&r| r > 0.0),
             "rho must be positive"
         );
-        assert!(self.epochs_per_round > 0, "epochs_per_round must be positive");
+        assert!(
+            self.epochs_per_round > 0,
+            "epochs_per_round must be positive"
+        );
         assert!(
             self.epochs_per_admm_update > 0,
             "epochs_per_admm_update must be positive"
@@ -201,7 +204,10 @@ impl AdmmLayerState {
     /// lane count, degenerate grid, eta outside `[0, 1)`, `Z`/`V` shape
     /// disagreement, or keep flags of the wrong length) — never panics
     /// on untrusted input.
-    pub fn from_tensors(prefix: &str, tensors: &BTreeMap<String, Tensor>) -> Option<AdmmLayerState> {
+    pub fn from_tensors(
+        prefix: &str,
+        tensors: &BTreeMap<String, Tensor>,
+    ) -> Option<AdmmLayerState> {
         let meta = unpack_u64s(tensors.get(&format!("{prefix}.meta"))?)?;
         if meta.len() != 8 {
             return None;
@@ -210,9 +216,8 @@ impl AdmmLayerState {
         if !(eta.is_finite() && (0.0..1.0).contains(&eta)) {
             return None;
         }
-        let as_dim = |x: u64| -> Option<usize> {
-            (1..=(1u64 << 32)).contains(&x).then_some(x as usize)
-        };
+        let as_dim =
+            |x: u64| -> Option<usize> { (1..=(1u64 << 32)).contains(&x).then_some(x as usize) };
         let (tm, tn) = (as_dim(meta[1])?, as_dim(meta[2])?);
         let (m, n, kernel_volume) = (as_dim(meta[3])?, as_dim(meta[4])?, as_dim(meta[5])?);
         let grid = BlockGrid::new(m, n, kernel_volume, BlockShape::new(tm, tn));
@@ -347,7 +352,10 @@ mod tests {
         let norms = grid.block_norms_sq(&w);
         let mut sorted = norms.clone();
         sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        assert!(sorted[2] < sorted[1] * 0.01, "pruned blocks not vanishing: {norms:?}");
+        assert!(
+            sorted[2] < sorted[1] * 0.01,
+            "pruned blocks not vanishing: {norms:?}"
+        );
     }
 
     #[test]
@@ -410,7 +418,10 @@ mod tests {
 
         // Corrupt meta: zero grid dimension must not panic BlockGrid::new.
         let mut bad_meta = map.clone();
-        bad_meta.insert("a.meta".into(), pack_u64s(&[0.5f64.to_bits(), 0, 2, 4, 4, 9, 2, 0]));
+        bad_meta.insert(
+            "a.meta".into(),
+            pack_u64s(&[0.5f64.to_bits(), 0, 2, 4, 4, 9, 2, 0]),
+        );
         assert!(AdmmLayerState::from_tensors("a", &bad_meta).is_none());
 
         // Keep flags inconsistent with the kept-block count.

@@ -54,7 +54,9 @@ pub use magnitude::{
     block_enable_from_mask, channel_prune, magnitude_block_prune, unstructured_prune,
 };
 pub use mask_export::{LayerBlockMask, PrunedModel};
-pub use projection::{project, project_inplace, satisfies_sparsity, select_blocks, KeepRule, ProjectionResult};
+pub use projection::{
+    project, project_inplace, satisfies_sparsity, select_blocks, KeepRule, ProjectionResult,
+};
 pub use pruner::{
     targets_for_stages, AdmmProgress, AdmmPruner, AdmmTick, PruneLog, PruneTarget, RetrainTick,
     RoundLog,

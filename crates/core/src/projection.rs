@@ -183,10 +183,7 @@ mod tests {
     fn projection_minimises_distance() {
         // Among all subsets of the right size, the projection must keep
         // the largest-norm blocks, i.e. minimise ||W - Z||_F.
-        let w = Tensor::from_vec(
-            [2, 2, 1, 1, 1],
-            vec![0.1, 2.0, -3.0, 0.5],
-        );
+        let w = Tensor::from_vec([2, 2, 1, 1, 1], vec![0.1, 2.0, -3.0, 0.5]);
         let grid = BlockGrid::for_weight(&w, BlockShape::new(1, 1));
         let (z, r) = project(&w, &grid, 0.5, KeepRule::Round);
         // Keeps |2.0| and |-3.0| blocks.

@@ -14,8 +14,8 @@ use crate::admm::{AdmmConfig, AdmmLayerState};
 use crate::blocks::{BlockGrid, BlockShape};
 use crate::mask_export::{LayerBlockMask, PrunedModel};
 use crate::projection::select_blocks;
-use p3d_nn::{Dataset, EpochStats, Layer, LrSchedule, Trainer};
 use p3d_models::NetworkSpec;
+use p3d_nn::{Dataset, EpochStats, Layer, LrSchedule, Trainer};
 use p3d_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::io;
@@ -168,10 +168,14 @@ impl AdmmPruner {
         let weights = collect_weights(network, &layers);
         let mut states = BTreeMap::new();
         for t in targets {
-            let w = weights.get(&t.layer).unwrap_or_else(|| {
-                panic!("prune target {} not found in network", t.layer)
-            });
-            assert!((0.0..1.0).contains(&t.eta), "eta out of range for {}", t.layer);
+            let w = weights
+                .get(&t.layer)
+                .unwrap_or_else(|| panic!("prune target {} not found in network", t.layer));
+            assert!(
+                (0.0..1.0).contains(&t.eta),
+                "eta out of range for {}",
+                t.layer
+            );
             let grid = BlockGrid::for_weight(w, block_shape);
             states.insert(
                 t.layer.clone(),
@@ -242,7 +246,11 @@ impl AdmmPruner {
             if ri < start.round {
                 continue;
             }
-            let first_epoch = if ri == start.round { start.epoch + 1 } else { 1 };
+            let first_epoch = if ri == start.round {
+                start.epoch + 1
+            } else {
+                1
+            };
             if ri > 0 && first_epoch == 1 {
                 // "Expand rho": preserve the unscaled dual across the
                 // penalty change (see AdmmLayerState::rescale_dual).
@@ -411,7 +419,10 @@ impl AdmmPruner {
             };
             let Some(st) = states.get(&layer) else { return };
             if let Some(mask) = &p.mask {
-                pruned.insert(layer, crate::magnitude::block_enable_from_mask(mask, &st.grid));
+                pruned.insert(
+                    layer,
+                    crate::magnitude::block_enable_from_mask(mask, &st.grid),
+                );
             }
         });
         // Match `hard_prune`: the resumed retraining forward also runs
@@ -564,8 +575,12 @@ mod tests {
     #[test]
     fn admm_train_reduces_primal_residual() {
         let (mut net, data, mut trainer) = micro_setup();
-        let mut pruner =
-            AdmmPruner::new(&mut net, BlockShape::new(4, 4), &micro_targets(), micro_config());
+        let mut pruner = AdmmPruner::new(
+            &mut net,
+            BlockShape::new(4, 4),
+            &micro_targets(),
+            micro_config(),
+        );
         let before = pruner.max_primal_residual(&mut net);
         let log = pruner.admm_train(&mut net, &mut trainer, &data);
         let after = pruner.max_primal_residual(&mut net);
@@ -579,8 +594,12 @@ mod tests {
     #[test]
     fn hard_prune_installs_masks_and_satisfies_sparsity() {
         let (mut net, data, mut trainer) = micro_setup();
-        let mut pruner =
-            AdmmPruner::new(&mut net, BlockShape::new(4, 4), &micro_targets(), micro_config());
+        let mut pruner = AdmmPruner::new(
+            &mut net,
+            BlockShape::new(4, 4),
+            &micro_targets(),
+            micro_config(),
+        );
         pruner.admm_train(&mut net, &mut trainer, &data);
         let pruned = pruner.hard_prune(&mut net);
         assert!(pruner.verify_sparsity(&mut net));
@@ -593,8 +612,12 @@ mod tests {
     #[test]
     fn retraining_preserves_sparsity() {
         let (mut net, data, mut trainer) = micro_setup();
-        let mut pruner =
-            AdmmPruner::new(&mut net, BlockShape::new(4, 4), &micro_targets(), micro_config());
+        let mut pruner = AdmmPruner::new(
+            &mut net,
+            BlockShape::new(4, 4),
+            &micro_targets(),
+            micro_config(),
+        );
         pruner.admm_train(&mut net, &mut trainer, &data);
         let _ = pruner.hard_prune(&mut net);
         let schedule = LrSchedule::WarmupCosine {

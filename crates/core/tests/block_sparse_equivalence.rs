@@ -81,7 +81,11 @@ fn train_step_bitwise_identical_to_dense() {
         let x = rng.uniform_tensor([2, 1, 6, 16, 16], -1.0, 1.0);
         let yd = dense.forward(&x, Mode::Train);
         let ys = sparse.forward(&x, Mode::Train);
-        assert_eq!(yd.data(), ys.data(), "train forward diverged at step {step}");
+        assert_eq!(
+            yd.data(),
+            ys.data(),
+            "train forward diverged at step {step}"
+        );
 
         let g = rng.uniform_tensor(yd.shape(), -0.1, 0.1);
         let gd = dense.backward(&g);

@@ -1,8 +1,6 @@
 //! Property-based tests for the blockwise pruning machinery.
 
-use p3d_core::{
-    project, select_blocks, BlockGrid, BlockShape, KeepRule, LayerBlockMask,
-};
+use p3d_core::{project, select_blocks, BlockGrid, BlockShape, KeepRule, LayerBlockMask};
 use p3d_tensor::TensorRng;
 use proptest::prelude::*;
 

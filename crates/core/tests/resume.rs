@@ -74,7 +74,10 @@ fn micro_config() -> AdmmConfig {
 }
 
 fn tmp_state_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("p3d-resume-test-{}-{tag}.state", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "p3d-resume-test-{}-{tag}.state",
+        std::process::id()
+    ))
 }
 
 /// Bitwise network equality via captured checkpoints (float `==` would
@@ -135,9 +138,18 @@ fn check_admm_kill_point(kill_round: usize, kill_epoch: usize, data: &SyntheticV
     // Reference: never interrupted.
     let mut ref_net = micro_net(11);
     let mut ref_trainer = micro_trainer(3);
-    let mut ref_pruner = AdmmPruner::new(&mut ref_net, BlockShape::new(4, 4), &micro_targets(), micro_config());
+    let mut ref_pruner = AdmmPruner::new(
+        &mut ref_net,
+        BlockShape::new(4, 4),
+        &micro_targets(),
+        micro_config(),
+    );
     let ref_log = ref_pruner.admm_train(&mut ref_net, &mut ref_trainer, data);
-    let ref_losses: Vec<f32> = ref_log.rounds.iter().flat_map(|r| r.losses.clone()).collect();
+    let ref_losses: Vec<f32> = ref_log
+        .rounds
+        .iter()
+        .flat_map(|r| r.losses.clone())
+        .collect();
 
     // Interrupted: identical seeds, killed at the chosen epoch. The tick
     // fires after the epoch's dual update, i.e. at the exact state a
@@ -145,7 +157,12 @@ fn check_admm_kill_point(kill_round: usize, kill_epoch: usize, data: &SyntheticV
     let path = tmp_state_path(&format!("admm-{kill_round}-{kill_epoch}"));
     let mut net1 = micro_net(11);
     let mut trainer1 = micro_trainer(3);
-    let mut pruner1 = AdmmPruner::new(&mut net1, BlockShape::new(4, 4), &micro_targets(), micro_config());
+    let mut pruner1 = AdmmPruner::new(
+        &mut net1,
+        BlockShape::new(4, 4),
+        &micro_targets(),
+        micro_config(),
+    );
     let mut part1_losses = Vec::new();
     let log1 = pruner1.admm_train_from(
         &mut net1,
@@ -172,20 +189,23 @@ fn check_admm_kill_point(kill_round: usize, kill_epoch: usize, data: &SyntheticV
     let loaded = TrainState::load(&path).expect("load state file");
     let mut net2 = micro_net(77);
     let mut trainer2 = micro_trainer(99);
-    let mut pruner2 = AdmmPruner::new(&mut net2, BlockShape::new(4, 4), &micro_targets(), micro_config());
+    let mut pruner2 = AdmmPruner::new(
+        &mut net2,
+        BlockShape::new(4, 4),
+        &micro_targets(),
+        micro_config(),
+    );
     let start = restore_admm_train_state(&loaded, &mut net2, &mut trainer2, &mut pruner2)
         .expect("restore state");
-    assert_eq!((start.round, start.epoch), (kill_round, kill_epoch), "{what}");
-    let log2 = pruner2.admm_train_from(
-        &mut net2,
-        &mut trainer2,
-        data,
-        start,
-        &mut |t| {
-            part1_losses.push(t.stats.loss);
-            true
-        },
+    assert_eq!(
+        (start.round, start.epoch),
+        (kill_round, kill_epoch),
+        "{what}"
     );
+    let log2 = pruner2.admm_train_from(&mut net2, &mut trainer2, data, start, &mut |t| {
+        part1_losses.push(t.stats.loss);
+        true
+    });
 
     // Bitwise identity of everything observable.
     assert_nets_bits_eq(&mut ref_net, &mut net2, &what);
@@ -208,7 +228,11 @@ fn check_admm_kill_point(kill_round: usize, kill_epoch: usize, data: &SyntheticV
         res_model.kept_fraction().to_bits(),
         "{what}: kept fraction"
     );
-    assert_nets_bits_eq(&mut ref_net, &mut net2, &format!("{what}, after hard prune"));
+    assert_nets_bits_eq(
+        &mut ref_net,
+        &mut net2,
+        &format!("{what}, after hard prune"),
+    );
 
     let _ = std::fs::remove_file(&path);
 }
@@ -238,8 +262,12 @@ fn retrain_resume_is_bitwise_identical_and_keeps_masks() {
         let mut net = micro_net(11);
         let mut trainer = micro_trainer(3);
         trainer.train_epoch(&mut net, &data, None);
-        let mut pruner =
-            AdmmPruner::new(&mut net, BlockShape::new(4, 4), &micro_targets(), micro_config());
+        let mut pruner = AdmmPruner::new(
+            &mut net,
+            BlockShape::new(4, 4),
+            &micro_targets(),
+            micro_config(),
+        );
         let _ = pruner.hard_prune(&mut net);
         (net, trainer, pruner)
     };
@@ -271,7 +299,10 @@ fn retrain_resume_is_bitwise_identical_and_keeps_masks() {
     let (restored_schedule, done) =
         restore_retrain_state(&loaded, &mut net2, &mut trainer2).expect("restore retrain state");
     assert_eq!(done, 2);
-    assert_eq!(restored_schedule.lr_at(3).to_bits(), schedule.lr_at(3).to_bits());
+    assert_eq!(
+        restored_schedule.lr_at(3).to_bits(),
+        schedule.lr_at(3).to_bits()
+    );
     let cont = AdmmPruner::retrain_from(
         &mut net2,
         &mut trainer2,
@@ -302,20 +333,36 @@ fn restore_into_wrong_architecture_is_rejected() {
     let data = micro_data();
     let mut net = micro_net(11);
     let mut trainer = micro_trainer(3);
-    let mut pruner =
-        AdmmPruner::new(&mut net, BlockShape::new(4, 4), &micro_targets(), micro_config());
+    let mut pruner = AdmmPruner::new(
+        &mut net,
+        BlockShape::new(4, 4),
+        &micro_targets(),
+        micro_config(),
+    );
     let mut state = None;
-    pruner.admm_train_from(&mut net, &mut trainer, &data, AdmmProgress::start(), &mut |t| {
-        state = Some(capture_admm_train_state(t.network, t.trainer, t.pruner, t.progress));
-        false
-    });
+    pruner.admm_train_from(
+        &mut net,
+        &mut trainer,
+        &data,
+        AdmmProgress::start(),
+        &mut |t| {
+            state = Some(capture_admm_train_state(
+                t.network, t.trainer, t.pruner, t.progress,
+            ));
+            false
+        },
+    );
     let state = state.expect("one tick");
 
     // Wrong model: different class count changes the head shape.
     let mut other = p3d_models::build_network(&p3d_models::r2plus1d_micro(5), 1);
     let mut other_trainer = micro_trainer(3);
-    let mut other_pruner =
-        AdmmPruner::new(&mut other, BlockShape::new(4, 4), &micro_targets(), micro_config());
+    let mut other_pruner = AdmmPruner::new(
+        &mut other,
+        BlockShape::new(4, 4),
+        &micro_targets(),
+        micro_config(),
+    );
     let err = restore_admm_train_state(&state, &mut other, &mut other_trainer, &mut other_pruner);
     assert!(err.is_err(), "architecture mismatch must be rejected");
 
@@ -327,16 +374,24 @@ fn restore_into_wrong_architecture_is_rejected() {
         16, // batch size differs from the captured 8
         3,
     );
-    let mut same_pruner =
-        AdmmPruner::new(&mut same, BlockShape::new(4, 4), &micro_targets(), micro_config());
+    let mut same_pruner = AdmmPruner::new(
+        &mut same,
+        BlockShape::new(4, 4),
+        &micro_targets(),
+        micro_config(),
+    );
     let err = restore_admm_train_state(&state, &mut same, &mut fat_trainer, &mut same_pruner);
     assert!(err.is_err(), "batch-size mismatch must be rejected");
 
     // Wrong pruner: different block shape cannot adopt the saved grids.
     let mut same2 = micro_net(11);
     let mut same2_trainer = micro_trainer(3);
-    let mut wide_pruner =
-        AdmmPruner::new(&mut same2, BlockShape::new(8, 4), &micro_targets(), micro_config());
+    let mut wide_pruner = AdmmPruner::new(
+        &mut same2,
+        BlockShape::new(8, 4),
+        &micro_targets(),
+        micro_config(),
+    );
     let err = restore_admm_train_state(&state, &mut same2, &mut same2_trainer, &mut wide_pruner);
     assert!(err.is_err(), "block-shape mismatch must be rejected");
 }
