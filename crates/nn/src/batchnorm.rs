@@ -70,8 +70,7 @@ impl BatchNorm3d {
         let mut scale = Vec::with_capacity(c);
         let mut shift = Vec::with_capacity(c);
         for ch in 0..c {
-            let s = self.gamma.value.data()[ch]
-                / (self.running_var.data()[ch] + self.eps).sqrt();
+            let s = self.gamma.value.data()[ch] / (self.running_var.data()[ch] + self.eps).sqrt();
             scale.push(s);
             shift.push(self.beta.value.data()[ch] - s * self.running_mean.data()[ch]);
         }
@@ -259,10 +258,16 @@ impl Layer for BatchNorm3d {
     }
 
     fn import_state(&mut self, get: &mut dyn FnMut(&str, &p3d_tensor::Shape) -> Option<Tensor>) {
-        if let Some(rm) = get(&format!("{}.running_mean", self.name), &self.running_mean.shape()) {
+        if let Some(rm) = get(
+            &format!("{}.running_mean", self.name),
+            &self.running_mean.shape(),
+        ) {
             self.running_mean = rm;
         }
-        if let Some(rv) = get(&format!("{}.running_var", self.name), &self.running_var.shape()) {
+        if let Some(rv) = get(
+            &format!("{}.running_var", self.name),
+            &self.running_var.shape(),
+        ) {
             self.running_var = rv;
         }
     }

@@ -489,7 +489,16 @@ mod tests {
     fn demo_net(seed: u64) -> Sequential {
         let mut rng = TensorRng::seed(seed);
         Sequential::new()
-            .push(Conv3d::new("a", 3, 2, (1, 3, 3), (1, 1, 1), (0, 1, 1), true, &mut rng))
+            .push(Conv3d::new(
+                "a",
+                3,
+                2,
+                (1, 3, 3),
+                (1, 1, 1),
+                (0, 1, 1),
+                true,
+                &mut rng,
+            ))
             .push(crate::batchnorm::BatchNorm3d::new("bn0", 3))
     }
 
@@ -545,8 +554,7 @@ mod tests {
         let mut net = demo_net(5);
         let mut ckpt = Checkpoint::capture(&mut net);
         ckpt.tensors.remove("a.bias");
-        ckpt.tensors
-            .insert("stray".into(), Tensor::zeros([2, 2]));
+        ckpt.tensors.insert("stray".into(), Tensor::zeros([2, 2]));
         let report = ckpt.restore(&mut net);
         assert_eq!(report.missing, vec!["a.bias".to_string()]);
         assert_eq!(report.unused, vec!["stray".to_string()]);

@@ -265,7 +265,16 @@ mod tests {
     fn sequential_composes() {
         let mut rng = TensorRng::seed(1);
         let mut seq = Sequential::new()
-            .push(Conv3d::new("a", 2, 1, (1, 1, 1), (1, 1, 1), (0, 0, 0), false, &mut rng))
+            .push(Conv3d::new(
+                "a",
+                2,
+                1,
+                (1, 1, 1),
+                (1, 1, 1),
+                (0, 0, 0),
+                false,
+                &mut rng,
+            ))
             .push(Relu::new());
         let x = rng.uniform_tensor([1, 1, 2, 2, 2], -1.0, 1.0);
         let y = seq.forward(&x, Mode::Eval);

@@ -220,18 +220,18 @@ impl Layer for Conv3d {
         let m = self.out_channels();
         let cols_n = geom.col_cols();
         let rows = geom.col_rows();
-        assert_eq!(grad_out.len(), batch * m * cols_n, "grad_out shape mismatch");
+        assert_eq!(
+            grad_out.len(),
+            batch * m * cols_n,
+            "grad_out shape mismatch"
+        );
 
         let per_in = input.len() / batch;
         let per_out = m * cols_n;
         // Transpose the weight matrix once, outside the per-clip loop —
         // `matmul_tn` would have re-materialised it per clip. Same
         // arithmetic, so per-clip results are unchanged bit for bit.
-        let w_t = self
-            .weight
-            .value
-            .reshape(Shape::d2(m, rows))
-            .transpose2();
+        let w_t = self.weight.value.reshape(Shape::d2(m, rows)).transpose2();
         let mut grad_in = Tensor::zeros(input.shape());
         let want_bias = self.bias.is_some();
 
@@ -399,8 +399,7 @@ mod tests {
     fn bias_added_per_channel() {
         let (mut conv, mut rng) = mk(4);
         conv.weight.value.fill(0.0);
-        conv.bias.as_mut().unwrap().value =
-            Tensor::from_vec([3], vec![1.0, 2.0, 3.0]);
+        conv.bias.as_mut().unwrap().value = Tensor::from_vec([3], vec![1.0, 2.0, 3.0]);
         let x = rng.uniform_tensor([1, 2, 3, 4, 4], -1.0, 1.0);
         let y = conv.forward(&x, Mode::Eval);
         assert!((y.get(&[0, 0, 0, 0, 0]) - 1.0).abs() < 1e-6);
@@ -412,8 +411,7 @@ mod tests {
     fn stride_and_padding_shapes() {
         let mut rng = TensorRng::seed(5);
         // R(2+1)D conv1 spatial: 1x7x7, stride (1,2,2), pad (0,3,3).
-        let mut conv =
-            Conv3d::new("c1", 4, 3, (1, 7, 7), (1, 2, 2), (0, 3, 3), false, &mut rng);
+        let mut conv = Conv3d::new("c1", 4, 3, (1, 7, 7), (1, 2, 2), (0, 3, 3), false, &mut rng);
         let x = rng.uniform_tensor([1, 3, 4, 16, 16], -1.0, 1.0);
         let y = conv.forward(&x, Mode::Eval);
         assert_eq!(y.shape().dims(), &[1, 4, 4, 8, 8]);

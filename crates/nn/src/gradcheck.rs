@@ -145,8 +145,7 @@ mod tests {
     #[test]
     fn conv3d_gradients() {
         let mut rng = TensorRng::seed(10);
-        let mut conv =
-            Conv3d::new("gc", 3, 2, (2, 3, 3), (1, 2, 2), (1, 1, 1), true, &mut rng);
+        let mut conv = Conv3d::new("gc", 3, 2, (2, 3, 3), (1, 2, 2), (1, 1, 1), true, &mut rng);
         let x = rng.uniform_tensor([2, 2, 3, 5, 5], -1.0, 1.0);
         let rep = check_layer(&mut conv, &x, 40, 99);
         assert!(rep.max_param_err < TOL, "param err {}", rep.max_param_err);
@@ -157,8 +156,7 @@ mod tests {
     fn conv3d_temporal_kernel_gradients() {
         // R(2+1)D temporal convolution: 3x1x1.
         let mut rng = TensorRng::seed(11);
-        let mut conv =
-            Conv3d::new("gt", 2, 3, (3, 1, 1), (1, 1, 1), (1, 0, 0), false, &mut rng);
+        let mut conv = Conv3d::new("gt", 2, 3, (3, 1, 1), (1, 1, 1), (1, 0, 0), false, &mut rng);
         let x = rng.uniform_tensor([1, 3, 4, 3, 3], -1.0, 1.0);
         let rep = check_layer(&mut conv, &x, 40, 98);
         assert!(rep.max_param_err < TOL, "param err {}", rep.max_param_err);
@@ -197,7 +195,9 @@ mod tests {
 
     #[test]
     fn global_pool_and_relu_gradients() {
-        let mut seq = Sequential::new().push(Relu::new()).push(GlobalAvgPool::new());
+        let mut seq = Sequential::new()
+            .push(Relu::new())
+            .push(GlobalAvgPool::new());
         let mut rng = TensorRng::seed(15);
         let x = rng.uniform_tensor([2, 3, 2, 3, 3], -1.0, 1.0);
         let rep = check_layer(&mut seq, &x, 40, 94);
@@ -208,9 +208,27 @@ mod tests {
     fn residual_block_gradients() {
         let mut rng = TensorRng::seed(16);
         let main = Sequential::new()
-            .push(Conv3d::new("rm", 2, 2, (1, 3, 3), (1, 1, 1), (0, 1, 1), false, &mut rng))
+            .push(Conv3d::new(
+                "rm",
+                2,
+                2,
+                (1, 3, 3),
+                (1, 1, 1),
+                (0, 1, 1),
+                false,
+                &mut rng,
+            ))
             .push(Relu::new())
-            .push(Conv3d::new("rm2", 2, 2, (3, 1, 1), (1, 1, 1), (1, 0, 0), false, &mut rng));
+            .push(Conv3d::new(
+                "rm2",
+                2,
+                2,
+                (3, 1, 1),
+                (1, 1, 1),
+                (1, 0, 0),
+                false,
+                &mut rng,
+            ));
         let mut block = ResidualBlock::identity(main);
         let x = rng.uniform_tensor([1, 2, 3, 4, 4], -1.0, 1.0);
         let rep = check_layer(&mut block, &x, 40, 93);
@@ -252,7 +270,16 @@ mod tests {
     fn small_cnn_end_to_end_gradients() {
         let mut rng = TensorRng::seed(18);
         let mut net = Sequential::new()
-            .push(Conv3d::new("e1", 2, 1, (1, 3, 3), (1, 1, 1), (0, 1, 1), true, &mut rng))
+            .push(Conv3d::new(
+                "e1",
+                2,
+                1,
+                (1, 3, 3),
+                (1, 1, 1),
+                (0, 1, 1),
+                true,
+                &mut rng,
+            ))
             .push(BatchNorm3d::new("e2", 2))
             .push(Relu::new())
             .push(GlobalAvgPool::new())

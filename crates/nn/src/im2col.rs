@@ -41,9 +41,7 @@ impl ConvGeometry {
     ///
     /// Panics if the padded input is smaller than the kernel in any axis.
     pub fn output(&self) -> (usize, usize, usize) {
-        let o = |i: usize, k: usize, s: usize, p: usize| {
-            p3d_tensor::shape::conv_out(i, k, s, p)
-        };
+        let o = |i: usize, k: usize, s: usize, p: usize| p3d_tensor::shape::conv_out(i, k, s, p);
         (
             o(self.input.0, self.kernel.0, self.stride.0, self.pad.0),
             o(self.input.1, self.kernel.1, self.stride.1, self.pad.1),
@@ -163,10 +161,19 @@ pub fn im2col(input: &[f32], geom: &ConvGeometry) -> Tensor {
     let rows = geom.col_rows();
     let cols = geom.col_cols();
     let (od, oh, _) = geom.output();
-    debug_assert_eq!(input.len(), geom.channels * geom.input.0 * geom.input.1 * geom.input.2);
+    debug_assert_eq!(
+        input.len(),
+        geom.channels * geom.input.0 * geom.input.1 * geom.input.2
+    );
     let mut out = vec![0.0f32; rows * cols];
     for p in 0..rows {
-        lower_row(input, geom, p, 0..od * oh, &mut out[p * cols..(p + 1) * cols]);
+        lower_row(
+            input,
+            geom,
+            p,
+            0..od * oh,
+            &mut out[p * cols..(p + 1) * cols],
+        );
     }
     Tensor::from_vec(Shape::d2(rows, cols), out)
 }
@@ -187,12 +194,24 @@ pub fn im2col(input: &[f32], geom: &ConvGeometry) -> Tensor {
 ///
 /// Panics if `packed` has the wrong length or a range exceeds
 /// `col_rows()`.
-pub fn im2col_panels(input: &[f32], geom: &ConvGeometry, ranges: &[(usize, usize)], packed: &mut [f32]) {
-    debug_assert_eq!(input.len(), geom.channels * geom.input.0 * geom.input.1 * geom.input.2);
+pub fn im2col_panels(
+    input: &[f32],
+    geom: &ConvGeometry,
+    ranges: &[(usize, usize)],
+    packed: &mut [f32],
+) {
+    debug_assert_eq!(
+        input.len(),
+        geom.channels * geom.input.0 * geom.input.1 * geom.input.2
+    );
     let (od, oh, _) = geom.output();
-    pack_rows(geom.col_rows(), geom.col_cols(), ranges, packed, |p, row| {
-        lower_row(input, geom, p, 0..od * oh, row)
-    });
+    pack_rows(
+        geom.col_rows(),
+        geom.col_cols(),
+        ranges,
+        packed,
+        |p, row| lower_row(input, geom, p, 0..od * oh, row),
+    );
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a column-matrix gradient back into
@@ -202,7 +221,10 @@ pub fn col2im(cols_grad: &Tensor, geom: &ConvGeometry, input_grad: &mut [f32]) {
     let (od, oh, _) = geom.output();
     let sc = geom.stride.2;
     debug_assert_eq!(cols_grad.shape().dims(), &[geom.col_rows(), cols]);
-    debug_assert_eq!(input_grad.len(), geom.channels * geom.input.0 * geom.input.1 * geom.input.2);
+    debug_assert_eq!(
+        input_grad.len(),
+        geom.channels * geom.input.0 * geom.input.1 * geom.input.2
+    );
     for p in 0..geom.col_rows() {
         let row = &cols_grad.data()[p * cols..(p + 1) * cols];
         walk_row(geom, p, 0..od * oh, |r| {
@@ -335,7 +357,9 @@ mod tests {
         let limit = [g.input.0, g.input.1, g.input.2];
         let mut index = p / (kd * kr * kc);
         for a in 0..3 {
-            let i = (o[a] * s[a] + k[a]).checked_sub(pad[a]).filter(|&i| i < limit[a])?;
+            let i = (o[a] * s[a] + k[a])
+                .checked_sub(pad[a])
+                .filter(|&i| i < limit[a])?;
             index = index * limit[a] + i;
         }
         Some(index)
@@ -374,7 +398,11 @@ mod tests {
                 let full = &fresh.data()[p * cols..(p + 1) * cols];
                 for (j, v) in full.iter().enumerate() {
                     let want = tap_source(g, p, j).map_or(0.0, |i| xf[i]);
-                    assert_eq!(v.to_bits(), want.to_bits(), "{g:?}: im2col row {p} column {j}");
+                    assert_eq!(
+                        v.to_bits(),
+                        want.to_bits(),
+                        "{g:?}: im2col row {p} column {j}"
+                    );
                 }
                 for a in 0..=od * oh {
                     for b in a..=od * oh {
@@ -396,10 +424,21 @@ mod tests {
         let sources = |g: &ConvGeometry, p| -> Vec<_> {
             (0..g.col_cols()).map(|j| tap_source(g, p, j)).collect()
         };
-        assert_eq!(sources(&cases[0], 0)[0], None, "tap 0 starts in the padding");
-        assert_eq!(sources(&cases[0], 17).last(), Some(&None), "the last tap ends past the edge");
+        assert_eq!(
+            sources(&cases[0], 0)[0],
+            None,
+            "tap 0 starts in the padding"
+        );
+        assert_eq!(
+            sources(&cases[0], 17).last(),
+            Some(&None),
+            "the last tap ends past the edge"
+        );
         let row_4 = sources(&cases[2], 13);
-        assert!(row_4.iter().all(Option::is_none), "kernel row 4 reads only padding");
+        assert!(
+            row_4.iter().all(Option::is_none),
+            "kernel row 4 reads only padding"
+        );
         let (od, oh, _) = cases[3].output();
         for p in 0..cases[3].col_rows() {
             let mut runs = 0;

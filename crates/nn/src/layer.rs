@@ -153,11 +153,7 @@ pub trait Layer: Send {
     /// keys — passing the shape it expects, so the provider can refuse
     /// (and report, rather than panic on) a mismatched tensor — and
     /// installs whatever is returned. The default imports nothing.
-    fn import_state(
-        &mut self,
-        _get: &mut dyn FnMut(&str, &p3d_tensor::Shape) -> Option<Tensor>,
-    ) {
-    }
+    fn import_state(&mut self, _get: &mut dyn FnMut(&str, &p3d_tensor::Shape) -> Option<Tensor>) {}
 
     /// Evaluation-mode forward through a preallocated buffer arena: reads
     /// the activation in `input`, writes the layer output into an arena

@@ -15,7 +15,13 @@ pub struct Linear {
 
 impl Linear {
     /// Creates a Kaiming-initialised linear layer.
-    pub fn new(name: &str, out_features: usize, in_features: usize, bias: bool, rng: &mut TensorRng) -> Self {
+    pub fn new(
+        name: &str,
+        out_features: usize,
+        in_features: usize,
+        bias: bool,
+        rng: &mut TensorRng,
+    ) -> Self {
         let w = rng.kaiming_normal(Shape::d2(out_features, in_features), in_features);
         Linear {
             weight: Param::new(format!("{name}.weight"), ParamKind::LinearWeight, w),

@@ -63,7 +63,11 @@ impl CrossEntropyLoss {
             // loss = -sum_c target_c * log p_c
             let mut loss = 0.0f32;
             for c in 0..k {
-                let target = if c == labels[bi] { on_target } else { off_target };
+                let target = if c == labels[bi] {
+                    on_target
+                } else {
+                    off_target
+                };
                 let log_p = row[c] - log_z;
                 loss -= target * log_p;
                 grad.data_mut()[bi * k + c] = (exps[c] / z - target) / b as f32;

@@ -272,7 +272,10 @@ mod tests {
     fn import_rejects_malformed_hyper() {
         let mut opt = Sgd::new(0.1, 0.9, 0.0);
         let mut bad = BTreeMap::new();
-        bad.insert("opt.hyper".to_string(), Tensor::from_vec([2], vec![0.1, 0.9]));
+        bad.insert(
+            "opt.hyper".to_string(),
+            Tensor::from_vec([2], vec![0.1, 0.9]),
+        );
         assert!(opt.import_state(&bad).is_err());
         bad.insert(
             "opt.hyper".to_string(),

@@ -261,10 +261,7 @@ mod tests {
     #[test]
     fn maxpool_picks_maximum() {
         let mut p = MaxPool3d::new((1, 2, 2), (1, 2, 2));
-        let x = Tensor::from_vec(
-            [1, 1, 1, 2, 4],
-            vec![1., 5., 2., 3., 4., 0., -1., 7.],
-        );
+        let x = Tensor::from_vec([1, 1, 1, 2, 4], vec![1., 5., 2., 3., 4., 0., -1., 7.]);
         let y = p.forward(&x, Mode::Eval);
         assert_eq!(y.shape().dims(), &[1, 1, 1, 1, 2]);
         assert_eq!(y.data(), &[5., 7.]);

@@ -59,8 +59,7 @@ impl LrSchedule {
                     let t = (epoch - warmup_epochs) as f32
                         / (total_epochs.saturating_sub(warmup_epochs)).max(1) as f32;
                     let t = t.min(1.0);
-                    min_lr
-                        + 0.5 * (base_lr - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
+                    min_lr + 0.5 * (base_lr - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
                 }
             }
         }

@@ -277,8 +277,7 @@ mod tests {
         let mut net2 = Sequential::new()
             .push(Flatten::new())
             .push(Linear::new("fc", 2, 4, true, &mut rng2));
-        let mut trainer2 =
-            Trainer::new(CrossEntropyLoss::new(), Sgd::new(0.05, 0.9, 1e-4), 4, 777);
+        let mut trainer2 = Trainer::new(CrossEntropyLoss::new(), Sgd::new(0.05, 0.9, 1e-4), 4, 777);
         let report = state.restore_model(&mut net2);
         assert!(report.mismatched.is_empty());
         state.restore_trainer(&mut trainer2).unwrap();

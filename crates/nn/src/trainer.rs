@@ -63,7 +63,13 @@ pub fn stack_clips(clips: &[Tensor]) -> Tensor {
     assert!(!clips.is_empty(), "cannot stack an empty batch");
     let s = clips[0].shape();
     assert_eq!(s.rank(), 4, "clips must be [C, D, H, W], got {s}");
-    let mut out = Tensor::zeros(Shape::d5(clips.len(), s.dim(0), s.dim(1), s.dim(2), s.dim(3)));
+    let mut out = Tensor::zeros(Shape::d5(
+        clips.len(),
+        s.dim(0),
+        s.dim(1),
+        s.dim(2),
+        s.dim(3),
+    ));
     let per = s.len();
     for (i, clip) in clips.iter().enumerate() {
         assert_eq!(clip.shape(), s, "clip shape mismatch in batch");

@@ -17,24 +17,69 @@ use p3d_tensor::{gemm_into, BlockPattern, Tensor, TensorRng};
 /// projected), global average pool, flatten, and linear.
 fn build_net(rng: &mut TensorRng) -> Sequential {
     let stem = Sequential::new()
-        .push(Conv3d::new("stem", 4, 1, (1, 3, 3), (1, 1, 1), (0, 1, 1), true, rng))
+        .push(Conv3d::new(
+            "stem",
+            4,
+            1,
+            (1, 3, 3),
+            (1, 1, 1),
+            (0, 1, 1),
+            true,
+            rng,
+        ))
         .push(BatchNorm3d::new("stem_bn", 4))
         .push(Relu::new())
         .push(MaxPool3d::new((1, 2, 2), (1, 2, 2)));
     let id_block = ResidualBlock::identity(
         Sequential::new()
-            .push(Conv3d::new("r1a", 4, 4, (3, 1, 1), (1, 1, 1), (1, 0, 0), false, rng))
+            .push(Conv3d::new(
+                "r1a",
+                4,
+                4,
+                (3, 1, 1),
+                (1, 1, 1),
+                (1, 0, 0),
+                false,
+                rng,
+            ))
             .push(BatchNorm3d::new("r1a_bn", 4))
             .push(Relu::new())
-            .push(Conv3d::new("r1b", 4, 4, (1, 3, 3), (1, 1, 1), (0, 1, 1), false, rng))
+            .push(Conv3d::new(
+                "r1b",
+                4,
+                4,
+                (1, 3, 3),
+                (1, 1, 1),
+                (0, 1, 1),
+                false,
+                rng,
+            ))
             .push(BatchNorm3d::new("r1b_bn", 4)),
     );
     let proj_block = ResidualBlock::projected(
         Sequential::new()
-            .push(Conv3d::new("r2a", 6, 4, (1, 3, 3), (2, 2, 2), (0, 1, 1), false, rng))
+            .push(Conv3d::new(
+                "r2a",
+                6,
+                4,
+                (1, 3, 3),
+                (2, 2, 2),
+                (0, 1, 1),
+                false,
+                rng,
+            ))
             .push(BatchNorm3d::new("r2a_bn", 6)),
         Sequential::new()
-            .push(Conv3d::new("r2s", 6, 4, (1, 1, 1), (2, 2, 2), (0, 0, 0), false, rng))
+            .push(Conv3d::new(
+                "r2s",
+                6,
+                4,
+                (1, 1, 1),
+                (2, 2, 2),
+                (0, 0, 0),
+                false,
+                rng,
+            ))
             .push(BatchNorm3d::new("r2s_bn", 6)),
     );
     stem.push(id_block)
@@ -153,17 +198,105 @@ type ConvCase = (
 /// stride-2 padded `1x5x5` and `1x3x3` spatial convs, `3x1x1` temporal
 /// convs at temporal stride 1 and 2, and the `1x1x1` stride-2 shortcut.
 const LITE_WIDE_CONVS: [ConvCase; 11] = [
-    ("conv1.spatial", 10, 1, (1, 5, 5), (1, 2, 2), (0, 2, 2), (8, 24, 24)),
-    ("conv1.temporal", 16, 10, (3, 1, 1), (1, 1, 1), (1, 0, 0), (8, 12, 12)),
-    ("conv2_1a.spatial", 36, 16, (1, 3, 3), (1, 1, 1), (0, 1, 1), (8, 12, 12)),
-    ("conv2_1a.temporal", 16, 36, (3, 1, 1), (1, 1, 1), (1, 0, 0), (8, 12, 12)),
-    ("conv2_1b.spatial", 36, 16, (1, 3, 3), (1, 1, 1), (0, 1, 1), (8, 12, 12)),
-    ("conv2_1b.temporal", 16, 36, (3, 1, 1), (1, 1, 1), (1, 0, 0), (8, 12, 12)),
-    ("conv3_1a.spatial", 57, 16, (1, 3, 3), (1, 2, 2), (0, 1, 1), (8, 12, 12)),
-    ("conv3_1a.temporal", 32, 57, (3, 1, 1), (2, 1, 1), (1, 0, 0), (8, 6, 6)),
-    ("conv3_1b.spatial", 72, 32, (1, 3, 3), (1, 1, 1), (0, 1, 1), (4, 6, 6)),
-    ("conv3_1b.temporal", 32, 72, (3, 1, 1), (1, 1, 1), (1, 0, 0), (4, 6, 6)),
-    ("conv3_sc", 32, 16, (1, 1, 1), (2, 2, 2), (0, 0, 0), (8, 12, 12)),
+    (
+        "conv1.spatial",
+        10,
+        1,
+        (1, 5, 5),
+        (1, 2, 2),
+        (0, 2, 2),
+        (8, 24, 24),
+    ),
+    (
+        "conv1.temporal",
+        16,
+        10,
+        (3, 1, 1),
+        (1, 1, 1),
+        (1, 0, 0),
+        (8, 12, 12),
+    ),
+    (
+        "conv2_1a.spatial",
+        36,
+        16,
+        (1, 3, 3),
+        (1, 1, 1),
+        (0, 1, 1),
+        (8, 12, 12),
+    ),
+    (
+        "conv2_1a.temporal",
+        16,
+        36,
+        (3, 1, 1),
+        (1, 1, 1),
+        (1, 0, 0),
+        (8, 12, 12),
+    ),
+    (
+        "conv2_1b.spatial",
+        36,
+        16,
+        (1, 3, 3),
+        (1, 1, 1),
+        (0, 1, 1),
+        (8, 12, 12),
+    ),
+    (
+        "conv2_1b.temporal",
+        16,
+        36,
+        (3, 1, 1),
+        (1, 1, 1),
+        (1, 0, 0),
+        (8, 12, 12),
+    ),
+    (
+        "conv3_1a.spatial",
+        57,
+        16,
+        (1, 3, 3),
+        (1, 2, 2),
+        (0, 1, 1),
+        (8, 12, 12),
+    ),
+    (
+        "conv3_1a.temporal",
+        32,
+        57,
+        (3, 1, 1),
+        (2, 1, 1),
+        (1, 0, 0),
+        (8, 6, 6),
+    ),
+    (
+        "conv3_1b.spatial",
+        72,
+        32,
+        (1, 3, 3),
+        (1, 1, 1),
+        (0, 1, 1),
+        (4, 6, 6),
+    ),
+    (
+        "conv3_1b.temporal",
+        32,
+        72,
+        (3, 1, 1),
+        (1, 1, 1),
+        (1, 0, 0),
+        (4, 6, 6),
+    ),
+    (
+        "conv3_sc",
+        32,
+        16,
+        (1, 1, 1),
+        (2, 2, 2),
+        (0, 0, 0),
+        (8, 12, 12),
+    ),
 ];
 
 /// Clips per batch in the conv checks.
@@ -185,14 +318,21 @@ fn conv_input(case: &ConvCase, rng: &mut TensorRng) -> Tensor {
 /// weight matrix: 8 output channels by 4 input channels' kernel taps.
 fn block_pattern(conv: &Conv3d, keep: impl Fn(usize, usize) -> bool) -> BlockPattern {
     let (kd, kr, kc) = conv.kernel();
-    let (m, k, tm, tk) = (conv.out_channels(), conv.in_channels() * kd * kr * kc, 8, 4 * kd * kr * kc);
+    let (m, k, tm, tk) = (
+        conv.out_channels(),
+        conv.in_channels() * kd * kr * kc,
+        8,
+        4 * kd * kr * kc,
+    );
     let bcols = k.div_ceil(tk);
     BlockPattern {
         m,
         k,
         tm,
         tk,
-        keep: (0..m.div_ceil(tm) * bcols).map(|i| keep(i / bcols, i % bcols)).collect(),
+        keep: (0..m.div_ceil(tm) * bcols)
+            .map(|i| keep(i / bcols, i % bcols))
+            .collect(),
     }
 }
 
@@ -265,7 +405,11 @@ fn conv_paths_match_im2col_reference_on_every_lite_wide_layer() {
             let pattern = block_pattern(&conv, |bi, bj| draws[(bi * 31 + bj) % draws.len()] < kept);
             prune(&mut conv, &pattern);
             // A fully enabled pattern falls back to the dense kernel.
-            assert_eq!(conv.block_sparse().is_some(), kept < 1.0, "{name} at {kept} kept");
+            assert_eq!(
+                conv.block_sparse().is_some(),
+                kept < 1.0,
+                "{name} at {kept} kept"
+            );
             check_conv_paths(&mut conv, &x, &format!("{name} at {kept} kept"));
         }
 
@@ -276,7 +420,10 @@ fn conv_paths_match_im2col_reference_on_every_lite_wide_layer() {
         prune(&mut conv, &pattern);
         if pattern.block_cols() > 1 {
             let bs = conv.block_sparse().expect("half the blocks are pruned");
-            assert!(bs.read_ranges().len() < pattern.block_cols(), "{name}: no column skipped");
+            assert!(
+                bs.read_ranges().len() < pattern.block_cols(),
+                "{name}: no column skipped"
+            );
         }
         check_conv_paths(&mut conv, &x, &format!("{name} with dead block columns"));
     }
@@ -308,8 +455,18 @@ fn pruned_conv_ignores_stale_pack_scratch() {
     let (m, n) = (4, 4096);
     let big_k = 2 * k;
     let mut out = vec![0.0f32; m * n];
-    gemm_into(&vec![1.0; m * big_k], m, big_k, &vec![f32::NAN; big_k * n], n, &mut out);
-    assert!(out.iter().all(|v| v.is_nan()), "the scratch was not poisoned");
+    gemm_into(
+        &vec![1.0; m * big_k],
+        m,
+        big_k,
+        &vec![f32::NAN; big_k * n],
+        n,
+        &mut out,
+    );
+    assert!(
+        out.iter().all(|v| v.is_nan()),
+        "the scratch was not poisoned"
+    );
     let got = pruned.forward(&x, Mode::Eval);
     let mut arena = EvalArena::new();
     let input = arena.load_clip(&x);
@@ -317,7 +474,10 @@ fn pruned_conv_ignores_stale_pack_scratch() {
     let evald = bits(arena.buf(out_id));
     set_thread_override(None);
 
-    assert!(got.data().iter().all(|v| v.is_finite()), "stale NaN reached forward");
+    assert!(
+        got.data().iter().all(|v| v.is_finite()),
+        "stale NaN reached forward"
+    );
     assert_eq!(bits(got.data()), want, "forward diverged from dense");
     assert_eq!(evald, want, "eval_into diverged from dense");
 }

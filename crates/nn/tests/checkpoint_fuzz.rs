@@ -21,14 +21,20 @@ use proptest::prelude::*;
 fn sample_checkpoint() -> Checkpoint {
     let mut ck = Checkpoint::default();
     let mut rng = TensorRng::seed(7);
-    ck.tensors
-        .insert("conv.weight".into(), rng.uniform_tensor([4, 2, 1, 3, 3], -1.0, 1.0));
-    ck.tensors
-        .insert("conv.weight.mask".into(), Tensor::from_vec([4], vec![0.0, 1.0, 1.0, 0.0]));
+    ck.tensors.insert(
+        "conv.weight".into(),
+        rng.uniform_tensor([4, 2, 1, 3, 3], -1.0, 1.0),
+    );
+    ck.tensors.insert(
+        "conv.weight.mask".into(),
+        Tensor::from_vec([4], vec![0.0, 1.0, 1.0, 0.0]),
+    );
     ck.tensors.insert("fc.bias".into(), Tensor::zeros([4]));
     // Bit-packed u64s produce NaN/denormal f32 lanes — they must survive.
-    ck.tensors
-        .insert("trainer.rng".into(), p3d_nn::pack_u64s(&[u64::MAX, 0, 42, 1 << 63]));
+    ck.tensors.insert(
+        "trainer.rng".into(),
+        p3d_nn::pack_u64s(&[u64::MAX, 0, 42, 1 << 63]),
+    );
     ck
 }
 
@@ -89,7 +95,9 @@ fn v1_file_restores_into_network() {
     let mut fresh = Sequential::new()
         .push(Flatten::new())
         .push(Linear::new("fc", 2, 4, true, &mut rng2));
-    let report = Checkpoint::read_from(&mut &buf[..]).unwrap().restore(&mut fresh);
+    let report = Checkpoint::read_from(&mut &buf[..])
+        .unwrap()
+        .restore(&mut fresh);
     assert!(report.is_exact(), "v1 restore not exact: {report:?}");
     assert_eq!(Checkpoint::capture(&mut fresh), old);
 }

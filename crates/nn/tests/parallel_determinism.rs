@@ -72,8 +72,14 @@ fn batchnorm_and_maxpool_identical_across_thread_counts() {
         let got = run(threads);
         assert_eq!(base.0, got.0, "bn forward differs at {threads} threads");
         assert_eq!(base.1, got.1, "bn backward differs at {threads} threads");
-        assert_eq!(base.2, got.2, "maxpool forward differs at {threads} threads");
-        assert_eq!(base.3, got.3, "maxpool backward differs at {threads} threads");
+        assert_eq!(
+            base.2, got.2,
+            "maxpool forward differs at {threads} threads"
+        );
+        assert_eq!(
+            base.3, got.3,
+            "maxpool backward differs at {threads} threads"
+        );
     }
     set_thread_override(None);
 }

@@ -9,7 +9,12 @@ fn conv_case() -> impl Strategy<Value = (usize, usize, (usize, usize, usize), u6
     (
         1usize..5,
         1usize..5,
-        prop::sample::select(vec![(1usize, 3usize, 3usize), (3, 1, 1), (2, 2, 2), (1, 1, 1)]),
+        prop::sample::select(vec![
+            (1usize, 3usize, 3usize),
+            (3, 1, 1),
+            (2, 2, 2),
+            (1, 1, 1),
+        ]),
         0u64..1000,
     )
 }
