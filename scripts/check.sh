@@ -58,8 +58,8 @@ EOF
 
 # Formatting is gated crate by crate, each as it is brought to rustfmt's
 # defaults; crates not listed here still drift.
-echo "==> cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench -p p3d-models -p p3d-video-data"
-cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench -p p3d-models -p p3d-video-data
+echo "==> cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench -p p3d-models -p p3d-video-data -p p3d-core -p p3d-nn"
+cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench -p p3d-models -p p3d-video-data -p p3d-core -p p3d-nn
 
 echo "==> cargo build --release"
 cargo build --release --workspace
