@@ -5,7 +5,7 @@
 
 use crate::config::{AcceleratorConfig, Ports, Tiling};
 use p3d_core::{LayerBlockMask, PrunedModel};
-use p3d_models::{ConvInstance, NetworkSpec, Node};
+use p3d_models::{ConvInstance, NetworkSpec, Stage};
 use serde::{Deserialize, Serialize};
 
 /// Whether the design overlaps transfers with compute (Section IV-A:
@@ -210,53 +210,41 @@ pub fn conv_latency(
     }
 }
 
+/// Cycles to stream one fully-connected layer of `weights` words. FC
+/// layers are memory-bound: each weight is used once, so the layer costs
+/// its weight load unless the MAC array is slower still.
+pub fn fc_cycles(weights: usize, config: &AcceleratorConfig) -> u64 {
+    let load = weights.div_ceil(config.ports.wgt) as u64;
+    let compute = weights.div_ceil(config.tiling.macs_per_cycle()) as u64;
+    load.max(compute)
+}
+
 /// End-to-end network latency: every conv layer through the tiled engine
-/// plus FC weight streaming (FC layers are memory-bound: their weights
-/// are used once each, so cycles = weights / p_wgt).
+/// plus FC weight streaming ([`fc_cycles`]).
 pub fn network_latency(
     spec: &NetworkSpec,
     config: &AcceleratorConfig,
     pruned: &PrunedModel,
     buffering: DoubleBuffering,
 ) -> NetworkLatency {
-    let instances = spec.conv_instances().expect("spec must shape-check");
-    let layers: Vec<LayerLatency> = instances
-        .iter()
+    let plan = spec.plan().expect("spec must shape-check");
+    let layers: Vec<LayerLatency> = plan
+        .convs()
         .map(|inst| conv_latency(inst, config, pruned.mask(&inst.spec.name), buffering))
         .collect();
+    let fc = plan
+        .iter()
+        .map(|stage| match stage {
+            Stage::Linear(l) => fc_cycles(l.out_features * l.in_features, config),
+            _ => 0,
+        })
+        .sum();
 
-    let mut fc_cycles = 0u64;
-    collect_fc(&spec.nodes, &mut |out_f, in_f| {
-        let weights = out_f * in_f;
-        let load = weights.div_ceil(config.ports.wgt) as u64;
-        let compute = weights.div_ceil(config.tiling.macs_per_cycle()) as u64;
-        fc_cycles += load.max(compute);
-    });
-
-    let total_cycles = layers.iter().map(|l| l.cycles).sum::<u64>() + fc_cycles;
+    let total_cycles = layers.iter().map(|l| l.cycles).sum::<u64>() + fc;
     NetworkLatency {
         layers,
-        fc_cycles,
+        fc_cycles: fc,
         total_cycles,
-    }
-}
-
-fn collect_fc(nodes: &[Node], f: &mut impl FnMut(usize, usize)) {
-    for node in nodes {
-        match node {
-            Node::Linear {
-                out_features,
-                in_features,
-                ..
-            } => f(*out_features, *in_features),
-            Node::Residual { main, shortcut } => {
-                collect_fc(main, f);
-                if let Some(s) = shortcut {
-                    collect_fc(s, f);
-                }
-            }
-            _ => {}
-        }
     }
 }
 

@@ -21,7 +21,8 @@
 //!   `i64` body, bitwise identical to it, for everything else. Both
 //!   finish each output with the conv's fused [`Epilogue`] (bias, folded
 //!   batch norm, ReLU), which the cycle engine applies afterwards with
-//!   [`PostProcessor`].
+//!   [`PostProcessor`]. A [`CompiledNetwork`] holds a whole network's
+//!   stage plan with every conv compiled.
 //!
 //! The simulator computes real outputs in the paper's Q7.8 fixed point,
 //! so it validates three things the analytic models cannot:
@@ -40,5 +41,5 @@ pub mod post;
 
 pub use cycle::{run_conv, run_conv_with_scratch, ConvStats};
 pub use functional::{run_conv_functional, run_conv_functional_with_scratch, CompiledConv};
-pub use network::{QuantizedNetwork, SimOutput, SimScratch};
+pub use network::{CompiledNetwork, QuantizedNetwork, SimOutput, SimScratch};
 pub use post::{Epilogue, PostProcessor};

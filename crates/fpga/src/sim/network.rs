@@ -1,23 +1,25 @@
 //! Whole-network fixed-point inference on the simulated accelerator.
 //!
-//! [`QuantizedNetwork`] extracts the parameters of a trained `p3d-nn`
-//! network, quantises them to Q7.8 (folding batch-norm running statistics
-//! into per-channel scale/shift pairs, as the real post-processing unit
-//! does), and executes the network spec layer by layer through the tiled
-//! convolution engine with block-enable maps.
+//! [`QuantizedNetwork`] quantises a trained `p3d-nn` network to Q7.8 on
+//! a mirror of the spec's stage plan ([`p3d_models::plan`]). A conv stage
+//! holds its weights and its [`Epilogue`]: its bias, then the batch norm
+//! (folded to a per-channel scale and shift, as the real post-processing
+//! unit does) and the ReLU that the plan grouped with it. A standalone
+//! batch norm holds its folded pair; a linear layer, its weights, bias
+//! and FC streaming cycles.
 //!
-//! Each conv, with the batch norm and the ReLU that directly follow it
-//! in the spec (`conv -> [BatchNorm] -> [ReLU]`) and its bias, is one
-//! stage of the walk: its [`Epilogue`] is derived once, when the network
-//! is quantised. The cycle engine applies it with [`PostProcessor`]
-//! after the conv; compiled layers apply it in the conv's own finish.
+//! One walk over that tree runs both engines. The cycle engine runs each
+//! conv tile by tile, then applies its epilogue with [`PostProcessor`];
+//! [`QuantizedNetwork::compile`] maps the conv stages to
+//! [`CompiledConv`]s, whose finish applies it, for the functional engine.
 
 use crate::config::AcceleratorConfig;
+use crate::latency::fc_cycles;
 use crate::sim::cycle::{run_conv_with_scratch, ConvStats};
 use crate::sim::functional::CompiledConv;
 use crate::sim::post::{Epilogue, PostProcessor};
 use p3d_core::PrunedModel;
-use p3d_models::{build::bn_names, Conv3dSpec, ConvInstance, NetworkSpec, Node};
+use p3d_models::{plan, Bn, ConvInstance, ConvStage, LinearStage, NetworkSpec};
 use p3d_nn::Layer;
 use p3d_tensor::fixed::MacAccumulator;
 use p3d_tensor::{Fixed16, FixedTensor, Tensor};
@@ -28,10 +30,9 @@ use std::collections::BTreeMap;
 /// Holds the tile-accumulator buffer the cycle engine fills per (volume
 /// tile x channel block), so one `SimScratch` per worker turns the cycle
 /// engine's per-layer allocations into buffer reuse across every layer
-/// of every clip. The functional engine needs none of it: its compiled
-/// layers ([`QuantizedNetwork::compile`]) are shared read-only, and its
-/// lowered input tile is per-thread. Outputs are bitwise identical to
-/// the scratch-free path.
+/// of every clip. The functional engine needs none of it: a
+/// [`CompiledNetwork`] is shared read-only, and its lowered input tile
+/// is per-thread. Outputs are bitwise identical to the scratch-free path.
 #[derive(Default)]
 pub struct SimScratch {
     acc: Vec<MacAccumulator>,
@@ -71,24 +72,99 @@ impl SimOutput {
     }
 }
 
-/// A network quantised for the simulated accelerator.
+/// A batch norm's running statistics folded into a per-channel
+/// `(scale, shift)`.
+type Folded = (Vec<Fixed16>, Vec<Fixed16>);
+
+/// A linear layer as quantised.
+#[derive(Clone)]
+struct QuantizedLinear {
+    weights: FixedTensor,
+    bias: Vec<Fixed16>,
+    /// FC streaming cycles ([`fc_cycles`]).
+    cycles: u64,
+}
+
+/// A stage of the plan with quantised payloads; `C` is a conv stage's.
+type Stage<C> = plan::Stage<C, Folded, QuantizedLinear>;
+
+/// A conv stage as quantised: the conv, its weights and its epilogue.
+struct QuantizedConv {
+    inst: ConvInstance,
+    weights: FixedTensor,
+    epilogue: Epilogue,
+}
+
+/// A network quantised for the simulated accelerator: the spec's stage
+/// plan with Q7.8 payloads.
 pub struct QuantizedNetwork {
-    spec: NetworkSpec,
-    instances: Vec<ConvInstance>,
-    conv_weights: BTreeMap<String, FixedTensor>,
-    /// Per conv, in walk order: its bias and the batch norm and ReLU
-    /// fused onto it.
-    epilogues: Vec<Epilogue>,
-    /// Folded `(scale, shift)` per batch-norm node that no conv's
-    /// epilogue holds, in document order.
-    bn_folded: Vec<(Vec<Fixed16>, Vec<Fixed16>)>,
-    linears: BTreeMap<String, (FixedTensor, Vec<Fixed16>)>,
+    stages: Vec<Stage<QuantizedConv>>,
     config: AcceleratorConfig,
 }
 
-enum Feat {
-    Map(FixedTensor),
-    Vector(Vec<Fixed16>),
+/// A [`QuantizedNetwork`] with every conv compiled under one pruned
+/// model's block-enable maps ([`QuantizedNetwork::compile`]): what the
+/// functional engine runs, shared read-only by every serving worker.
+pub struct CompiledNetwork {
+    stages: Vec<Stage<CompiledConv>>,
+}
+
+/// The trained parameters and running statistics of a network, by name.
+struct Params(BTreeMap<String, Tensor>);
+
+fn quantize_vec(t: &Tensor) -> Vec<Fixed16> {
+    t.data().iter().map(|&v| Fixed16::from_f32(v)).collect()
+}
+
+impl Params {
+    fn get(&self, name: &str) -> &Tensor {
+        self.0
+            .get(name)
+            .unwrap_or_else(|| panic!("missing parameter {name}"))
+    }
+
+    fn conv(&self, stage: &ConvStage) -> QuantizedConv {
+        let name = &stage.inst.spec.name;
+        let bias = stage.inst.spec.bias;
+        QuantizedConv {
+            inst: stage.inst.clone(),
+            weights: FixedTensor::quantize(self.get(&format!("{name}.weight"))),
+            epilogue: Epilogue {
+                bias: bias.then(|| quantize_vec(self.get(&format!("{name}.bias")))),
+                batch_norm: stage.batch_norm.as_ref().map(|bn| self.fold(bn)),
+                relu: stage.relu,
+            },
+        }
+    }
+
+    fn fold(&self, bn: &Bn) -> Folded {
+        let name = &bn.name;
+        let gamma = self.get(&format!("{name}.gamma")).data();
+        let beta = self.get(&format!("{name}.beta")).data();
+        let rm = self.get(&format!("{name}.running_mean")).data();
+        let rv = self.get(&format!("{name}.running_var")).data();
+        assert_eq!(gamma.len(), bn.channels, "bn channel mismatch");
+        let eps = 1e-5f32;
+        (0..bn.channels)
+            .map(|c| {
+                let s = gamma[c] / (rv[c] + eps).sqrt();
+                let shift = beta[c] - s * rm[c];
+                (Fixed16::from_f32(s), Fixed16::from_f32(shift))
+            })
+            .unzip()
+    }
+
+    fn linear(&self, l: &LinearStage, config: &AcceleratorConfig) -> QuantizedLinear {
+        let w = self.get(&format!("{}.weight", l.name));
+        let dims = [l.out_features, l.in_features];
+        assert_eq!(w.shape().dims(), dims, "linear shape mismatch");
+        let bias = self.0.get(&format!("{}.bias", l.name));
+        QuantizedLinear {
+            weights: FixedTensor::quantize(w),
+            bias: bias.map_or_else(|| vec![Fixed16::ZERO; l.out_features], quantize_vec),
+            cycles: fc_cycles(w.len(), config),
+        }
+    }
 }
 
 impl QuantizedNetwork {
@@ -97,92 +173,31 @@ impl QuantizedNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if a spec layer's parameters cannot be found in the
-    /// network — i.e. `net` was not built from `spec`.
+    /// Panics if `spec` does not shape-check, or if a stage's parameters
+    /// cannot be found in the network — i.e. `net` was not built from
+    /// `spec`.
     pub fn from_network(
         spec: &NetworkSpec,
         net: &mut dyn Layer,
         config: AcceleratorConfig,
     ) -> Self {
-        let mut params: BTreeMap<String, Tensor> = BTreeMap::new();
+        let mut params = Params(BTreeMap::new());
         net.visit_params(&mut |p| {
-            params.insert(p.name.clone(), p.value.clone());
+            params.0.insert(p.name.clone(), p.value.clone());
         });
-        let mut state: BTreeMap<String, Tensor> = BTreeMap::new();
         net.export_state(&mut |name, t| {
-            state.insert(name.to_string(), t.clone());
+            params.0.insert(name.to_string(), t.clone());
         });
-
-        let instances = spec.conv_instances().expect("spec must shape-check");
-        let mut conv_weights = BTreeMap::new();
-        let mut conv_bias = BTreeMap::new();
-        for inst in &instances {
-            let name = &inst.spec.name;
-            let w = params
-                .get(&format!("{name}.weight"))
-                .unwrap_or_else(|| panic!("missing weights for {name}"));
-            conv_weights.insert(name.clone(), FixedTensor::quantize(w));
-            if inst.spec.bias {
-                let b = params
-                    .get(&format!("{name}.bias"))
-                    .unwrap_or_else(|| panic!("missing bias for {name}"));
-                conv_bias.insert(
-                    name.clone(),
-                    b.data().iter().map(|&v| Fixed16::from_f32(v)).collect(),
-                );
-            }
-        }
-
-        let eps = 1e-5f32;
-        let mut bn_folded = Vec::new();
-        for (bn_name, channels) in bn_names(spec) {
-            let gamma = params
-                .get(&format!("{bn_name}.gamma"))
-                .unwrap_or_else(|| panic!("missing {bn_name}.gamma"));
-            let beta = &params[&format!("{bn_name}.beta")];
-            let rm = &state[&format!("{bn_name}.running_mean")];
-            let rv = &state[&format!("{bn_name}.running_var")];
-            assert_eq!(gamma.len(), channels, "bn channel mismatch");
-            let mut scale = Vec::with_capacity(channels);
-            let mut shift = Vec::with_capacity(channels);
-            for c in 0..channels {
-                let s = gamma.data()[c] / (rv.data()[c] + eps).sqrt();
-                scale.push(Fixed16::from_f32(s));
-                shift.push(Fixed16::from_f32(beta.data()[c] - s * rm.data()[c]));
-            }
-            bn_folded.push((scale, shift));
-        }
-        let mut epilogues = Vec::new();
-        let mut standalone_bn = Vec::new();
-        fuse_epilogues(
-            &spec.nodes,
-            &mut conv_bias,
-            &mut bn_folded.into_iter(),
-            &mut epilogues,
-            &mut standalone_bn,
-        );
-        assert_eq!(epilogues.len(), instances.len(), "conv count mismatch");
-
-        let mut linears = BTreeMap::new();
-        collect_linears(&spec.nodes, &mut |name, out_f, in_f| {
-            let w = params
-                .get(&format!("{name}.weight"))
-                .unwrap_or_else(|| panic!("missing weights for {name}"));
-            assert_eq!(w.shape().dims(), &[out_f, in_f], "linear shape mismatch");
-            let b = params
-                .get(&format!("{name}.bias"))
-                .map(|b| b.data().iter().map(|&v| Fixed16::from_f32(v)).collect())
-                .unwrap_or_else(|| vec![Fixed16::ZERO; out_f]);
-            linears.insert(name.to_string(), (FixedTensor::quantize(w), b));
+        let plan = spec.plan().expect("spec must shape-check");
+        let stages = plan.stages.iter().map(|stage| {
+            stage.map(
+                &mut |conv| params.conv(conv),
+                &mut |bn| params.fold(bn),
+                &mut |linear| params.linear(linear, &config),
+            )
         });
-
         QuantizedNetwork {
-            spec: spec.clone(),
-            instances,
-            conv_weights,
-            epilogues,
-            bn_folded: standalone_bn,
-            linears,
+            stages: stages.collect(),
             config,
         }
     }
@@ -203,7 +218,7 @@ impl QuantizedNetwork {
     /// path. Bitwise identical to [`QuantizedNetwork::forward`] in both
     /// logits and statistics.
     pub fn forward_functional(&self, clip: &Tensor, pruned: &PrunedModel) -> SimOutput {
-        self.forward_compiled(clip, &self.compile(pruned))
+        self.compile(pruned).forward(clip)
     }
 
     /// [`QuantizedNetwork::forward`] reusing `scratch` across calls.
@@ -214,301 +229,187 @@ impl QuantizedNetwork {
         pruned: &PrunedModel,
         scratch: &mut SimScratch,
     ) -> SimOutput {
-        self.walk_clip(clip, Convs::Cycle(pruned, &mut scratch.acc))
+        run(&self.stages, clip, &mut |conv: &QuantizedConv, map| {
+            let name = &conv.inst.spec.name;
+            let (mut out, stats) = run_conv_with_scratch(
+                &conv.inst,
+                &conv.weights,
+                map,
+                pruned.mask(name),
+                &self.config,
+                &mut scratch.acc,
+            );
+            PostProcessor::epilogue(&mut out, &conv.epilogue);
+            (out, stats)
+        })
     }
 
     /// [`QuantizedNetwork::forward_functional`]: compiles every layer,
-    /// then runs [`QuantizedNetwork::forward_compiled`]. `_scratch` is
-    /// not read; callers that run more than one clip should compile once
-    /// and call `forward_compiled`, as `SimEngine` does.
+    /// then runs the [`CompiledNetwork`]. `_scratch` is not read;
+    /// callers that run more than one clip should compile once, as
+    /// `SimEngine` does.
     pub fn forward_functional_with_scratch(
         &self,
         clip: &Tensor,
         pruned: &PrunedModel,
         _scratch: &mut SimScratch,
     ) -> SimOutput {
-        self.forward_compiled(clip, &self.compile(pruned))
+        self.forward_functional(clip, pruned)
     }
 
-    /// Compiles every conv layer under `pruned`'s block-enable maps, in
-    /// walk order, for [`QuantizedNetwork::forward_compiled`]: runs,
-    /// weight panels, 32-bit certificates, the data-independent
-    /// statistics and each conv's fused [`Epilogue`], built once instead
-    /// of per clip.
-    pub fn compile(&self, pruned: &PrunedModel) -> Vec<CompiledConv> {
-        self.instances
-            .iter()
-            .zip(&self.epilogues)
-            .map(|(inst, epilogue)| {
-                let name = &inst.spec.name;
-                let weights = &self.conv_weights[name];
-                CompiledConv::compile(inst, weights, pruned.mask(name), &self.config)
-                    .with_epilogue(epilogue)
-            })
-            .collect()
-    }
-
-    /// [`QuantizedNetwork::forward_functional`] on layers from
-    /// [`QuantizedNetwork::compile`] — the serving path. Bitwise
-    /// identical to `forward_functional` under the same pruned model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers` was not compiled from this network.
-    pub fn forward_compiled(&self, clip: &Tensor, layers: &[CompiledConv]) -> SimOutput {
-        assert_eq!(
-            layers.len(),
-            self.instances.len(),
-            "compiled layer count mismatch"
-        );
-        self.walk_clip(clip, Convs::Compiled(layers))
-    }
-
-    fn walk_clip(&self, clip: &Tensor, convs: Convs<'_>) -> SimOutput {
-        assert_eq!(clip.shape().rank(), 4, "expected [C, D, H, W] clip");
-        let mut ctx = WalkCtx {
-            net: self,
-            convs,
-            conv_idx: 0,
-            bn_idx: 0,
-            stats: ConvStats::default(),
-            fc_cycles: 0,
+    /// Compiles every conv stage under `pruned`'s block-enable maps for
+    /// the functional engine: runs, weight panels, 32-bit certificates,
+    /// the data-independent statistics and each conv's fused
+    /// [`Epilogue`], built once instead of per clip.
+    pub fn compile(&self, pruned: &PrunedModel) -> CompiledNetwork {
+        let mut compile = |conv: &QuantizedConv| {
+            let name = &conv.inst.spec.name;
+            CompiledConv::compile(&conv.inst, &conv.weights, pruned.mask(name), &self.config)
+                .with_epilogue(&conv.epilogue)
         };
-        let out = ctx.walk(&self.spec.nodes, Feat::Map(FixedTensor::quantize(clip)));
-        let logits = match out {
-            Feat::Vector(v) => v,
-            Feat::Map(_) => panic!("network did not end in a classifier vector"),
-        };
-        let prediction = logits
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| v.to_bits())
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        SimOutput {
-            logits: logits.iter().map(|v| v.to_f32()).collect(),
-            prediction,
-            stats: ctx.stats,
-            fc_cycles: ctx.fc_cycles,
+        let stages = self.stages.iter().map(|stage| {
+            stage.map(
+                &mut compile,
+                &mut Folded::clone,
+                &mut QuantizedLinear::clone,
+            )
+        });
+        CompiledNetwork {
+            stages: stages.collect(),
         }
     }
-}
 
-/// The spec nodes after a conv that its epilogue stands for: the batch
-/// norm and the ReLU fused onto it.
-fn fused_nodes(epilogue: &Epilogue) -> usize {
-    usize::from(epilogue.batch_norm.is_some()) + usize::from(epilogue.relu)
-}
-
-/// Derives each conv's [`Epilogue`] in walk order into `epilogues`: its
-/// bias from `conv_bias`, and the batch norm (the next of `bn`) and ReLU
-/// nodes that directly follow it, `conv -> [BatchNorm] -> [ReLU]`. Every
-/// other batch-norm node's folded pair goes to `standalone`, in order.
-fn fuse_epilogues(
-    nodes: &[Node],
-    conv_bias: &mut BTreeMap<String, Vec<Fixed16>>,
-    bn: &mut impl Iterator<Item = (Vec<Fixed16>, Vec<Fixed16>)>,
-    epilogues: &mut Vec<Epilogue>,
-    standalone: &mut Vec<(Vec<Fixed16>, Vec<Fixed16>)>,
-) {
-    const BN: &str = "one folded pair per batch-norm node";
-    let mut i = 0;
-    while i < nodes.len() {
-        match &nodes[i] {
-            Node::Conv(spec) => {
-                let batch_norm = matches!(nodes.get(i + 1), Some(Node::BatchNorm { .. }))
-                    .then(|| bn.next().expect(BN));
-                let after = i + 1 + usize::from(batch_norm.is_some());
-                let epilogue = Epilogue {
-                    bias: conv_bias.remove(&spec.name),
-                    batch_norm,
-                    relu: matches!(nodes.get(after), Some(Node::Relu)),
-                };
-                i += fused_nodes(&epilogue);
-                epilogues.push(epilogue);
-            }
-            Node::BatchNorm { .. } => standalone.push(bn.next().expect(BN)),
-            Node::Residual { main, shortcut } => {
-                fuse_epilogues(main, conv_bias, bn, epilogues, standalone);
-                if let Some(s) = shortcut {
-                    fuse_epilogues(s, conv_bias, bn, epilogues, standalone);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
+    /// [`CompiledNetwork::forward`] on `layers`, compiled from this
+    /// network by [`QuantizedNetwork::compile`]. Bitwise identical to
+    /// [`QuantizedNetwork::forward_functional`] under the same pruned
+    /// model.
+    pub fn forward_compiled(&self, clip: &Tensor, layers: &CompiledNetwork) -> SimOutput {
+        layers.forward(clip)
     }
 }
 
-fn collect_linears(nodes: &[Node], f: &mut impl FnMut(&str, usize, usize)) {
-    for node in nodes {
-        match node {
-            Node::Linear {
-                name,
-                out_features,
-                in_features,
-            } => f(name, *out_features, *in_features),
-            Node::Residual { main, shortcut } => {
-                collect_linears(main, f);
-                if let Some(s) = shortcut {
-                    collect_linears(s, f);
-                }
-            }
-            _ => {}
-        }
+impl CompiledNetwork {
+    /// Runs one clip `[C, D, H, W]` (f32, quantised on the way in) on the
+    /// **fast functional** engine — the serving path. Bitwise identical
+    /// to the cycle engine ([`QuantizedNetwork::forward`]) under the
+    /// pruned model this network was compiled for, in logits and
+    /// statistics.
+    pub fn forward(&self, clip: &Tensor) -> SimOutput {
+        run(&self.stages, clip, &mut |conv: &CompiledConv, map| {
+            conv.run(map)
+        })
     }
 }
 
-/// The convolution engine of one walk, with what it reads.
-enum Convs<'a> {
-    /// The cycle engine under the pruned model's masks, with its
-    /// accumulator scratch.
-    Cycle(&'a PrunedModel, &'a mut Vec<MacAccumulator>),
-    /// The functional engine on layers compiled in walk order.
-    Compiled(&'a [CompiledConv]),
+/// The features flowing between stages.
+enum Feat {
+    Map(FixedTensor),
+    Vector(Vec<Fixed16>),
 }
 
-struct WalkCtx<'a> {
-    net: &'a QuantizedNetwork,
-    convs: Convs<'a>,
-    conv_idx: usize,
-    bn_idx: usize,
-    stats: ConvStats,
-    fc_cycles: u64,
+/// Runs `clip` through `stages`, each conv stage by `conv`.
+fn run<C>(
+    stages: &[Stage<C>],
+    clip: &Tensor,
+    conv: &mut impl FnMut(&C, &FixedTensor) -> (FixedTensor, ConvStats),
+) -> SimOutput {
+    assert_eq!(clip.shape().rank(), 4, "expected [C, D, H, W] clip");
+    let mut out = SimOutput {
+        logits: Vec::new(),
+        prediction: 0,
+        stats: ConvStats::default(),
+        fc_cycles: 0,
+    };
+    let clip = Feat::Map(FixedTensor::quantize(clip));
+    let Feat::Vector(logits) = walk(stages, clip, conv, &mut out) else {
+        panic!("network did not end in a classifier vector")
+    };
+    out.prediction = logits
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, v)| v.to_bits())
+        .map(|(i, _)| i)
+        .unwrap_or(0);
+    out.logits = logits.iter().map(|v| v.to_f32()).collect();
+    out
 }
 
-impl WalkCtx<'_> {
-    fn walk(&mut self, nodes: &[Node], mut feat: Feat) -> Feat {
-        let mut i = 0;
-        while i < nodes.len() {
-            if let Node::Conv(spec) = &nodes[i] {
-                let epilogue = &self.net.epilogues[self.conv_idx];
-                feat = self.conv(spec, epilogue, feat);
-                i += fused_nodes(epilogue);
-            } else {
-                feat = self.step(&nodes[i], feat);
+/// Runs `feat` through `stages`, adding each conv's statistics and each
+/// linear layer's FC cycles to `out`.
+fn walk<C>(
+    stages: &[Stage<C>],
+    mut feat: Feat,
+    conv: &mut impl FnMut(&C, &FixedTensor) -> (FixedTensor, ConvStats),
+    out: &mut SimOutput,
+) -> Feat {
+    for stage in stages {
+        feat = match (stage, feat) {
+            (Stage::Conv(c), Feat::Map(map)) => {
+                let (map, s) = conv(c, &map);
+                let t = &mut out.stats;
+                t.cycles += s.cycles;
+                t.macs += s.macs;
+                t.blocks_skipped += s.blocks_skipped;
+                t.weight_words += s.weight_words;
+                t.input_words += s.input_words;
+                t.output_words += s.output_words;
+                t.saturated_words += s.saturated_words;
+                Feat::Map(map)
             }
-            i += 1;
-        }
-        feat
-    }
-
-    /// One conv stage: the conv, then its `epilogue`, which stands for
-    /// the nodes fused onto it.
-    fn conv(&mut self, spec: &Conv3dSpec, epilogue: &Epilogue, feat: Feat) -> Feat {
-        let Feat::Map(map) = feat else {
-            panic!("conv after flatten")
-        };
-        let inst = &self.net.instances[self.conv_idx];
-        assert_eq!(inst.spec.name, spec.name, "conv walk order mismatch");
-        let (out, stats) = match &mut self.convs {
-            Convs::Cycle(pruned, acc) => {
-                let (mut out, stats) = run_conv_with_scratch(
-                    inst,
-                    &self.net.conv_weights[&spec.name],
-                    &map,
-                    pruned.mask(&spec.name),
-                    &self.net.config,
-                    acc,
-                );
-                PostProcessor::epilogue(&mut out, epilogue);
-                (out, stats)
-            }
-            Convs::Compiled(layers) => layers[self.conv_idx].run(&map),
-        };
-        self.conv_idx += 1;
-        self.accumulate(stats);
-        Feat::Map(out)
-    }
-
-    fn step(&mut self, node: &Node, feat: Feat) -> Feat {
-        match node {
-            Node::Conv(_) => unreachable!("convs run as stages in `walk`"),
-            Node::BatchNorm { .. } => {
-                let Feat::Map(mut map) = feat else {
-                    panic!("batchnorm after flatten")
-                };
-                let (scale, shift) = &self.net.bn_folded[self.bn_idx];
-                self.bn_idx += 1;
+            (Stage::BatchNorm((scale, shift)), Feat::Map(mut map)) => {
                 PostProcessor::batch_norm(&mut map, scale, shift);
                 Feat::Map(map)
             }
-            Node::Relu => match feat {
-                Feat::Map(mut map) => {
-                    PostProcessor::relu(&mut map);
-                    Feat::Map(map)
-                }
-                Feat::Vector(mut v) => {
-                    for x in &mut v {
-                        *x = x.relu();
-                    }
-                    Feat::Vector(v)
-                }
-            },
-            Node::MaxPool {
-                kernel,
-                stride,
-                pad,
-            } => {
-                assert_eq!(*pad, (0, 0, 0), "simulator does not support padded pooling");
-                let Feat::Map(map) = feat else {
-                    panic!("pool after flatten")
-                };
-                Feat::Map(PostProcessor::max_pool(&map, *kernel, *stride))
+            (Stage::Relu, Feat::Map(mut map)) => {
+                PostProcessor::relu(&mut map);
+                Feat::Map(map)
             }
-            Node::GlobalAvgPool => {
-                let Feat::Map(map) = feat else {
-                    panic!("pool after flatten")
-                };
+            (Stage::Relu, Feat::Vector(mut v)) => {
+                for x in &mut v {
+                    *x = x.relu();
+                }
+                Feat::Vector(v)
+            }
+            (Stage::MaxPool(pool), Feat::Map(map)) => {
+                assert_eq!(
+                    pool.pad,
+                    (0, 0, 0),
+                    "simulator does not support padded pooling"
+                );
+                Feat::Map(PostProcessor::max_pool(&map, pool.kernel, pool.stride))
+            }
+            (Stage::GlobalAvgPool, Feat::Map(map)) => {
                 Feat::Vector(PostProcessor::global_avg_pool(&map))
             }
-            Node::Linear { name, .. } => {
-                let x = match feat {
-                    Feat::Vector(v) => v,
-                    Feat::Map(map) => map.data().to_vec(), // flatten
-                };
-                let (w, b) = &self.net.linears[name];
-                let weights = w.len();
-                let load = weights.div_ceil(self.net.config.ports.wgt) as u64;
-                let compute = weights.div_ceil(self.net.config.tiling.macs_per_cycle()) as u64;
-                self.fc_cycles += load.max(compute);
-                Feat::Vector(PostProcessor::linear(&x, w, b))
+            (Stage::Flatten, Feat::Map(map)) => Feat::Vector(map.data().to_vec()),
+            (Stage::Linear(linear), Feat::Vector(x)) => {
+                out.fc_cycles += linear.cycles;
+                Feat::Vector(PostProcessor::linear(&x, &linear.weights, &linear.bias))
             }
-            Node::Residual { main, shortcut } => {
-                let Feat::Map(entry) = feat else {
-                    panic!("residual after flatten")
-                };
-                let main_out = self.walk(main, Feat::Map(entry.clone()));
+            (Stage::Residual { main, shortcut }, Feat::Map(entry)) => {
+                let main_out = walk(main, Feat::Map(entry.clone()), conv, out);
                 let short_out = match shortcut {
-                    Some(s) => self.walk(s, Feat::Map(entry)),
+                    Some(s) => walk(s, Feat::Map(entry), conv, out),
                     None => Feat::Map(entry),
                 };
                 let (Feat::Map(mut m), Feat::Map(s)) = (main_out, short_out) else {
-                    panic!("residual paths must stay feature maps")
+                    unreachable!("the plan ends residual paths in maps")
                 };
                 PostProcessor::shortcut_add(&mut m, &s);
                 PostProcessor::relu(&mut m);
                 Feat::Map(m)
             }
-        }
+            _ => unreachable!("the plan puts map stages on maps and linears on vectors"),
+        };
     }
-
-    fn accumulate(&mut self, s: ConvStats) {
-        self.stats.cycles += s.cycles;
-        self.stats.macs += s.macs;
-        self.stats.blocks_skipped += s.blocks_skipped;
-        self.stats.weight_words += s.weight_words;
-        self.stats.input_words += s.input_words;
-        self.stats.output_words += s.output_words;
-        self.stats.saturated_words += s.saturated_words;
-    }
+    feat
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Ports, Tiling};
-    use p3d_models::{build_network, r2plus1d_micro};
+    use p3d_models::{build_network, r2plus1d_micro, Conv3dSpec, Node};
     use p3d_nn::{Layer, Mode};
     use p3d_tensor::TensorRng;
 
@@ -592,6 +493,23 @@ mod tests {
         assert_eq!(dense_out.logits, sparse_out.logits);
     }
 
+    /// The sim streams FC weights at the latency model's cost.
+    #[test]
+    fn fc_cycles_equal_the_latency_model() {
+        use crate::latency::{network_latency, DoubleBuffering};
+        for spec in [r2plus1d_micro(4), p3d_models::c3d_lite(4)] {
+            let mut net = build_network(&spec, 38);
+            let q = QuantizedNetwork::from_network(&spec, &mut net, micro_cfg());
+            let (c, d, h, w) = spec.input;
+            let clip = TensorRng::seed(12).uniform_tensor([c, d, h, w], 0.0, 1.0);
+            let sim = q.forward_functional(&clip, &PrunedModel::dense());
+            let dense = PrunedModel::dense();
+            let model = network_latency(&spec, &micro_cfg(), &dense, DoubleBuffering::On);
+            assert!(sim.fc_cycles > 0, "{}", spec.name);
+            assert_eq!(sim.fc_cycles, model.fc_cycles, "{}", spec.name);
+        }
+    }
+
     /// A hand-built spec whose convs carry a bias and whose runs differ
     /// from lite-wide's `conv -> BatchNorm [-> ReLU]`: `conv -> ReLU`
     /// without batch norm, bias alone, ReLU alone, and a batch norm
@@ -662,10 +580,13 @@ mod tests {
         let pruned =
             magnitude_block_prune(&mut net, BlockShape::new(4, 4), &targets, KeepRule::Round);
         let q = QuantizedNetwork::from_network(&spec, &mut net, micro_cfg());
-        let fused: Vec<_> = q
-            .epilogues
+        let plan = spec.plan().unwrap();
+        let fused: Vec<_> = plan
             .iter()
-            .map(|e| (e.bias.is_some(), e.batch_norm.is_some(), e.relu))
+            .filter_map(|stage| match stage {
+                plan::Stage::Conv(c) => Some((c.inst.spec.bias, c.batch_norm.is_some(), c.relu)),
+                _ => None,
+            })
             .collect();
         assert_eq!(
             fused,
@@ -676,7 +597,11 @@ mod tests {
                 (false, false, true),
             ]
         );
-        assert_eq!(q.bn_folded.len(), 1, "the pooled batch norm stands alone");
+        let standalone = plan
+            .iter()
+            .filter(|stage| matches!(stage, plan::Stage::BatchNorm(_)))
+            .count();
+        assert_eq!(standalone, 1, "the pooled batch norm stands alone");
         let layers = q.compile(&pruned);
         for loud in [1.0, 60.0] {
             let clip = rng.uniform_tensor([1, 4, 10, 10], -loud, loud);
@@ -714,7 +639,10 @@ mod tests {
             });
             let q = QuantizedNetwork::from_network(&spec, &mut net, micro_cfg());
             let layers = q.compile(&pruned);
-            let (certified, total) = layers[0].certified_groups();
+            let Stage::Conv(first) = &layers.stages[0] else {
+                panic!("micro starts with a conv")
+            };
+            let (certified, total) = first.certified_groups();
             assert_eq!(certified < total, scale > 1.0, "scale {scale}");
             let mut rng = TensorRng::seed(10);
             for _ in 0..2 {

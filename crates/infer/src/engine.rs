@@ -5,7 +5,7 @@
 //! reads and none writes. Only the per-clip body differs. An
 //! [`F32Engine`] worker is a network replica with its own [`EvalArena`];
 //! a [`SimEngine`] worker holds nothing of its own and runs one shared
-//! [`QuantizedNetwork`] on its layers, compiled once. Dispatch,
+//! [`CompiledNetwork`], compiled once. Dispatch,
 //! supervision and worker restart are written once for both.
 //!
 //! Clips are rank-4 `[C, D, H, W]` tensors, and results fill a
@@ -28,7 +28,7 @@
 
 use crate::chaos::{FaultPlan, CHAOS_PANIC_MESSAGE};
 use p3d_core::PrunedModel;
-use p3d_fpga::sim::{CompiledConv, QuantizedNetwork};
+use p3d_fpga::sim::{CompiledNetwork, QuantizedNetwork};
 use p3d_nn::{EvalArena, Layer, Sequential};
 use p3d_tensor::parallel::{max_threads, parallel_worker_chunks};
 use p3d_tensor::{Shape, Tensor};
@@ -408,17 +408,17 @@ impl F32Engine {
 
 replicated_engine!(F32Engine);
 
-/// A [`SimEngine`] worker. The compiled layers are shared and
+/// A [`SimEngine`] worker. The compiled network is shared and
 /// read-only, and the kernel's lowered tile is per-thread scratch that
 /// every layer rebuilds, so a worker has no state of its own.
 struct SimWorker;
 
 impl Worker for SimWorker {
     const NAME: &'static str = "sim";
-    type Shared = (QuantizedNetwork, Vec<CompiledConv>);
+    type Shared = CompiledNetwork;
 
-    fn run(&mut self, (net, layers): &Self::Shared, clip: &Tensor, out: &mut ClipResult) -> f64 {
-        let r = net.forward_compiled(clip, layers);
+    fn run(&mut self, net: &Self::Shared, clip: &Tensor, out: &mut ClipResult) -> f64 {
+        let r = net.forward(clip);
         out.logits.clear();
         out.logits.extend_from_slice(&r.logits);
         out.prediction = r.prediction;
@@ -431,15 +431,16 @@ impl Worker for SimWorker {
 
 /// Batched Q7.8 inference over the simulated accelerator.
 ///
-/// [`QuantizedNetwork::forward_compiled`] takes `&self`, so one
-/// quantised model is shared read-only across workers; the block-enable
-/// maps from the pruned-model artifact gate computation exactly as in
-/// `p3d simulate`.
-///
-/// Every conv layer is compiled once, when the engine is built
-/// ([`QuantizedNetwork::compile`]): its tile-row runs, weight panel,
-/// statistics and 32-bit certificates. Serving then runs the **fast
-/// functional** Q7.8 path on them: each conv lowers its input into
+/// The engine holds one [`CompiledNetwork`], shared read-only across
+/// workers: the quantised network's stage tree (the spec's stage plan)
+/// with every conv stage compiled once, when the engine is built
+/// ([`QuantizedNetwork::compile`]), under the block-enable maps of the
+/// pruned-model artifact, exactly as in `p3d simulate`. A compiled conv
+/// stage holds its tile-row runs, weight panel, statistics, 32-bit
+/// certificates and the bias, batch norm and ReLU the plan grouped with
+/// it; the other stages hold their folded batch norm or FC weights.
+/// Serving then runs the **fast functional** Q7.8 path over the tree
+/// ([`CompiledNetwork::forward`]): each conv lowers its input into
 /// bounded tiles of output rows and sums every enabled weight's tile
 /// row with one AVX2 integer kernel, in `i32` for channel groups whose
 /// certificate proves it exact and in `i64` otherwise, rounding once
@@ -458,22 +459,16 @@ impl Worker for SimWorker {
 pub struct SimEngine(Replicated<SimWorker>);
 
 impl SimEngine {
-    /// Wraps a quantised network and a pruning artifact (use
-    /// [`PrunedModel::dense`] for an unpruned run), compiling every
-    /// conv layer under the artifact's block-enable maps.
+    /// Compiles a quantised network under a pruning artifact's
+    /// block-enable maps (use [`PrunedModel::dense`] for an unpruned
+    /// run).
     pub fn new(net: QuantizedNetwork, pruned: PrunedModel) -> Self {
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
         let workers = max_threads().min(host).max(1);
-        let layers = net.compile(&pruned);
         SimEngine(Replicated::new(
             (0..workers).map(|_| SimWorker),
-            (net, layers),
+            net.compile(&pruned),
         ))
-    }
-
-    /// The wrapped quantised network.
-    pub fn network(&self) -> &QuantizedNetwork {
-        &self.0.shared.0
     }
 }
 

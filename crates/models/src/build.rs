@@ -1,21 +1,23 @@
 //! Builds trainable `p3d-nn` networks from [`NetworkSpec`]s.
 
-use crate::spec::{NetworkSpec, Node};
+use crate::plan::{Bn, Stage};
+use crate::spec::NetworkSpec;
 use p3d_nn::{
-    BatchNorm3d, Conv3d, Flatten, GlobalAvgPool, Linear, MaxPool3d, Relu, ResidualBlock, Sequential,
+    BatchNorm3d, Conv3d, Flatten, GlobalAvgPool, Layer, Linear, MaxPool3d, Relu, ResidualBlock,
+    Sequential,
 };
 use p3d_tensor::TensorRng;
 
-fn build_nodes(
-    nodes: &[Node],
-    rng: &mut TensorRng,
-    flat: &mut bool,
-    bn_counter: &mut usize,
-) -> Sequential {
+fn batch_norm(bn: &Bn) -> Box<dyn Layer> {
+    Box::new(BatchNorm3d::new(&bn.name, bn.channels))
+}
+
+fn build_stages(stages: &[Stage], rng: &mut TensorRng) -> Sequential {
     let mut seq = Sequential::new();
-    for node in nodes {
-        match node {
-            Node::Conv(c) => {
+    for stage in stages {
+        match stage {
+            Stage::Conv(conv) => {
+                let c = &conv.inst.spec;
                 seq.add(Box::new(Conv3d::new(
                     &c.name,
                     c.out_channels,
@@ -26,60 +28,35 @@ fn build_nodes(
                     c.bias,
                     rng,
                 )));
+                if let Some(bn) = &conv.batch_norm {
+                    seq.add(batch_norm(bn));
+                }
+                if conv.relu {
+                    seq.add(Box::new(Relu::new()));
+                }
             }
-            Node::BatchNorm { channels } => {
-                // Names are indexed in document order (depth-first, main
-                // before shortcut) so external consumers — notably the
-                // FPGA simulator's parameter extraction — can re-derive
-                // them by walking the spec the same way.
-                seq.add(Box::new(BatchNorm3d::new(
-                    &format!("bn{bn_counter}"),
-                    *channels,
-                )));
-                *bn_counter += 1;
-            }
-            Node::Relu => seq.add(Box::new(Relu::new())),
-            Node::MaxPool {
-                kernel,
-                stride,
-                pad,
-            } => {
+            Stage::BatchNorm(bn) => seq.add(batch_norm(bn)),
+            Stage::Relu => seq.add(Box::new(Relu::new())),
+            Stage::MaxPool(pool) => {
                 assert_eq!(
-                    *pad,
+                    pool.pad,
                     (0, 0, 0),
                     "the trainable builder does not support padded pooling; \
                      padded pools exist only in analytic specs"
                 );
-                seq.add(Box::new(MaxPool3d::new(*kernel, *stride)));
+                seq.add(Box::new(MaxPool3d::new(pool.kernel, pool.stride)));
             }
-            Node::GlobalAvgPool => {
-                seq.add(Box::new(GlobalAvgPool::new()));
-                *flat = true;
+            Stage::GlobalAvgPool => seq.add(Box::new(GlobalAvgPool::new())),
+            Stage::Flatten => seq.add(Box::new(Flatten::new())),
+            Stage::Linear(l) => {
+                let (m, n) = (l.out_features, l.in_features);
+                seq.add(Box::new(Linear::new(&l.name, m, n, true, rng)));
             }
-            Node::Linear {
-                name,
-                out_features,
-                in_features,
-            } => {
-                if !*flat {
-                    seq.add(Box::new(Flatten::new()));
-                    *flat = true;
-                }
-                seq.add(Box::new(Linear::new(
-                    name,
-                    *out_features,
-                    *in_features,
-                    true,
-                    rng,
-                )));
-            }
-            Node::Residual { main, shortcut } => {
-                let main_seq = build_nodes(main, rng, flat, bn_counter);
+            Stage::Residual { main, shortcut } => {
+                let main = build_stages(main, rng);
                 let block = match shortcut {
-                    Some(s) => {
-                        ResidualBlock::projected(main_seq, build_nodes(s, rng, flat, bn_counter))
-                    }
-                    None => ResidualBlock::identity(main_seq),
+                    Some(s) => ResidualBlock::projected(main, build_stages(s, rng)),
+                    None => ResidualBlock::identity(main),
                 };
                 seq.add(Box::new(block));
             }
@@ -88,51 +65,26 @@ fn build_nodes(
     seq
 }
 
-/// Instantiates a trainable network from a specification, with
-/// deterministic Kaiming initialisation from `seed`.
+/// Instantiates a trainable network from a specification's stage plan,
+/// with deterministic Kaiming initialisation from `seed`. A conv stage
+/// expands back to its conv, batch norm and ReLU layers.
 ///
-/// Batch-norm parameter names are derived from channel counts and layer
-/// position; convolution and linear parameters keep their spec names, so
-/// the ADMM pruner can target spec layers by name.
+/// Batch-norm parameters take the plan's names (`bn0`, `bn1`, ...);
+/// convolution and linear parameters keep their spec names, so the ADMM
+/// pruner can target spec layers by name.
+///
+/// # Panics
+///
+/// Panics if the spec does not shape-check, or if it pools with padding.
 pub fn build_network(spec: &NetworkSpec, seed: u64) -> Sequential {
-    let mut rng = TensorRng::seed(seed);
-    let mut flat = false;
-    let mut bn_counter = 0usize;
-    build_nodes(&spec.nodes, &mut rng, &mut flat, &mut bn_counter)
-}
-
-/// Enumerates the batch-norm node names (`bn0`, `bn1`, ...) in the same
-/// document order [`build_network`] assigns them, paired with each node's
-/// channel count. Used to re-associate exported running statistics with
-/// spec nodes.
-pub fn bn_names(spec: &NetworkSpec) -> Vec<(String, usize)> {
-    fn walk(nodes: &[Node], counter: &mut usize, out: &mut Vec<(String, usize)>) {
-        for node in nodes {
-            match node {
-                Node::BatchNorm { channels } => {
-                    out.push((format!("bn{counter}"), *channels));
-                    *counter += 1;
-                }
-                Node::Residual { main, shortcut } => {
-                    walk(main, counter, out);
-                    if let Some(s) = shortcut {
-                        walk(s, counter, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut out = Vec::new();
-    let mut counter = 0;
-    walk(&spec.nodes, &mut counter, &mut out);
-    out
+    let plan = spec.plan().expect("spec must shape-check");
+    build_stages(&plan.stages, &mut TensorRng::seed(seed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lite::r2plus1d_lite;
+    use crate::lite::{c3d_lite, r2plus1d_lite, r2plus1d_lite_wide, r2plus1d_micro};
     use p3d_nn::{Layer, LayerExt, Mode};
     use p3d_tensor::TensorRng;
 
@@ -172,6 +124,42 @@ mod tests {
         for ((na, ta), (nb, tb)) in pa.iter().zip(&pb) {
             assert_eq!(na, nb);
             assert_eq!(ta, tb);
+        }
+    }
+
+    /// Checkpoints name batch-norm parameters `bn{i}`. On every
+    /// trainable shipped spec, the built network visits them in the
+    /// plan's order under the plan's names, and those count up in that
+    /// order.
+    #[test]
+    fn batch_norm_params_follow_the_plan() {
+        for spec in [
+            r2plus1d_micro(4),
+            r2plus1d_lite(4),
+            r2plus1d_lite_wide(4),
+            c3d_lite(4),
+        ] {
+            let planned: Vec<String> = spec
+                .plan()
+                .unwrap()
+                .iter()
+                .filter_map(|stage| match stage {
+                    Stage::Conv(conv) => conv.batch_norm.as_ref(),
+                    Stage::BatchNorm(bn) => Some(bn),
+                    _ => None,
+                })
+                .map(|bn| bn.name.clone())
+                .collect();
+            let mut built = Vec::new();
+            build_network(&spec, 0).visit_params(&mut |p| {
+                if let Some(name) = p.name.strip_suffix(".gamma") {
+                    built.push(name.to_string());
+                }
+            });
+            assert!(!planned.is_empty(), "{}", spec.name);
+            assert_eq!(built, planned, "{}", spec.name);
+            let counted: Vec<String> = (0..planned.len()).map(|i| format!("bn{i}")).collect();
+            assert_eq!(planned, counted, "{}", spec.name);
         }
     }
 

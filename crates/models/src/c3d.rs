@@ -76,10 +76,7 @@ pub fn c3d_for_input(num_classes: usize, input: (usize, usize, usize, usize)) ->
         nodes,
     };
     // Resolve the flattened width after pool5, then append the FCs.
-    let feat = spec
-        .output_shape()
-        .expect("C3D trunk must shape-check")
-        .expect("C3D trunk ends with a feature map");
+    let feat = spec.output_shape().expect("C3D trunk must shape-check");
     let flat = feat.0 * feat.1 * feat.2 * feat.3;
     spec.nodes.push(Node::Linear {
         name: "fc6".into(),
@@ -135,7 +132,7 @@ mod tests {
             _ => None,
         });
         assert_eq!(fc6, Some(8192));
-        assert_eq!(spec.output_shape().unwrap(), Some((101, 1, 1, 1)));
+        assert_eq!(spec.output_shape().unwrap(), (101, 1, 1, 1));
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! variants.
 //!
 //! The crate is organised around [`NetworkSpec`], a declarative network
-//! description from which three consumers derive everything they need:
+//! description, parsed once into a typed [`plan::Plan`] from which three
+//! consumers derive everything they need:
 //!
 //! * [`build::build_network`] instantiates a trainable `p3d-nn` network,
 //! * [`summary`] produces the per-stage parameter/operation tables
 //!   (Tables I and II of the paper),
-//! * the `p3d-fpga` crate consumes [`spec::ConvInstance`] lists to model
-//!   per-layer accelerator latency and resources.
+//! * the `p3d-fpga` crate models per-layer accelerator latency and
+//!   resources, and runs the quantised simulator, from the plan.
 //!
 //! # Example
 //!
@@ -29,6 +30,7 @@
 pub mod build;
 pub mod c3d;
 pub mod lite;
+pub mod plan;
 pub mod r2plus1d;
 pub mod spec;
 pub mod summary;
@@ -37,6 +39,7 @@ pub mod variants;
 pub use build::build_network;
 pub use c3d::c3d;
 pub use lite::{c3d_lite, r2plus1d_lite, r2plus1d_lite_wide, r2plus1d_micro};
+pub use plan::{Bn, ConvStage, LinearStage, Plan, Pool, Stage};
 pub use r2plus1d::r2plus1d_18;
 pub use spec::{Conv3dSpec, ConvInstance, FeatShape, NetworkSpec, Node, SpecError};
 pub use summary::{architecture_rows, summarize, ModelSummary, StageCounts};

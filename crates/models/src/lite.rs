@@ -299,7 +299,7 @@ mod tests {
         ] {
             assert_eq!(
                 spec.output_shape().unwrap(),
-                Some((classes, 1, 1, 1)),
+                (classes, 1, 1, 1),
                 "{}",
                 spec.name
             );
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn lite_wide_shape_and_size() {
         let spec = r2plus1d_lite_wide(10);
-        assert_eq!(spec.output_shape().unwrap(), Some((10, 1, 1, 1)));
+        assert_eq!(spec.output_shape().unwrap(), (10, 1, 1, 1));
         let params = spec.conv_params().unwrap();
         assert!((30_000..90_000).contains(&params), "{params}");
         // Wider than lite, as intended.

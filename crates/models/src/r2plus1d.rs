@@ -222,7 +222,7 @@ mod tests {
         assert_eq!(out_of("conv3_2b.temporal"), (128, 8, 28, 28));
         assert_eq!(out_of("conv4_2b.temporal"), (256, 4, 14, 14));
         assert_eq!(out_of("conv5_2b.temporal"), (512, 2, 7, 7));
-        assert_eq!(spec.output_shape().unwrap(), Some((101, 1, 1, 1)));
+        assert_eq!(spec.output_shape().unwrap(), (101, 1, 1, 1));
     }
 
     #[test]

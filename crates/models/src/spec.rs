@@ -1,7 +1,8 @@
 //! Network specifications: a declarative description of a 3D CNN from
-//! which everything else is derived — trainable networks (`build`),
-//! parameter/operation counts (`summary`), and FPGA latency/resource
-//! models (the `p3d-fpga` crate).
+//! which everything else is derived, through its stage plan (`plan`) —
+//! trainable networks (`build`), parameter/operation counts (`summary`),
+//! and FPGA latency/resource models and the simulator (the `p3d-fpga`
+//! crate).
 
 use serde::{Deserialize, Serialize};
 
@@ -133,20 +134,6 @@ impl ConvInstance {
     }
 }
 
-fn conv_out3(
-    input: (usize, usize, usize),
-    kernel: (usize, usize, usize),
-    stride: (usize, usize, usize),
-    pad: (usize, usize, usize),
-) -> (usize, usize, usize) {
-    use p3d_tensor::shape::conv_out;
-    (
-        conv_out(input.0, kernel.0, stride.0, pad.0),
-        conv_out(input.1, kernel.1, stride.1, pad.1),
-        conv_out(input.2, kernel.2, stride.2, pad.2),
-    )
-}
-
 /// Errors produced by shape inference over a [`NetworkSpec`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpecError {
@@ -166,8 +153,13 @@ pub enum SpecError {
         /// Shortcut output.
         shortcut: FeatShape,
     },
-    /// A linear layer appeared before pooling to a vector.
-    LinearBeforeFlatten,
+    /// A layer that needs a feature map (a conv, batch norm, pool or
+    /// residual) reads a vector: it follows global pooling or a linear
+    /// layer.
+    MapLayerOnVector {
+        /// Offending layer name.
+        layer: String,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -185,8 +177,8 @@ impl std::fmt::Display for SpecError {
                 f,
                 "residual paths disagree: main {main:?} vs shortcut {shortcut:?}"
             ),
-            SpecError::LinearBeforeFlatten => {
-                write!(f, "linear layer before global pooling/flatten")
+            SpecError::MapLayerOnVector { layer } => {
+                write!(f, "layer {layer} needs a feature map but reads a vector")
             }
         }
     }
@@ -194,115 +186,17 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Walks `nodes` starting from `shape`, appending every conv instance to
-/// `out`, and returns the final feature shape (or `None` once the map has
-/// been pooled to a vector).
-fn walk(
-    nodes: &[Node],
-    mut shape: Option<FeatShape>,
-    out: &mut Vec<ConvInstance>,
-) -> Result<Option<FeatShape>, SpecError> {
-    for node in nodes {
-        match node {
-            Node::Conv(spec) => {
-                let (c, d, h, w) = shape.ok_or(SpecError::LinearBeforeFlatten)?;
-                if c != spec.in_channels {
-                    return Err(SpecError::ChannelMismatch {
-                        layer: spec.name.clone(),
-                        expected: spec.in_channels,
-                        actual: c,
-                    });
-                }
-                let (od, oh, ow) = conv_out3((d, h, w), spec.kernel, spec.stride, spec.pad);
-                out.push(ConvInstance {
-                    spec: spec.clone(),
-                    input: (c, d, h, w),
-                    output: (spec.out_channels, od, oh, ow),
-                });
-                shape = Some((spec.out_channels, od, oh, ow));
-            }
-            Node::BatchNorm { channels } => {
-                let (c, ..) = shape.ok_or(SpecError::LinearBeforeFlatten)?;
-                if c != *channels {
-                    return Err(SpecError::ChannelMismatch {
-                        layer: format!("batchnorm({channels})"),
-                        expected: *channels,
-                        actual: c,
-                    });
-                }
-            }
-            Node::Relu => {}
-            Node::MaxPool {
-                kernel,
-                stride,
-                pad,
-            } => {
-                let (c, d, h, w) = shape.ok_or(SpecError::LinearBeforeFlatten)?;
-                let (od, oh, ow) = conv_out3((d, h, w), *kernel, *stride, *pad);
-                shape = Some((c, od, oh, ow));
-            }
-            Node::GlobalAvgPool => {
-                let (c, ..) = shape.ok_or(SpecError::LinearBeforeFlatten)?;
-                // The pooled vector is recorded as a (c, 1, 1, 1) shape so
-                // the following linear layer can check its input width.
-                shape = Some((c, 1, 1, 1));
-            }
-            Node::Linear {
-                name,
-                out_features,
-                in_features,
-            } => {
-                if let Some((c, d, h, w)) = shape {
-                    let flat = c * d * h * w;
-                    if flat != *in_features {
-                        return Err(SpecError::ChannelMismatch {
-                            layer: name.clone(),
-                            expected: *in_features,
-                            actual: flat,
-                        });
-                    }
-                }
-                shape = Some((*out_features, 1, 1, 1));
-            }
-            Node::Residual { main, shortcut } => {
-                let entry = shape;
-                let main_out = walk(main, entry, out)?;
-                let short_out = match shortcut {
-                    Some(s) => walk(s, entry, out)?,
-                    None => entry,
-                };
-                match (main_out, short_out) {
-                    (Some(a), Some(b)) if a == b => shape = Some(a),
-                    (Some(a), Some(b)) => {
-                        return Err(SpecError::ResidualShapeMismatch {
-                            main: a,
-                            shortcut: b,
-                        })
-                    }
-                    _ => return Err(SpecError::LinearBeforeFlatten),
-                }
-            }
-        }
-    }
-    Ok(shape)
-}
-
 impl NetworkSpec {
     /// Resolves every convolution in execution order with its
     /// input/output feature-map shapes.
     pub fn conv_instances(&self) -> Result<Vec<ConvInstance>, SpecError> {
-        let mut out = Vec::new();
-        let (c, d, h, w) = self.input;
-        walk(&self.nodes, Some((c, d, h, w)), &mut out)?;
-        Ok(out)
+        Ok(self.plan()?.convs().cloned().collect())
     }
 
     /// The final feature shape (e.g. `(num_classes, 1, 1, 1)` for a
     /// classifier).
-    pub fn output_shape(&self) -> Result<Option<FeatShape>, SpecError> {
-        let mut scratch = Vec::new();
-        let (c, d, h, w) = self.input;
-        walk(&self.nodes, Some((c, d, h, w)), &mut scratch)
+    pub fn output_shape(&self) -> Result<FeatShape, SpecError> {
+        Ok(self.plan()?.output)
     }
 
     /// Total trainable parameters in convolution layers.
@@ -396,7 +290,7 @@ mod tests {
     #[test]
     fn output_is_classifier_vector() {
         let spec = tiny_spec();
-        assert_eq!(spec.output_shape().unwrap(), Some((3, 1, 1, 1)));
+        assert_eq!(spec.output_shape().unwrap(), (3, 1, 1, 1));
     }
 
     #[test]
@@ -452,8 +346,6 @@ mod tests {
             input: (1, 2, 7, 7),
             ..spec.clone()
         };
-        let mut v = Vec::new();
-        let end = walk(&spec7.nodes, Some((1, 2, 7, 7)), &mut v).unwrap();
-        assert_eq!(end, Some((1, 1, 4, 4)));
+        assert_eq!(spec7.output_shape().unwrap(), (1, 1, 4, 4));
     }
 }

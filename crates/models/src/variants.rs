@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn r3d_shape_checks_and_is_heavier_than_r2plus1d() {
         let r3d = r3d_18(101);
-        assert_eq!(r3d.output_shape().unwrap(), Some((101, 1, 1, 1)));
+        assert_eq!(r3d.output_shape().unwrap(), (101, 1, 1, 1));
         // R3D-18 is ~33.2 M conv params — nearly identical to R(2+1)D by
         // construction of the midplane formula.
         let p_r3d = r3d.conv_params().unwrap();
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn mc3_lighter_than_r3d() {
         let mc3 = mc3_18(101);
-        assert_eq!(mc3.output_shape().unwrap(), Some((101, 1, 1, 1)));
+        assert_eq!(mc3.output_shape().unwrap(), (101, 1, 1, 1));
         let p_mc3 = mc3.conv_params().unwrap();
         let p_r3d = r3d_18(101).conv_params().unwrap();
         assert!(

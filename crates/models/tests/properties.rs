@@ -97,7 +97,7 @@ proptest! {
 
     #[test]
     fn built_network_matches_spec_shape(spec in arb_spec(), seed in 0u64..100) {
-        let expected = spec.output_shape().unwrap().unwrap();
+        let expected = spec.output_shape().unwrap();
         let mut net = build_network(&spec, seed);
         let (c, d, h, w) = spec.input;
         let mut rng = TensorRng::seed(seed + 1);
