@@ -17,7 +17,11 @@ fn render(grid: &BlockGrid, keep: &[bool]) -> String {
     for bi in 0..grid.rows() {
         out.push_str("    ");
         for bj in 0..grid.cols() {
-            out.push(if keep[grid.block_index(bi, bj)] { '#' } else { '.' });
+            out.push(if keep[grid.block_index(bi, bj)] {
+                '#'
+            } else {
+                '.'
+            });
             out.push(' ');
         }
         out.push('\n');
@@ -37,7 +41,10 @@ fn main() {
         grid.rows(),
         grid.cols()
     );
-    println!("({} blocks; edge row covers output channels 128..144)\n", grid.num_blocks());
+    println!(
+        "({} blocks; edge row covers output channels 128..144)\n",
+        grid.num_blocks()
+    );
 
     let dense = vec![true; grid.num_blocks()];
     println!("before pruning (every block enabled):");
@@ -61,7 +68,10 @@ fn main() {
         let mask = LayerBlockMask::new(grid, result.keep.clone());
         let bitmap = mask.to_bitmap();
         let bytes: Vec<String> = bitmap.iter().map(|b| format!("{b:08b}")).collect();
-        println!("    block-enable bitmap for the FPGA: {}\n", bytes.join(" "));
+        println!(
+            "    block-enable bitmap for the FPGA: {}\n",
+            bytes.join(" ")
+        );
     }
 
     println!("Every '.' above removes one full load-and-compute iteration of the");

@@ -12,8 +12,8 @@
 //! ```
 
 use p3d::fpga::{AcceleratorConfig, Ports, QuantizedNetwork, Tiling};
-use p3d::nn::{Checkpoint, CrossEntropyLoss, Sgd, Trainer};
 use p3d::models::{build_network, r2plus1d_micro};
+use p3d::nn::{Checkpoint, CrossEntropyLoss, Sgd, Trainer};
 use p3d::pruning::{magnitude_block_prune, targets_for_stages, BlockShape, KeepRule};
 use p3d::video_data::{GeneratorConfig, SyntheticVideo};
 
@@ -33,7 +33,10 @@ fn main() {
     }
     let targets = targets_for_stages(&spec, &[("conv2_x", 0.5)]);
     let pruned = magnitude_block_prune(&mut net, BlockShape::new(4, 4), &targets, KeepRule::Round);
-    println!("trained + pruned; accuracy {:.3}", trainer.evaluate(&mut net, &test));
+    println!(
+        "trained + pruned; accuracy {:.3}",
+        trainer.evaluate(&mut net, &test)
+    );
 
     // 2. Checkpoint to disk.
     let dir = std::env::temp_dir().join("p3d_deploy_example");
@@ -84,9 +87,7 @@ fn main() {
         let b = q_reload.forward(clip, &pruned);
         identical &= a.logits == b.logits;
     }
-    println!(
-        "\nreloaded model is bit-identical on the simulated accelerator: {identical}"
-    );
+    println!("\nreloaded model is bit-identical on the simulated accelerator: {identical}");
     assert!(identical, "deployment roundtrip must be exact");
     let _ = std::fs::remove_file(&ckpt_path);
 }

@@ -12,9 +12,7 @@
 use p3d::fpga::{AcceleratorConfig, Ports, QuantizedNetwork, Tiling};
 use p3d::models::{build_network, r2plus1d_micro};
 use p3d::nn::{CrossEntropyLoss, Layer, Mode, Sgd, Trainer};
-use p3d::pruning::{
-    magnitude_block_prune, targets_for_stages, BlockShape, KeepRule, PrunedModel,
-};
+use p3d::pruning::{magnitude_block_prune, targets_for_stages, BlockShape, KeepRule, PrunedModel};
 use p3d::video_data::{GeneratorConfig, SyntheticVideo};
 
 fn main() {

@@ -23,7 +23,10 @@ fn main() {
     config.height = 16;
     config.width = 16;
     let (train, test) = SyntheticVideo::train_test(&config, 80, 40, 42);
-    println!("dataset: {} train / {} test clips, {} classes", 80, 40, config.num_classes);
+    println!(
+        "dataset: {} train / {} test clips, {} classes",
+        80, 40, config.num_classes
+    );
 
     // 2. A small R(2+1)D: factorised (2+1)D convolutions, residual unit,
     //    batch norm — the same ingredients as the paper's 33M-param model.

@@ -190,7 +190,12 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let mut trainer = Trainer::new(CrossEntropyLoss::new(), Sgd::new(1e-2, 0.9, 1e-4), 16, seed);
     for e in 0..epochs {
         let st = trainer.train_epoch(&mut net, &train, None);
-        eprintln!("epoch {:>3}: loss {:.4}, train acc {:.3}", e + 1, st.loss, st.accuracy);
+        eprintln!(
+            "epoch {:>3}: loss {:.4}, train acc {:.3}",
+            e + 1,
+            st.loss,
+            st.accuracy
+        );
     }
     let acc = trainer.evaluate(&mut net, &test);
     println!("{model}: test accuracy {acc:.4} after {epochs} epochs");
@@ -234,8 +239,16 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
     let (train, test) = dataset_for(&spec, clips, seed);
     let before = evaluate(&mut net, &test, 16);
 
-    let stage2 = if model == "c3d-lite" { "conv2" } else { "conv2_x" };
-    let stage3 = if model == "c3d-lite" { "conv3" } else { "conv3_x" };
+    let stage2 = if model == "c3d-lite" {
+        "conv2"
+    } else {
+        "conv2_x"
+    };
+    let stage3 = if model == "c3d-lite" {
+        "conv3"
+    } else {
+        "conv3_x"
+    };
     let targets = targets_for_stages(&spec, &[(stage2, eta2), (stage3, eta3)]);
     if targets.is_empty() {
         return Err("no prunable layers found".into());
@@ -260,8 +273,12 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
         total_epochs: retrain,
         min_lr: 1e-5,
     };
-    let mut retrainer =
-        Trainer::new(CrossEntropyLoss::new(), Sgd::new(5e-3, 0.9, 1e-4), 16, seed + 2);
+    let mut retrainer = Trainer::new(
+        CrossEntropyLoss::new(),
+        Sgd::new(5e-3, 0.9, 1e-4),
+        16,
+        seed + 2,
+    );
 
     // --resume picks up the interrupted phase from --state.
     let loaded = if resume && std::path::Path::new(&state_path).exists() {
@@ -304,7 +321,10 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
         });
         eprintln!(
             "final primal residual: {:.3}",
-            log.rounds.last().map(|r| r.max_primal_residual).unwrap_or(f32::NAN)
+            log.rounds
+                .last()
+                .map(|r| r.max_primal_residual)
+                .unwrap_or(f32::NAN)
         );
         (pruner.hard_prune(&mut net), 0)
     };
@@ -395,7 +415,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const INFER_USAGE: &str = "usage: p3d infer --ckpt model.ckpt [--model lite|lite-wide|micro|c3d-lite]
+const INFER_USAGE: &str =
+    "usage: p3d infer --ckpt model.ckpt [--model lite|lite-wide|micro|c3d-lite]
                  [--clips N] [--batch B] [--backend f32|sim|both]
                  [--threads T] [--seed S] [--tm 8] [--tn 4] [--json FILE]
                  [--resilient] [--replicas R] [--capacity C]
@@ -466,7 +487,9 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     let run_f32 = matches!(backend.as_str(), "f32" | "both");
     let run_sim = matches!(backend.as_str(), "sim" | "both");
     if !run_f32 && !run_sim {
-        return Err(format!("unknown backend '{backend}' (expected f32|sim|both)"));
+        return Err(format!(
+            "unknown backend '{backend}' (expected f32|sim|both)"
+        ));
     }
     if batch == 0 {
         return Err("--batch must be positive".into());
@@ -632,7 +655,8 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const SERVE_USAGE: &str = "usage: p3d serve --ckpt model.ckpt [--model lite|lite-wide|micro|c3d-lite]
+const SERVE_USAGE: &str =
+    "usage: p3d serve --ckpt model.ckpt [--model lite|lite-wide|micro|c3d-lite]
                  [--port P] [--backend f32|sim] [--tm 8] [--tn 4] [--seed S]
                  [--batch B] [--capacity C] [--deadline-ms D] [--retries N]
                  [--rate R] [--burst B] [--max-body BYTES] [--threads T]
@@ -926,7 +950,9 @@ fn cmd_models(args: &Args) -> Result<(), String> {
             Ok(p) if p.already_present => println!("already published: {}", p.hash),
             Ok(p) => println!("published {} ({} bytes)", p.hash, bytes.len()),
             Err(RegistryError::Rejected { hash, reason }) => {
-                return Err(format!("rejected {hash}: {reason} (quarantined under {dir})"));
+                return Err(format!(
+                    "rejected {hash}: {reason} (quarantined under {dir})"
+                ));
             }
             Err(e) => return Err(format!("cannot publish {push}: {e}")),
         }
@@ -967,7 +993,11 @@ fn cmd_models(args: &Args) -> Result<(), String> {
             .build();
         println!("{body}");
     } else {
-        println!("registry {dir}: {} published, {} rejected", models.len(), rejected.len());
+        println!(
+            "registry {dir}: {} published, {} rejected",
+            models.len(),
+            rejected.len()
+        );
         for m in &models {
             println!("  {}  {} bytes", m.hash, m.bytes);
         }
@@ -990,10 +1020,16 @@ fn cmd_tables() -> Result<(), String> {
         ("layer_latency", "per-layer latency/traffic breakdown"),
         ("sweep_sparsity", "latency vs pruning-ratio curve"),
         ("sweep_blockshape", "block-granularity sweep"),
-        ("ablation_granularity", "blockwise vs unstructured vs channel"),
+        (
+            "ablation_granularity",
+            "blockwise vs unstructured vs channel",
+        ),
         ("ablation_doublebuffer", "overlap on/off"),
         ("ablation_admm", "ADMM vs one-shot magnitude (trains)"),
-        ("ablation_quantization", "fixed-point precision sweep (trains)"),
+        (
+            "ablation_quantization",
+            "fixed-point precision sweep (trains)",
+        ),
         ("ablation_winograd", "Winograd vs pruning"),
         ("generality", "C3D pruning (trains)"),
     ] {
@@ -1116,9 +1152,9 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     let mut pipe_bits: Vec<Vec<u32>> = Vec::with_capacity(total as usize);
     let mut pending: Vec<p3d::tensor::Tensor> = Vec::with_capacity(batch);
     let flush = |pending: &mut Vec<p3d::tensor::Tensor>,
-                     engine: &mut F32Engine,
-                     predictions: &mut Vec<usize>,
-                     pipe_bits: &mut Vec<Vec<u32>>| {
+                 engine: &mut F32Engine,
+                 predictions: &mut Vec<usize>,
+                 pipe_bits: &mut Vec<Vec<u32>>| {
         if pending.is_empty() {
             return;
         }

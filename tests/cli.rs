@@ -57,8 +57,8 @@ fn train_eval_simulate_roundtrip() {
 
     let out = p3d()
         .args([
-            "train", "--model", "micro", "--epochs", "2", "--clips", "30", "--seed", "7",
-            "--out", ckpt_s,
+            "train", "--model", "micro", "--epochs", "2", "--clips", "30", "--seed", "7", "--out",
+            ckpt_s,
         ])
         .output()
         .expect("spawn");
@@ -70,7 +70,9 @@ fn train_eval_simulate_roundtrip() {
     assert!(ckpt.exists(), "checkpoint not written");
 
     let out = p3d()
-        .args(["eval", "--model", "micro", "--ckpt", ckpt_s, "--clips", "30", "--seed", "7"])
+        .args([
+            "eval", "--model", "micro", "--ckpt", ckpt_s, "--clips", "30", "--seed", "7",
+        ])
         .output()
         .expect("spawn");
     assert!(out.status.success());
@@ -78,8 +80,8 @@ fn train_eval_simulate_roundtrip() {
 
     let out = p3d()
         .args([
-            "simulate", "--model", "micro", "--ckpt", ckpt_s, "--tm", "4", "--tn", "4",
-            "--clips", "10", "--seed", "7",
+            "simulate", "--model", "micro", "--ckpt", ckpt_s, "--tm", "4", "--tn", "4", "--clips",
+            "10", "--seed", "7",
         ])
         .output()
         .expect("spawn");
@@ -143,12 +145,21 @@ fn infer_unknown_flag_rejected() {
 #[test]
 fn infer_missing_checkpoint_path_fails_cleanly() {
     let out = p3d()
-        .args(["infer", "--model", "micro", "--ckpt", "/nonexistent/missing.ckpt"])
+        .args([
+            "infer",
+            "--model",
+            "micro",
+            "--ckpt",
+            "/nonexistent/missing.ckpt",
+        ])
         .output()
         .expect("spawn");
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("cannot load /nonexistent/missing.ckpt"), "{err}");
+    assert!(
+        err.contains("cannot load /nonexistent/missing.ckpt"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -162,8 +173,8 @@ fn infer_streams_both_backends_and_writes_json() {
 
     let out = p3d()
         .args([
-            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "9",
-            "--out", ckpt_s,
+            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "9", "--out",
+            ckpt_s,
         ])
         .output()
         .expect("spawn");
@@ -175,8 +186,25 @@ fn infer_streams_both_backends_and_writes_json() {
 
     let out = p3d()
         .args([
-            "infer", "--model", "micro", "--ckpt", ckpt_s, "--clips", "12", "--batch", "4",
-            "--backend", "both", "--tm", "4", "--tn", "4", "--seed", "9", "--json", json_s,
+            "infer",
+            "--model",
+            "micro",
+            "--ckpt",
+            ckpt_s,
+            "--clips",
+            "12",
+            "--batch",
+            "4",
+            "--backend",
+            "both",
+            "--tm",
+            "4",
+            "--tn",
+            "4",
+            "--seed",
+            "9",
+            "--json",
+            json_s,
         ])
         .output()
         .expect("spawn");
@@ -252,10 +280,7 @@ fn infer_rejects_zero_and_implausible_flag_values() {
             .args(*flags)
             .output()
             .expect("spawn");
-        assert!(
-            !out.status.success(),
-            "{flags:?} should have been rejected"
-        );
+        assert!(!out.status.success(), "{flags:?} should have been rejected");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(want), "for {flags:?}: {err}");
     }
@@ -264,7 +289,9 @@ fn infer_rejects_zero_and_implausible_flag_values() {
 /// Pulls the integer after `"key": ` out of a JSON string.
 fn json_u64(report: &str, key: &str) -> u64 {
     let pat = format!("\"{key}\": ");
-    let at = report.find(&pat).unwrap_or_else(|| panic!("no {key} in {report}"));
+    let at = report
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {report}"));
     report[at + pat.len()..]
         .chars()
         .take_while(|c| c.is_ascii_digit())
@@ -284,8 +311,8 @@ fn infer_resilient_chaos_reports_error_budget() {
 
     let out = p3d()
         .args([
-            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "9",
-            "--out", ckpt_s,
+            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "9", "--out",
+            ckpt_s,
         ])
         .output()
         .expect("spawn");
@@ -299,9 +326,29 @@ fn infer_resilient_chaos_reports_error_budget() {
     // least one transient panic and one saturation storm over them.
     let out = p3d()
         .args([
-            "infer", "--model", "micro", "--ckpt", ckpt_s, "--clips", "24", "--batch", "8",
-            "--backend", "sim", "--tm", "4", "--tn", "4", "--chaos-seed", "7", "--capacity",
-            "64", "--retries", "2", "--json", json_s,
+            "infer",
+            "--model",
+            "micro",
+            "--ckpt",
+            ckpt_s,
+            "--clips",
+            "24",
+            "--batch",
+            "8",
+            "--backend",
+            "sim",
+            "--tm",
+            "4",
+            "--tn",
+            "4",
+            "--chaos-seed",
+            "7",
+            "--capacity",
+            "64",
+            "--retries",
+            "2",
+            "--json",
+            json_s,
         ])
         .output()
         .expect("spawn");
@@ -370,8 +417,8 @@ fn infer_json_schema_is_identical_across_modes() {
 
     let out = p3d()
         .args([
-            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "9",
-            "--out", ckpt_s,
+            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "9", "--out",
+            ckpt_s,
         ])
         .output()
         .expect("spawn");
@@ -387,8 +434,21 @@ fn infer_json_schema_is_identical_across_modes() {
     ] {
         let out = p3d()
             .args([
-                "infer", "--model", "micro", "--ckpt", ckpt_s, "--clips", "12", "--batch",
-                "4", "--backend", "f32", "--seed", "9", "--json", path.to_str().unwrap(),
+                "infer",
+                "--model",
+                "micro",
+                "--ckpt",
+                ckpt_s,
+                "--clips",
+                "12",
+                "--batch",
+                "4",
+                "--backend",
+                "f32",
+                "--seed",
+                "9",
+                "--json",
+                path.to_str().unwrap(),
             ])
             .args(mode_flags)
             .output()
@@ -405,14 +465,34 @@ fn infer_json_schema_is_identical_across_modes() {
     // One schema: every key present in one mode's row exists in the
     // other's. (Schema stability — consumers parse both with one shape.)
     for key in [
-        "backend", "mode", "clips_per_s", "p50_ms", "p95_ms", "p99_ms", "mean_ms",
-        "accuracy", "batches", "error_budget", "submitted", "admitted", "shed_overload",
-        "rejected_invalid", "rate_limited", "deadline_expired", "retries", "quarantined",
-        "fallbacks", "completed", "balanced",
+        "backend",
+        "mode",
+        "clips_per_s",
+        "p50_ms",
+        "p95_ms",
+        "p99_ms",
+        "mean_ms",
+        "accuracy",
+        "batches",
+        "error_budget",
+        "submitted",
+        "admitted",
+        "shed_overload",
+        "rejected_invalid",
+        "rate_limited",
+        "deadline_expired",
+        "retries",
+        "quarantined",
+        "fallbacks",
+        "completed",
+        "balanced",
     ] {
         let pat = format!("\"{key}\"");
         assert!(batch.contains(&pat), "batch report lacks {key}: {batch}");
-        assert!(resilient.contains(&pat), "resilient report lacks {key}: {resilient}");
+        assert!(
+            resilient.contains(&pat),
+            "resilient report lacks {key}: {resilient}"
+        );
     }
     assert!(batch.contains("\"mode\": \"batch\""), "{batch}");
     assert!(resilient.contains("\"mode\": \"resilient\""), "{resilient}");
@@ -440,8 +520,8 @@ fn serve_answers_http_and_exits_with_balanced_budget() {
 
     let out = p3d()
         .args([
-            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "9",
-            "--out", ckpt_s,
+            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "9", "--out",
+            ckpt_s,
         ])
         .output()
         .expect("spawn");
@@ -453,8 +533,19 @@ fn serve_answers_http_and_exits_with_balanced_budget() {
 
     let mut child = p3d()
         .args([
-            "serve", "--model", "micro", "--ckpt", ckpt_s, "--port", "0", "--backend",
-            "f32", "--seed", "9", "--max-requests", "3",
+            "serve",
+            "--model",
+            "micro",
+            "--ckpt",
+            ckpt_s,
+            "--port",
+            "0",
+            "--backend",
+            "f32",
+            "--seed",
+            "9",
+            "--max-requests",
+            "3",
         ])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -472,7 +563,8 @@ fn serve_answers_http_and_exits_with_balanced_budget() {
 
     let request = |head: &str, body: &[u8]| -> String {
         let mut s = std::net::TcpStream::connect(&addr).expect("connect");
-        s.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+        s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
         s.write_all(head.as_bytes()).unwrap();
         s.write_all(body).unwrap();
         s.flush().unwrap();
@@ -497,7 +589,10 @@ fn serve_answers_http_and_exits_with_balanced_budget() {
     );
     assert!(infer.starts_with("HTTP/1.1 200"), "{infer}");
     for key in ["prediction", "logits_bits", "kernel_path", "latency_ms"] {
-        assert!(infer.contains(&format!("\"{key}\"")), "response lacks {key}: {infer}");
+        assert!(
+            infer.contains(&format!("\"{key}\"")),
+            "response lacks {key}: {infer}"
+        );
     }
 
     let stats = request("GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n", b"");
@@ -513,7 +608,10 @@ fn serve_answers_http_and_exits_with_balanced_budget() {
         rest.contains("error budget balanced: true"),
         "final report: {rest}"
     );
-    assert!(rest.contains("served 3 http requests"), "final report: {rest}");
+    assert!(
+        rest.contains("served 3 http requests"),
+        "final report: {rest}"
+    );
 
     let _ = std::fs::remove_file(&ckpt);
 }
@@ -530,8 +628,8 @@ fn models_subcommand_publishes_lists_and_rejects() {
 
     let out = p3d()
         .args([
-            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "11",
-            "--out", ckpt_s,
+            "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed", "11", "--out",
+            ckpt_s,
         ])
         .output()
         .expect("spawn");
@@ -546,7 +644,11 @@ fn models_subcommand_publishes_lists_and_rejects() {
         .args(["models", "--dir", registry_s, "--push", ckpt_s])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("published "), "{text}");
 
@@ -577,7 +679,13 @@ fn models_subcommand_publishes_lists_and_rejects() {
     let broken = dir.join("broken.ckpt");
     std::fs::write(&broken, &bytes[..bytes.len() / 2]).unwrap();
     let out = p3d()
-        .args(["models", "--dir", registry_s, "--push", broken.to_str().unwrap()])
+        .args([
+            "models",
+            "--dir",
+            registry_s,
+            "--push",
+            broken.to_str().unwrap(),
+        ])
         .output()
         .expect("spawn");
     assert!(!out.status.success(), "corrupt push must fail");
@@ -632,8 +740,17 @@ fn serve_with_model_dir_hot_swaps_over_the_wire() {
     for (seed, path) in [("13", &ckpt_a), ("14", &ckpt_b)] {
         let out = p3d()
             .args([
-                "train", "--model", "micro", "--epochs", "1", "--clips", "20", "--seed",
-                seed, "--out", path.to_str().unwrap(),
+                "train",
+                "--model",
+                "micro",
+                "--epochs",
+                "1",
+                "--clips",
+                "20",
+                "--seed",
+                seed,
+                "--out",
+                path.to_str().unwrap(),
             ])
             .output()
             .expect("spawn");
@@ -646,9 +763,23 @@ fn serve_with_model_dir_hot_swaps_over_the_wire() {
 
     let mut child = p3d()
         .args([
-            "serve", "--model", "micro", "--ckpt", ckpt_a.to_str().unwrap(), "--port",
-            "0", "--backend", "f32", "--seed", "13", "--model-dir",
-            registry.to_str().unwrap(), "--cache", "16", "--max-requests", "4",
+            "serve",
+            "--model",
+            "micro",
+            "--ckpt",
+            ckpt_a.to_str().unwrap(),
+            "--port",
+            "0",
+            "--backend",
+            "f32",
+            "--seed",
+            "13",
+            "--model-dir",
+            registry.to_str().unwrap(),
+            "--cache",
+            "16",
+            "--max-requests",
+            "4",
         ])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -669,7 +800,8 @@ fn serve_with_model_dir_hot_swaps_over_the_wire() {
 
     let request = |head: &str, body: &[u8]| -> String {
         let mut s = std::net::TcpStream::connect(&addr).expect("connect");
-        s.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+        s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
         s.write_all(head.as_bytes()).unwrap();
         s.write_all(body).unwrap();
         s.flush().unwrap();
@@ -720,7 +852,10 @@ fn serve_with_model_dir_hot_swaps_over_the_wire() {
         rest.contains("error budget balanced: true"),
         "final report: {rest}"
     );
-    assert!(rest.contains("model plane: serving"), "final report: {rest}");
+    assert!(
+        rest.contains("model plane: serving"),
+        "final report: {rest}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

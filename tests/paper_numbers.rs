@@ -1,9 +1,7 @@
 //! Integration tests pinning the reproduction to the paper's published
 //! numbers (the "shape" checks of EXPERIMENTS.md, enforced in CI).
 
-use p3d::fpga::{
-    estimate_resources, network_latency, AcceleratorConfig, Board, DoubleBuffering,
-};
+use p3d::fpga::{estimate_resources, network_latency, AcceleratorConfig, Board, DoubleBuffering};
 use p3d::models::{c3d, r2plus1d_18, summarize};
 use p3d::pruning::{BlockGrid, KeepRule, LayerBlockMask, PrunedModel, PruningReport};
 
@@ -58,8 +56,16 @@ fn table2_pruning_rates() {
     // Paper: conv2_x 9.85x, conv3_x 4.85x, total ops 3.18x, params 1.05x.
     let conv2 = report.stages.iter().find(|r| r.stage == "conv2_x").unwrap();
     let conv3 = report.stages.iter().find(|r| r.stage == "conv3_x").unwrap();
-    assert!((conv2.param_rate() - 9.85).abs() < 1.5, "{}", conv2.param_rate());
-    assert!((conv3.param_rate() - 4.85).abs() < 0.8, "{}", conv3.param_rate());
+    assert!(
+        (conv2.param_rate() - 9.85).abs() < 1.5,
+        "{}",
+        conv2.param_rate()
+    );
+    assert!(
+        (conv3.param_rate() - 4.85).abs() < 0.8,
+        "{}",
+        conv3.param_rate()
+    );
     assert!((report.total_ops_rate() - 3.18).abs() < 0.25);
     assert!((report.total_param_rate() - 1.05).abs() < 0.02);
 }
@@ -94,18 +100,31 @@ fn table4_latency_shape() {
         network_latency(&c3, &cfg16, &PrunedModel::dense(), DoubleBuffering::On).ms(&cfg16);
     let r_dense_8 =
         network_latency(&r2, &cfg8, &PrunedModel::dense(), DoubleBuffering::On).ms(&cfg8);
-    let r_pruned_8 = network_latency(&r2, &cfg8, &paper_pruned(&cfg8.tiling), DoubleBuffering::On)
-        .ms(&cfg8);
-    let r_pruned_16 =
-        network_latency(&r2, &cfg16, &paper_pruned(&cfg16.tiling), DoubleBuffering::On)
-            .ms(&cfg16);
+    let r_pruned_8 =
+        network_latency(&r2, &cfg8, &paper_pruned(&cfg8.tiling), DoubleBuffering::On).ms(&cfg8);
+    let r_pruned_16 = network_latency(
+        &r2,
+        &cfg16,
+        &paper_pruned(&cfg16.tiling),
+        DoubleBuffering::On,
+    )
+    .ms(&cfg16);
 
     // Absolute latencies within ~25% of the paper's measurements.
     assert!((c3d_8 - 826.0).abs() / 826.0 < 0.25, "C3D Tn8 {c3d_8}");
     assert!((c3d_16 - 487.0).abs() / 487.0 < 0.25, "C3D Tn16 {c3d_16}");
-    assert!((r_dense_8 - 1044.0).abs() / 1044.0 < 0.35, "R dense {r_dense_8}");
-    assert!((r_pruned_8 - 386.0).abs() / 386.0 < 0.35, "R pruned {r_pruned_8}");
-    assert!((r_pruned_16 - 234.0).abs() / 234.0 < 0.35, "R pruned16 {r_pruned_16}");
+    assert!(
+        (r_dense_8 - 1044.0).abs() / 1044.0 < 0.35,
+        "R dense {r_dense_8}"
+    );
+    assert!(
+        (r_pruned_8 - 386.0).abs() / 386.0 < 0.35,
+        "R pruned {r_pruned_8}"
+    );
+    assert!(
+        (r_pruned_16 - 234.0).abs() / 234.0 < 0.35,
+        "R pruned16 {r_pruned_16}"
+    );
 
     // Headline claim 1: pruning buys ~2.6x end-to-end.
     let speedup = r_dense_8 / r_pruned_8;

@@ -7,9 +7,7 @@ use p3d::fpga::{
 };
 use p3d::models::{build_network, r2plus1d_micro};
 use p3d::nn::{CrossEntropyLoss, Layer, LrSchedule, Mode, Sgd, Trainer};
-use p3d::pruning::{
-    targets_for_stages, AdmmConfig, AdmmPruner, BlockShape, KeepRule, PrunedModel,
-};
+use p3d::pruning::{targets_for_stages, AdmmConfig, AdmmPruner, BlockShape, KeepRule, PrunedModel};
 use p3d::video_data::{GeneratorConfig, SyntheticVideo};
 
 fn micro_dataset() -> (SyntheticVideo, SyntheticVideo) {
@@ -59,7 +57,10 @@ fn full_pipeline_prunes_and_accelerates() {
     };
     AdmmPruner::retrain(&mut net, &mut trainer, &train, &schedule, 8);
     let acc_after = trainer.evaluate(&mut net, &test);
-    assert!(pruner.verify_sparsity(&mut net), "retraining broke sparsity");
+    assert!(
+        pruner.verify_sparsity(&mut net),
+        "retraining broke sparsity"
+    );
     assert!(
         acc_after >= acc_before - 0.25,
         "pruning cost too much accuracy: {acc_before} -> {acc_after}"
@@ -97,7 +98,10 @@ fn full_pipeline_prunes_and_accelerates() {
             agree += 1;
         }
     }
-    assert!(agree >= 6, "fixed-point sim disagrees with reference: {agree}/8");
+    assert!(
+        agree >= 6,
+        "fixed-point sim disagrees with reference: {agree}/8"
+    );
 }
 
 /// Fraction of a layer's weight mass sitting in the blocks that the

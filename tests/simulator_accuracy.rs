@@ -31,7 +31,11 @@ fn train_and_compare(spec: &NetworkSpec, frames: usize, hw: usize) {
         trainer.train_epoch(&mut net, &train, None);
     }
     let f32_acc = evaluate(&mut net, &test, 12);
-    assert!(f32_acc > 0.6, "{}: f32 baseline too weak: {f32_acc}", spec.name);
+    assert!(
+        f32_acc > 0.6,
+        "{}: f32 baseline too weak: {f32_acc}",
+        spec.name
+    );
 
     let q = QuantizedNetwork::from_network(spec, &mut net, accel());
     let mut correct = 0usize;
