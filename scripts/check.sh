@@ -56,10 +56,10 @@ crates/infer/tests/swap_soak.rs                   # release soak: three hot-swap
 EOF
 [ "$missing" -eq 0 ] || exit 1
 
-# Formatting is gated crate by crate, each as it is brought to rustfmt's
-# defaults; crates not listed here still drift.
-echo "==> cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench -p p3d-models -p p3d-video-data -p p3d-core -p p3d-nn"
-cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench -p p3d-models -p p3d-video-data -p p3d-core -p p3d-nn
+# Formatting is gated on every first-party package; the vendored crates
+# under third_party/ keep their upstream layout.
+echo "==> cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench -p p3d-models -p p3d-video-data -p p3d-core -p p3d-nn -p p3d"
+cargo fmt --check -p p3d-tensor -p p3d-infer -p p3d-fpga -p p3d-bench -p p3d-models -p p3d-video-data -p p3d-core -p p3d-nn -p p3d
 
 echo "==> cargo build --release"
 cargo build --release --workspace
