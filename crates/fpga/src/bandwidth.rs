@@ -5,10 +5,11 @@
 //! re-loaded once per output-volume tile, inputs once per output-channel
 //! block row — the cost of the paper's tiling order), the arithmetic
 //! intensity that results, and the bandwidth the accelerator must
-//! sustain to hit the modelled latency.
+//! sustain to hit the modelled latency. The words, MACs and cycles come
+//! from the same walk as the latency model ([`crate::latency::tile_walk`]).
 
 use crate::config::AcceleratorConfig;
-use crate::latency::{conv_latency, DoubleBuffering};
+use crate::latency::{tile_walk, DoubleBuffering};
 use p3d_core::{LayerBlockMask, PrunedModel};
 use p3d_models::{ConvInstance, NetworkSpec};
 use serde::{Deserialize, Serialize};
@@ -65,7 +66,8 @@ impl LayerTraffic {
     }
 }
 
-/// Traffic of one convolution under the tiled schedule.
+/// Traffic of one convolution under the tiled schedule, from one
+/// [`tile_walk`].
 ///
 /// Loop order (Algorithm 2): output-volume tiles outermost, then output
 /// blocks, then input blocks. Consequences:
@@ -73,52 +75,26 @@ impl LayerTraffic {
 /// * every *enabled* weight block is loaded once per output-volume tile,
 /// * the input tile is re-loaded for every enabled `(m, n)` block,
 /// * each output element is stored exactly once.
+///
+/// # Panics
+///
+/// Panics if the mask's grid does not match the layer dimensions.
 pub fn conv_traffic(
     inst: &ConvInstance,
     config: &AcceleratorConfig,
     mask: Option<&LayerBlockMask>,
 ) -> LayerTraffic {
-    let t = &config.tiling;
-    let (m, n) = (inst.output.0, inst.input.0);
-    let (d, r, c) = (inst.output.1, inst.output.2, inst.output.3);
-    let (kd, kr, kc) = inst.spec.kernel;
-    let (sd, sr, sc) = inst.spec.stride;
-    let kv = kd * kr * kc;
-    let rows = m.div_ceil(t.tm);
-    let cols = n.div_ceil(t.tn);
-
-    let mut traffic = Traffic::default();
-    let mut macs = 0u64;
-    for d0 in (0..d).step_by(t.td) {
-        for r0 in (0..r).step_by(t.tr) {
-            for c0 in (0..c).step_by(t.tc) {
-                let (ad, ar, ac) = (t.td.min(d - d0), t.tr.min(r - r0), t.tc.min(c - c0));
-                let in_tile = ((ad - 1) * sd + kd) * ((ar - 1) * sr + kr) * ((ac - 1) * sc + kc);
-                for bi in 0..rows {
-                    let (m0, m1) = (bi * t.tm, ((bi + 1) * t.tm).min(m));
-                    for bj in 0..cols {
-                        if let Some(mask) = mask {
-                            if !mask.is_enabled(bi, bj) {
-                                continue;
-                            }
-                        }
-                        let (n0, n1) = (bj * t.tn, ((bj + 1) * t.tn).min(n));
-                        traffic.weight_words += ((m1 - m0) * (n1 - n0) * kv) as u64;
-                        traffic.input_words += ((n1 - n0) * in_tile) as u64;
-                        macs += ((m1 - m0) * (n1 - n0) * kv * ad * ar * ac) as u64;
-                    }
-                    traffic.output_words += ((m1 - m0) * ad * ar * ac) as u64;
-                }
-            }
-        }
-    }
-    let lat = conv_latency(inst, config, mask, DoubleBuffering::On);
+    let walk = tile_walk(inst, config, mask, DoubleBuffering::On);
     LayerTraffic {
         name: inst.spec.name.clone(),
         stage: inst.spec.stage.clone(),
-        traffic,
-        macs,
-        cycles: lat.cycles,
+        traffic: Traffic {
+            weight_words: walk.weight_words,
+            input_words: walk.input_words,
+            output_words: walk.output_words,
+        },
+        macs: walk.macs,
+        cycles: walk.cycles,
     }
 }
 

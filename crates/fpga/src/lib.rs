@@ -52,8 +52,7 @@ pub use bandwidth::{conv_traffic, network_traffic, LayerTraffic, Traffic};
 pub use config::{AcceleratorConfig, Board, Ports, Tiling};
 pub use dse::{explore, DesignPoint, SearchSpace};
 pub use latency::{
-    conv_latency, iteration_terms, network_latency, Bottleneck, DoubleBuffering, LayerLatency,
-    NetworkLatency,
+    conv_latency, network_latency, Bottleneck, DoubleBuffering, LayerLatency, NetworkLatency,
 };
 pub use power::PowerModel;
 pub use resources::{estimate_resources, fits, utilization, BufferWords, ResourceEstimate};

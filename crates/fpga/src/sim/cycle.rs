@@ -23,8 +23,10 @@ use serde::{Deserialize, Serialize};
 /// Execution statistics of one simulated convolution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConvStats {
-    /// Cycle count accumulated from the executed loop structure
-    /// (independent reconstruction of Eqs. 23–25).
+    /// Cycles charged by Eqs. 23–25. The cycle engine accumulates them
+    /// from the loop structure it executes (an independent
+    /// reconstruction of the model); the compiled functional engine
+    /// reads them from the latency model's analytic walk.
     pub cycles: u64,
     /// MACs actually executed (skipped blocks execute none).
     pub macs: u64,

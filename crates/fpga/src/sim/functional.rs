@@ -9,11 +9,12 @@
 //!   layer that depends only on its weights, block mask and tiling:
 //!   each block row's enabled blocks as one list of tile-row runs, the
 //!   weights packed once in that order, the data-independent
-//!   [`ConvStats`], one 32-bit certificate per channel group (below)
-//!   and the layer's fused [`Epilogue`]. It is the engine's only form:
-//!   `SimEngine` compiles every layer, epilogue included, when it is
-//!   built, and [`run_conv_functional`] compiles with the identity
-//!   epilogue and runs.
+//!   [`ConvStats`] (read from the latency model's
+//!   [`crate::latency::tile_walk`]), one 32-bit certificate per channel
+//!   group (below) and the layer's fused [`Epilogue`]. It is the
+//!   engine's only form: `SimEngine` compiles every layer, epilogue
+//!   included, when it is built, and [`run_conv_functional`] compiles
+//!   with the identity epilogue and runs.
 //! * **Lowered input tiles** — the output volume is walked in chunks of
 //!   whole output rows, sized so the chunk's input tile holds at most
 //!   [`TILE_WORDS`] `i16` words. Each chunk lowers the input once into a
@@ -81,13 +82,13 @@
 //! single bit, and a lowered padding word or a zero weight adds nothing.
 //! The `conv_differential` suite pins this on random geometries, on
 //! every lite-wide layer, at both sides of the certificate's boundary
-//! and for fused epilogues at the rails; the statistics (cycles
-//! included) are reproduced analytically from the same tile walk the
-//! cycle engine executes, so the whole `(output, ConvStats)` pair is
-//! equal, not just the tensor.
+//! and for fused epilogues at the rails. The statistics (cycles
+//! included) come from the latency model's analytic walk of the
+//! schedule the cycle engine executes, and the suite asserts the whole
+//! `(output, ConvStats)` pair equal, not just the tensor.
 
 use crate::config::AcceleratorConfig;
-use crate::latency::tile_terms;
+use crate::latency::{tile_walk, DoubleBuffering};
 use crate::sim::cycle::ConvStats;
 use crate::sim::post::Epilogue;
 use p3d_core::LayerBlockMask;
@@ -176,9 +177,10 @@ struct Group {
 /// weights, block mask and tiling: the lowered input channels, each
 /// block row's tile-row runs, the packed weight panel, one 32-bit
 /// certificate per channel group, the data-independent [`ConvStats`]
-/// and the [`Epilogue`] its finish applies (the identity unless
-/// [`CompiledConv::with_epilogue`] sets one). Running it touches only
-/// the input.
+/// (from the latency model: [`crate::latency::tile_walk`] with double
+/// buffering on) and the [`Epilogue`] its finish applies (the identity
+/// unless [`CompiledConv::with_epilogue`] sets one). Running it touches
+/// only the input.
 pub struct CompiledConv {
     geom: ConvGeometry,
     /// `(M, Do, Ho, Wo)`.
@@ -242,17 +244,11 @@ impl CompiledConv {
             "weight shape mismatch for {}",
             inst.spec.name
         );
+        // The walk also checks the mask's grid against the layer.
+        let stats = tile_walk(inst, config, mask, DoubleBuffering::On);
         let t = &config.tiling;
         let rows = m_ch.div_ceil(t.tm);
         let cols = n_ch.div_ceil(t.tn);
-        if let Some(mask) = mask {
-            assert_eq!(
-                (mask.grid.rows(), mask.grid.cols()),
-                (rows, cols),
-                "mask grid mismatch for {}",
-                inst.spec.name
-            );
-        }
         let enabled = |bi: usize, bj: usize| mask.is_none_or(|m| m.is_enabled(bi, bj));
 
         let mut layer = CompiledConv {
@@ -271,7 +267,7 @@ impl CompiledConv {
             runs: Vec::new(),
             groups: Vec::new(),
             panel: Vec::new(),
-            stats: stats_from_tile_walk(inst, mask, config),
+            stats,
             largest_l1: 0,
             post: vec![Post::IDENTITY; m_ch],
             relu: false,
@@ -624,71 +620,6 @@ fn finish(
         }
     }
     railed
-}
-
-/// Reproduces the cycle engine's statistics — cycles, MACs, skipped
-/// blocks, buffer traffic — from the same tile walk it executes, without
-/// touching any data. `saturated_words` is left at zero for the compute
-/// pass to fill in.
-///
-/// Keeping the counters identical (not merely equivalent) means the
-/// functional path returns the *same* `ConvStats` as the cycle engine,
-/// so the differential suite can assert equality of the whole result
-/// pair and serving keeps exact latency estimates for free.
-fn stats_from_tile_walk(
-    inst: &ConvInstance,
-    mask: Option<&LayerBlockMask>,
-    config: &AcceleratorConfig,
-) -> ConvStats {
-    let (n_ch, _, _, _) = inst.input;
-    let (m_ch, od, oh, ow) = inst.output;
-    let (kd, kr, kc) = inst.spec.kernel;
-    let (sd, sr, sc) = inst.spec.stride;
-    let t = &config.tiling;
-    let rows = m_ch.div_ceil(t.tm);
-    let cols = n_ch.div_ceil(t.tn);
-    let mut stats = ConvStats::default();
-    let mut last_t_out = 0u64;
-    for d0 in (0..od).step_by(t.td) {
-        for r0 in (0..oh).step_by(t.tr) {
-            for c0 in (0..ow).step_by(t.tc) {
-                let dd = (d0 + t.td).min(od) - d0;
-                let rr = (r0 + t.tr).min(oh) - r0;
-                let cc = (c0 + t.tc).min(ow) - c0;
-                let (t_wgt, t_in, t_comp, t_out) = tile_terms(inst, t, &config.ports, (dd, rr, cc));
-                for bi in 0..rows {
-                    let msize = ((bi + 1) * t.tm).min(m_ch) - bi * t.tm;
-                    let mut enabled_blocks = 0u64;
-                    for bj in 0..cols {
-                        let enabled = mask.map(|m| m.is_enabled(bi, bj)).unwrap_or(true);
-                        if !enabled {
-                            stats.blocks_skipped += 1;
-                            continue;
-                        }
-                        enabled_blocks += 1;
-                        let nsize = ((bj + 1) * t.tn).min(n_ch) - bj * t.tn;
-                        stats.weight_words += (msize * nsize * kd * kr * kc) as u64;
-                        stats.macs += (msize * nsize * kd * kr * kc * dd * rr * cc) as u64;
-                        stats.input_words += (nsize
-                            * ((dd - 1) * sd + kd)
-                            * ((rr - 1) * sr + kr)
-                            * ((cc - 1) * sc + kc))
-                            as u64;
-                    }
-                    stats.output_words += (msize * dd * rr * cc) as u64;
-                    let t_l3 = t_wgt.max(t_in).max(t_comp);
-                    stats.cycles += if enabled_blocks == 0 {
-                        t_out
-                    } else {
-                        (t_l3 * enabled_blocks + t_comp).max(t_out)
-                    };
-                    last_t_out = t_out;
-                }
-            }
-        }
-    }
-    stats.cycles += last_t_out; // Eq. 25: final non-overlapped store.
-    stats
 }
 
 /// The AVX2 body of the register-tiled kernel, over full 8-position

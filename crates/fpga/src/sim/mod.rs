@@ -12,8 +12,8 @@
 //!   arithmetic; kept for latency-model validation,
 //! * [`functional`] — the **fast functional** path serving goes
 //!   through: each layer compiled once ([`CompiledConv`]: tile-row
-//!   runs, weight panel, statistics reproduced analytically from the
-//!   same tile walk, and a certificate per channel group proving when
+//!   runs, weight panel, statistics from the latency model's analytic
+//!   tile walk, and a certificate per channel group proving when
 //!   32-bit sums are exact), the input lowered once per bounded tile of
 //!   output rows, and one register-tiled exact integer kernel over each
 //!   block row's enabled tile rows for every stride and tap: one AVX2

@@ -14,7 +14,7 @@
 //! for R(2+1)D's irregular kernels.
 
 use crate::config::AcceleratorConfig;
-use crate::latency::{conv_latency, DoubleBuffering, LayerLatency, NetworkLatency};
+use crate::latency::{DoubleBuffering, NetworkLatency};
 use p3d_core::PrunedModel;
 use p3d_models::{ConvInstance, NetworkSpec};
 use p3d_tensor::{Shape, Tensor};
@@ -192,37 +192,20 @@ pub fn winograd_network_latency(
 ) -> NetworkLatency {
     let mut base = crate::latency::network_latency(spec, config, pruned, DoubleBuffering::On);
     let instances = spec.conv_instances().expect("spec must shape-check");
-    let mut total: u64 = base.fc_cycles;
-    let new_layers: Vec<LayerLatency> = instances
-        .iter()
-        .zip(base.layers.iter())
-        .map(|(inst, layer)| {
-            let mut l = layer.clone();
-            if winograd_eligible(inst) {
-                // Recompute with t_comp scaled: approximate by scaling the
-                // whole compute-bound layer when compute dominates.
-                let scaled = conv_latency(
-                    inst,
-                    config,
-                    pruned.mask(&inst.spec.name),
-                    DoubleBuffering::On,
-                );
-                let (t_wgt, t_in, t_comp, _) = scaled.terms;
-                let t_comp_w = (t_comp as f64 * WINOGRAD_MUL_RATIO).ceil() as u64;
-                // New bottleneck per iteration.
-                let old_l3 = t_wgt.max(t_in).max(t_comp);
-                let new_l3 = t_wgt.max(t_in).max(t_comp_w);
-                // Scale the layer's cycles by the L3 ratio (compute terms
-                // dominate eligible layers; transfer-bound rows are
-                // unchanged by construction of the max).
-                l.cycles = (l.cycles as f64 * new_l3 as f64 / old_l3.max(1) as f64) as u64;
-            }
-            total += l.cycles;
-            l
-        })
-        .collect();
-    base.layers = new_layers;
-    base.total_cycles = total;
+    for (inst, l) in instances.iter().zip(&mut base.layers) {
+        if winograd_eligible(inst) {
+            let (t_wgt, t_in, t_comp, _) = l.terms;
+            let t_comp_w = (t_comp as f64 * WINOGRAD_MUL_RATIO).ceil() as u64;
+            // New bottleneck per iteration.
+            let old_l3 = t_wgt.max(t_in).max(t_comp);
+            let new_l3 = t_wgt.max(t_in).max(t_comp_w);
+            // Scale the layer's cycles by the L3 ratio (compute terms
+            // dominate eligible layers; transfer-bound rows are
+            // unchanged by construction of the max).
+            l.cycles = (l.cycles as f64 * new_l3 as f64 / old_l3.max(1) as f64) as u64;
+        }
+    }
+    base.total_cycles = base.fc_cycles + base.layers.iter().map(|l| l.cycles).sum::<u64>();
     base
 }
 

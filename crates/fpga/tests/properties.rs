@@ -4,7 +4,8 @@
 
 use p3d_core::{BlockGrid, BlockShape, LayerBlockMask};
 use p3d_fpga::{
-    conv_latency, estimate_resources, run_conv, AcceleratorConfig, DoubleBuffering, Ports, Tiling,
+    conv_latency, conv_traffic, estimate_resources, run_conv, AcceleratorConfig, DoubleBuffering,
+    Ports, Tiling,
 };
 use p3d_models::{Conv3dSpec, ConvInstance};
 use p3d_tensor::{FixedTensor, TensorRng};
@@ -137,6 +138,13 @@ proptest! {
         let model = conv_latency(&inst, &cfg, Some(&mask), DoubleBuffering::On);
         prop_assert_eq!(stats.cycles, model.cycles);
         prop_assert_eq!(stats.blocks_skipped, model.blocks_skipped);
+        // The traffic model walks the same schedule the engine executes.
+        let traffic = conv_traffic(&inst, &cfg, Some(&mask));
+        prop_assert_eq!(stats.macs, traffic.macs);
+        prop_assert_eq!(stats.weight_words, traffic.traffic.weight_words);
+        prop_assert_eq!(stats.input_words, traffic.traffic.input_words);
+        prop_assert_eq!(stats.output_words, traffic.traffic.output_words);
+        prop_assert_eq!(stats.cycles, traffic.cycles);
     }
 
     #[test]
