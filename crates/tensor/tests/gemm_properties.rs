@@ -9,15 +9,23 @@
 //! weights — demanding **bitwise** equality on random shapes, including
 //! the edge tiles (`m < MR`, `n < NR`, `k = 1`) the dispatcher would
 //! normally route to the naive kernel.
+//!
+//! The tile kernel runs a sub-panel with no zero left entry (a zero-free
+//! sub-panel) without its per-weight zero test, so the properties draw
+//! both zero-free left operands (`values(.., 0)`) and ones with exact
+//! zeros, and the NaN-poison cases put a single `0.0` or `-0.0` into an
+//! otherwise non-zero sub-panel.
 
 use p3d_tensor::gemm::{
     gemm_naive_into, gemm_naive_nt_into, gemm_packed_into, gemm_packed_nt_into, MR, NR,
 };
 use p3d_tensor::{gemm_bs_into, gemm_into, gemm_nt_into, BlockPattern, BlockSparseWeights};
 use proptest::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
-/// Deterministic pseudo-random f32s in [-1, 1), with an exact-zero
-/// fraction so the zero-skip path is exercised on every case.
+/// Deterministic pseudo-random f32s in [-1, 1), with an exact zero at
+/// every `zero_every`-th entry (none for `0`) to exercise the zero-skip
+/// guard.
 fn values(len: usize, seed: u64, zero_every: usize) -> Vec<f32> {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
     (0..len)
@@ -33,6 +41,10 @@ fn values(len: usize, seed: u64, zero_every: usize) -> Vec<f32> {
         })
         .collect()
 }
+
+/// Held by each test that flips the process-wide `simd::force_scalar`;
+/// it guards no data, so a poisoned lock is simply taken over.
+static FORCE_SCALAR_LOCK: Mutex<()> = Mutex::new(());
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -97,17 +109,20 @@ proptest! {
         seed in any::<u64>(),
         zero_every in 0usize..5,
     ) {
-        let a = values(m * k, seed, zero_every);
-        let b = values(k * n, seed ^ 0xb0b, 0);
-        let mut naive = vec![f32::NAN; m * n];
-        let mut packed = vec![f32::NAN; m * n];
-        gemm_naive_into(&a, m, k, &b, n, &mut naive);
-        gemm_packed_into(&a, m, k, &b, n, &mut packed);
-        prop_assert_eq!(bits(&naive), bits(&packed));
-        // And the public dispatcher agrees with both.
-        let mut dispatched = vec![f32::NAN; m * n];
-        gemm_into(&a, m, k, &b, n, &mut dispatched);
-        prop_assert_eq!(bits(&naive), bits(&dispatched));
+        // Each case runs a zero-free left operand too.
+        for zero_every in [zero_every, 0] {
+            let a = values(m * k, seed, zero_every);
+            let b = values(k * n, seed ^ 0xb0b, 0);
+            let mut naive = vec![f32::NAN; m * n];
+            let mut packed = vec![f32::NAN; m * n];
+            gemm_naive_into(&a, m, k, &b, n, &mut naive);
+            gemm_packed_into(&a, m, k, &b, n, &mut packed);
+            prop_assert_eq!(bits(&naive), bits(&packed));
+            // And the public dispatcher agrees with both.
+            let mut dispatched = vec![f32::NAN; m * n];
+            gemm_into(&a, m, k, &b, n, &mut dispatched);
+            prop_assert_eq!(bits(&naive), bits(&dispatched));
+        }
     }
 
     /// Same for the transposed-B (`b` stored `[n, k]`) variant used by
@@ -120,16 +135,18 @@ proptest! {
         seed in any::<u64>(),
         zero_every in 0usize..5,
     ) {
-        let a = values(m * k, seed, zero_every);
-        let b_nk = values(n * k, seed ^ 0xcafe, 0);
-        let mut naive = vec![f32::NAN; m * n];
-        let mut packed = vec![f32::NAN; m * n];
-        gemm_naive_nt_into(&a, m, k, &b_nk, n, &mut naive);
-        gemm_packed_nt_into(&a, m, k, &b_nk, n, &mut packed);
-        prop_assert_eq!(bits(&naive), bits(&packed));
-        let mut dispatched = vec![f32::NAN; m * n];
-        gemm_nt_into(&a, m, k, &b_nk, n, &mut dispatched);
-        prop_assert_eq!(bits(&naive), bits(&dispatched));
+        for zero_every in [zero_every, 0] {
+            let a = values(m * k, seed, zero_every);
+            let b_nk = values(n * k, seed ^ 0xcafe, 0);
+            let mut naive = vec![f32::NAN; m * n];
+            let mut packed = vec![f32::NAN; m * n];
+            gemm_naive_nt_into(&a, m, k, &b_nk, n, &mut naive);
+            gemm_packed_nt_into(&a, m, k, &b_nk, n, &mut packed);
+            prop_assert_eq!(bits(&naive), bits(&packed));
+            let mut dispatched = vec![f32::NAN; m * n];
+            gemm_nt_into(&a, m, k, &b_nk, n, &mut dispatched);
+            prop_assert_eq!(bits(&naive), bits(&dispatched));
+        }
     }
 
     /// Exactly-zero left entries never touch the right operand: NaNs in
@@ -178,6 +195,8 @@ proptest! {
     /// ragged edges where `tm`/`tk` do not divide `m`/`k`), and random
     /// keep bitmaps. Weights outside enabled blocks are zeroed first —
     /// the pruned-checkpoint precondition under which skipping is exact.
+    /// Enabled blocks are drawn zero-free (every sub-panel certified) and
+    /// with surviving exact zeros (some sub-panels guarded).
     #[test]
     fn block_sparse_bitwise_equals_dense_on_masked_weights(
         tm in 1usize..6,
@@ -188,28 +207,35 @@ proptest! {
         ragged_k in 0usize..4,
         n in 1usize..NR + 9,
         seed in any::<u64>(),
+        zero_every in 0usize..5,
         keep in prop::collection::vec(any::<bool>(), 16),
     ) {
         let pattern = ragged_pattern((tm, tk, brows, bcols), (ragged_m, ragged_k), &keep);
         let (m, k) = (pattern.m, pattern.k);
-        let mut a = values(m * k, seed, 0);
-        zero_disabled_blocks(&mut a, &pattern);
-        let b = values(k * n, seed ^ 0xfeed, 0);
-        let w = BlockSparseWeights::compile(&a, &pattern);
-        let mut dense = vec![f32::NAN; m * n];
-        let mut sparse = vec![f32::NAN; m * n];
-        gemm_into(&a, m, k, &b, n, &mut dense);
-        gemm_bs_into(&w, &b, n, &mut sparse);
-        prop_assert_eq!(bits(&dense), bits(&sparse));
+        for zero_every in [0, zero_every] {
+            let mut a = values(m * k, seed, zero_every);
+            zero_disabled_blocks(&mut a, &pattern);
+            let b = values(k * n, seed ^ 0xfeed, 0);
+            let w = BlockSparseWeights::compile(&a, &pattern);
+            let mut dense = vec![f32::NAN; m * n];
+            let mut sparse = vec![f32::NAN; m * n];
+            gemm_into(&a, m, k, &b, n, &mut dense);
+            gemm_bs_into(&w, &b, n, &mut sparse);
+            prop_assert_eq!(bits(&dense), bits(&sparse));
+        }
     }
 
     /// `refresh` re-reads the weights without recompiling: after an
     /// in-place weight update (same sparsity pattern), the sparse kernel
-    /// tracks the new values bitwise.
+    /// tracks the new values bitwise. Updates alternate between
+    /// zero-free values and values with exact zeros, so the sub-panels'
+    /// zero-free certificates must follow each refresh: a `b` row
+    /// poisoned with NaN where every weight is zero must stay unread.
     #[test]
     fn refresh_tracks_updates_bitwise(
         n in 1usize..NR + 3,
         seed in any::<u64>(),
+        zero_every in 2usize..5,
         keep in prop::collection::vec(any::<bool>(), 4),
     ) {
         let (m, k, tm, tk) = (6usize, 8usize, 3usize, 4usize);
@@ -231,16 +257,27 @@ proptest! {
         let mut a = values(m * k, seed, 0);
         zero_disabled(&mut a);
         let mut w = BlockSparseWeights::compile(&a, &pattern);
-        // Simulate a training step: new values, same pattern.
-        let mut a2 = values(m * k, seed ^ 0x5eed, 0);
-        zero_disabled(&mut a2);
-        w.refresh(&a2);
-        let b = values(k * n, seed ^ 0xabc, 0);
-        let mut dense = vec![f32::NAN; m * n];
-        let mut sparse = vec![f32::NAN; m * n];
-        gemm_into(&a2, m, k, &b, n, &mut dense);
-        gemm_bs_into(&w, &b, n, &mut sparse);
-        prop_assert_eq!(bits(&dense), bits(&sparse));
+        // Simulate training steps: new values, same pattern. Column 0
+        // of every update with zeros is all zero, so its `b` row is
+        // poisoned.
+        for (step, zero_every) in [zero_every, 0, zero_every].into_iter().enumerate() {
+            let mut a2 = values(m * k, seed ^ (0x5eed + step as u64), zero_every);
+            zero_disabled(&mut a2);
+            let mut b = values(k * n, seed ^ 0xabc, 0);
+            if zero_every > 0 {
+                for r in 0..m {
+                    a2[r * k] = 0.0;
+                }
+                b[..n].fill(f32::NAN);
+            }
+            w.refresh(&a2);
+            let mut dense = vec![f32::NAN; m * n];
+            let mut sparse = vec![f32::NAN; m * n];
+            gemm_into(&a2, m, k, &b, n, &mut dense);
+            gemm_bs_into(&w, &b, n, &mut sparse);
+            prop_assert!(sparse.iter().all(|v| !v.is_nan()), "step {}: a zero read b", step);
+            prop_assert_eq!(bits(&dense), bits(&sparse));
+        }
     }
 
     /// `read_ranges` is exactly the set of `k` rows some enabled block
@@ -317,13 +354,25 @@ proptest! {
 /// Flipping `force_scalar` is process-wide, but safe to do concurrently
 /// with the other tests in this binary precisely because of the property
 /// under test: both paths produce identical bits, so which one a
-/// neighbouring test happens to take cannot change its result.
+/// neighbouring test happens to take cannot change its result. The two
+/// tests that flip it hold [`FORCE_SCALAR_LOCK`], so neither resets the
+/// other's forced-scalar pass.
 #[test]
 fn avx2_and_forced_scalar_f32_kernels_bitwise_identical() {
+    let _flip = FORCE_SCALAR_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    // Exact zeros exercise the guarded body, a zero-free draw the
+    // unguarded one; `m % MR != 0` gives a ragged last sub-panel.
+    for zero_every in [4, 0] {
+        avx2_and_forced_scalar_agree(3 * MR + 1, 37, 2 * NR + 5, zero_every);
+    }
+}
+
+fn avx2_and_forced_scalar_agree(m: usize, k: usize, n: usize, zero_every: usize) {
     use p3d_tensor::simd;
 
-    let (m, k, n) = (3 * MR + 1, 37, 2 * NR + 5);
-    let a = values(m * k, 0xa2c5_0001, 4); // exact zeros exercise zero-skip
+    let a = values(m * k, 0xa2c5_0001, zero_every);
     let b = values(k * n, 0xa2c5_0002, 0);
 
     // Dense packed kernel, both paths.
@@ -338,7 +387,7 @@ fn avx2_and_forced_scalar_f32_kernels_bitwise_identical() {
     assert_eq!(
         bits(&out_simd),
         bits(&out_scalar),
-        "packed kernel: {} path diverged from forced scalar",
+        "packed kernel, zero_every {zero_every}: {} path diverged from forced scalar",
         simd::detected().name()
     );
 
@@ -365,9 +414,72 @@ fn avx2_and_forced_scalar_f32_kernels_bitwise_identical() {
     assert_eq!(
         bits(&bs_simd),
         bits(&bs_scalar),
-        "block-sparse kernel: {} path diverged from forced scalar",
+        "block-sparse kernel, zero_every {zero_every}: {} path diverged from forced scalar",
         simd::detected().name()
     );
+}
+
+/// One real row of an otherwise non-zero sub-panel holds `0.0` or `-0.0`
+/// at `p`, and row `p` of `b` is NaN: that row's outputs must stay free
+/// of NaN (it never reads the poisoned row) and equal the naive kernel's,
+/// while every other row, whose weight at `p` is non-zero, reads it. The
+/// sub-panel holding the zero must take the guarded body, on the dense
+/// and the block-sparse kernel, under AVX2 and forced scalar. The rows
+/// tried include the real rows of a ragged last sub-panel.
+#[test]
+fn a_single_zero_in_a_sub_panel_still_skips_its_nan() {
+    use p3d_tensor::simd;
+
+    let _flip = FORCE_SCALAR_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let (m, k, n) = (2 * MR + 2, 11, NR + 3);
+    let (tm, tk) = (MR + 1, 3);
+    for force_scalar in [false, true] {
+        for zero in [0.0f32, -0.0] {
+            for (r, p) in [(0, 0), (MR + 2, 5), (2 * MR, 10), (m - 1, 7)] {
+                let mut a = values(m * k, 0x2e70_0000 + (r * k + p) as u64, 0);
+                // Keep every block of column `p` and a checkerboard of
+                // the rest.
+                let bcols = k.div_ceil(tk);
+                let pattern = BlockPattern {
+                    m,
+                    k,
+                    tm,
+                    tk,
+                    keep: (0..m.div_ceil(tm) * bcols)
+                        .map(|i| i % bcols == p / tk || (i / bcols + i % bcols) % 2 == 0)
+                        .collect(),
+                };
+                zero_disabled_blocks(&mut a, &pattern);
+                a[r * k + p] = zero;
+                let mut b = values(k * n, 0x2e70_1000, 0);
+                b[p * n..(p + 1) * n].fill(f32::NAN);
+                let mut naive = vec![0.0f32; m * n];
+                gemm_naive_into(&a, m, k, &b, n, &mut naive);
+                let w = BlockSparseWeights::compile(&a, &pattern);
+                let mut dense = vec![0.0f32; m * n];
+                let mut sparse = vec![0.0f32; m * n];
+                simd::force_scalar(force_scalar);
+                gemm_packed_into(&a, m, k, &b, n, &mut dense);
+                gemm_bs_into(&w, &b, n, &mut sparse);
+                simd::force_scalar(false);
+                for (kernel, out) in [("dense", &dense), ("block-sparse", &sparse)] {
+                    let case =
+                        format!("{kernel}, zero {zero:?} at ({r}, {p}), scalar {force_scalar}");
+                    let row = &out[r * n..(r + 1) * n];
+                    assert!(row.iter().all(|v| !v.is_nan()), "{case}: the zero read NaN");
+                    assert_eq!(bits(row), bits(&naive[r * n..(r + 1) * n]), "{case}");
+                    for i in (0..m).filter(|&i| i != r) {
+                        assert!(
+                            out[i * n..(i + 1) * n].iter().all(|v| v.is_nan()),
+                            "{case}: row {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The dense product packs its left operand into a thread-local scratch
