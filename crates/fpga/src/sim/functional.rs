@@ -23,6 +23,12 @@
 //!   output lines, zero in the padding, written by the f32 engines' own
 //!   walk ([`p3d_nn::im2col::lower_row`]). Stride and padding are
 //!   resolved there, once per chunk, so the compute loop never sees them.
+//!   The walk hands over one span of lines per depth plane, so where the
+//!   source lines sit `Wo` apart (every stride-1 "same"-width spatial
+//!   conv and every temporal conv) a tile row is one copy per plane, or
+//!   one for the whole chunk when its planes continue each other: the
+//!   CPU counterpart of the accelerator's one input-buffer load per tile
+//!   (Algorithm 2).
 //! * **One register-tiled kernel per channel group** — a `Tm x Tn`
 //!   block grid means every output channel of block row `bi` reads the
 //!   same input channels, so the kernel walks a block row's channels in

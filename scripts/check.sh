@@ -29,6 +29,7 @@ crates/fpga/tests/zero_alloc_conv.rs              # steady-state CompiledConv::r
 crates/infer/tests/determinism.rs                 # inference bitwise identical across thread counts under load
 crates/infer/tests/zero_alloc.rs                  # zero heap allocations per clip in steady-state serving
 crates/tensor/tests/gemm_properties.rs            # packed and block-CSR GEMM bitwise equal to the naive kernel
+crates/nn/tests/lowering_properties.rs            # lower_row, im2col_panels and col2im bitwise equal to the im2col definition
 crates/tensor/tests/crc_properties.rs             # folded and table CRC-32 bitwise equal to the byte-at-a-time reference
 crates/core/tests/block_sparse_equivalence.rs     # block-sparse forward/backward/serving equal dense through the network
 crates/infer/tests/pruned_serving.rs              # pruned-model serving equals dense serving on masked weights
