@@ -162,11 +162,10 @@ fn main() {
                 "[resume] ({},{}) masked retraining after epoch {done}",
                 shape.tm, shape.tn
             );
-            (
-                pruner.pruned_model_from_masks(&mut pruned_net),
-                acc_hard,
-                done,
-            )
+            // Like `hard_prune`, the resumed retraining runs block-sparse.
+            let pruned = PrunedModel::from_masks(&mut pruned_net, pruner.block_shape());
+            pruned.install_block_sparse(&mut pruned_net);
+            (pruned, acc_hard, done)
         } else {
             let mut start = AdmmProgress::start();
             if let Some(st) = opts.load(&tag_admm) {

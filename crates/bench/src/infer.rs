@@ -264,7 +264,7 @@ pub fn run_inference_throughput(cfg: &InferBenchConfig) -> InferBenchReport {
             cfg,
             &clips,
             &mut engine,
-            |c| bits(&q_seq.forward_compiled(c, &seq_layers).logits),
+            |c| bits(&seq_layers.forward(c).logits),
         ));
     }
     set_thread_override(None);

@@ -156,16 +156,7 @@ pub fn restore_baseline(
     network: &mut dyn Layer,
     trainer: &mut Trainer,
 ) -> io::Result<usize> {
-    let report = state.restore_model(network);
-    if !report.mismatched.is_empty() || !report.missing.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "checkpoint does not cover the model: missing {:?}, mismatched {:?}",
-                report.missing, report.mismatched
-            ),
-        ));
-    }
+    state.restore_model(network)?;
     state.restore_trainer(trainer)?;
     state
         .u64s(BASELINE_PROGRESS_KEY)

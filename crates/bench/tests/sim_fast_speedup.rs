@@ -5,7 +5,7 @@
 //! The functional side is timed as serving runs it: the layers are
 //! compiled once, outside the timed closure
 //! ([`QuantizedNetwork::compile`]), and each rep times one
-//! [`QuantizedNetwork::forward_compiled`], whose convs finish with their
+//! `CompiledNetwork::forward`, whose convs finish with their
 //! fused bias, batch norm and ReLU. The cycle side walks the same
 //! network with its post-processing as separate passes.
 //!
@@ -55,7 +55,7 @@ fn functional_sim_path_at_least_3x_cycle_engine() {
     // same statistics (cycles included — the functional path reproduces
     // the tile walk's accounting analytically).
     let cycle = q.forward_with_scratch(&clip, &dense, &mut scratch);
-    let fast = q.forward_compiled(&clip, &layers);
+    let fast = layers.forward(&clip);
     assert_eq!(cycle.logits, fast.logits, "functional logits diverged");
     assert_eq!(cycle.prediction, fast.prediction);
     assert_eq!(cycle.stats, fast.stats, "functional stats diverged");
@@ -70,7 +70,7 @@ fn functional_sim_path_at_least_3x_cycle_engine() {
                 std::hint::black_box(q.forward_with_scratch(&clip, &dense, s));
             },
             |_| {
-                std::hint::black_box(q.forward_compiled(&clip, &layers));
+                std::hint::black_box(layers.forward(&clip));
             },
         );
         let best = t.ratio.max;
@@ -107,7 +107,7 @@ fn functional_equals_cycle_engine_on_pruned_lite_wide() {
     let mut scratch = SimScratch::new();
 
     let cycle = q.forward_with_scratch(&clip, &pruned, &mut scratch);
-    let fast = q.forward_compiled(&clip, &q.compile(&pruned));
+    let fast = q.compile(&pruned).forward(&clip);
     assert!(cycle.stats.blocks_skipped > 0, "pruning skipped no block");
     assert_eq!(cycle.logits, fast.logits, "functional logits diverged");
     assert_eq!(cycle.prediction, fast.prediction);

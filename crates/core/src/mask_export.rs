@@ -156,6 +156,25 @@ impl PrunedModel {
         self.layers.insert(layer.into(), mask);
     }
 
+    /// The block-enable maps, at `shape`, of the 0/1 masks on `network`'s
+    /// conv weights (a restored pruned checkpoint's `{param}.mask`). A
+    /// block is enabled when any of its mask entries is non-zero; the
+    /// others hold weights `Param::set_mask` zeroed, so skipping them is
+    /// exact. A network without masks gives [`PrunedModel::dense`].
+    pub fn from_masks(network: &mut dyn Layer, shape: BlockShape) -> Self {
+        let mut pruned = PrunedModel::dense();
+        network.visit_params(&mut |p| {
+            let (Some(layer), Some(mask)) = (p.name.strip_suffix(".weight"), &p.mask) else {
+                return;
+            };
+            if p.value.shape().rank() == 5 {
+                let grid = BlockGrid::for_weight(&p.value, shape);
+                pruned.insert(layer, crate::magnitude::block_enable_from_mask(mask, &grid));
+            }
+        });
+        pruned
+    }
+
     /// The mask for `layer`, if pruned.
     pub fn mask(&self, layer: &str) -> Option<&LayerBlockMask> {
         self.layers.get(layer)
@@ -253,5 +272,26 @@ mod tests {
         assert!(pm.mask("a").is_some());
         assert!(pm.mask("b").is_none());
         assert_eq!(pm.block_shape, Some(BlockShape::new(2, 2)));
+    }
+
+    /// The maps recovered from installed masks are the ones the pruner
+    /// returned; an unmasked network recovers the dense model.
+    #[test]
+    fn from_masks_recovers_the_pruners_maps() {
+        use crate::{magnitude_block_prune, KeepRule, PruneTarget};
+        let spec = p3d_models::r2plus1d_micro(4);
+        let mut net = p3d_models::build_network(&spec, 5);
+        let shape = BlockShape::new(4, 4);
+        assert_eq!(
+            PrunedModel::from_masks(&mut net, shape),
+            PrunedModel::dense()
+        );
+        let targets = ["conv2_1a.spatial", "conv2_1b.temporal"].map(|layer| PruneTarget {
+            layer: layer.into(),
+            eta: 0.5,
+        });
+        let pruned = magnitude_block_prune(&mut net, shape, &targets, KeepRule::Round);
+        assert_eq!(pruned.layers.len(), 2);
+        assert_eq!(PrunedModel::from_masks(&mut net, shape), pruned);
     }
 }

@@ -400,38 +400,6 @@ impl AdmmPruner {
         pruned
     }
 
-    /// Rebuilds the block-enable maps from the 0/1 masks currently
-    /// installed on `network` — used when resuming a *retraining-phase*
-    /// checkpoint, where hard pruning already happened before the
-    /// interruption (re-running [`AdmmPruner::hard_prune`] would
-    /// re-project the weights and could select different blocks).
-    ///
-    /// Layers whose parameter carries no mask are skipped.
-    pub fn pruned_model_from_masks(&self, network: &mut dyn Layer) -> PrunedModel {
-        let mut pruned = PrunedModel {
-            block_shape: Some(self.block_shape),
-            layers: BTreeMap::new(),
-        };
-        let states = &self.states;
-        network.visit_params(&mut |p| {
-            let Some(layer) = p.name.strip_suffix(".weight").map(str::to_string) else {
-                return;
-            };
-            let Some(st) = states.get(&layer) else { return };
-            if let Some(mask) = &p.mask {
-                pruned.insert(
-                    layer,
-                    crate::magnitude::block_enable_from_mask(mask, &st.grid),
-                );
-            }
-        });
-        // Match `hard_prune`: the resumed retraining forward also runs
-        // block-sparse. Both paths are bitwise identical to dense, so a
-        // resumed run still reproduces an uninterrupted one exactly.
-        pruned.install_block_sparse(network);
-        pruned
-    }
-
     /// Masked retraining with the paper's warmup + cosine schedule. The
     /// masks installed by [`AdmmPruner::hard_prune`] keep pruned weights
     /// at zero.

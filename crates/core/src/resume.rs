@@ -63,13 +63,7 @@ pub fn restore_admm_train_state(
     trainer: &mut Trainer,
     pruner: &mut AdmmPruner,
 ) -> io::Result<AdmmProgress> {
-    let report = state.restore_model(network);
-    if !report.mismatched.is_empty() || !report.missing.is_empty() {
-        return Err(bad(format!(
-            "checkpoint does not cover the model: missing {:?}, mismatched {:?}",
-            report.missing, report.mismatched
-        )));
-    }
+    state.restore_model(network)?;
     state.restore_trainer(trainer)?;
     pruner.import_state(&state.ckpt.tensors)?;
     let p = state
@@ -112,13 +106,7 @@ pub fn restore_retrain_state(
     network: &mut dyn Layer,
     trainer: &mut Trainer,
 ) -> io::Result<(LrSchedule, usize)> {
-    let report = state.restore_model(network);
-    if !report.mismatched.is_empty() || !report.missing.is_empty() {
-        return Err(bad(format!(
-            "checkpoint does not cover the model: missing {:?}, mismatched {:?}",
-            report.missing, report.mismatched
-        )));
-    }
+    state.restore_model(network)?;
     state.restore_trainer(trainer)?;
     let (schedule, _sched_epoch) = state
         .schedule()

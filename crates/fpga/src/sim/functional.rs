@@ -510,9 +510,9 @@ pub fn run_conv_functional(
     CompiledConv::compile(inst, weights, mask, config).run(input)
 }
 
-/// [`run_conv_functional`]; `_panel` is not read, and the signature
-/// stays for callers written against it. Each call compiles the layer
-/// afresh.
+/// [`run_conv_functional`]; `_panel` is not read. Each call compiles the
+/// layer afresh. The benchmark under `perfbench/` calls this signature,
+/// so it stays until that benchmark is refreshed (ROADMAP item 2).
 pub fn run_conv_functional_with_scratch(
     inst: &ConvInstance,
     weights: &FixedTensor,

@@ -214,13 +214,6 @@ impl QuantizedNetwork {
         self.forward_with_scratch(clip, pruned, &mut SimScratch::new())
     }
 
-    /// Runs one clip on the **fast functional** engine — the serving
-    /// path. Bitwise identical to [`QuantizedNetwork::forward`] in both
-    /// logits and statistics.
-    pub fn forward_functional(&self, clip: &Tensor, pruned: &PrunedModel) -> SimOutput {
-        self.compile(pruned).forward(clip)
-    }
-
     /// [`QuantizedNetwork::forward`] reusing `scratch` across calls.
     /// Bitwise identical to `forward`.
     pub fn forward_with_scratch(
@@ -244,17 +237,16 @@ impl QuantizedNetwork {
         })
     }
 
-    /// [`QuantizedNetwork::forward_functional`]: compiles every layer,
-    /// then runs the [`CompiledNetwork`]. `_scratch` is not read;
-    /// callers that run more than one clip should compile once, as
-    /// `SimEngine` does.
+    /// Compiles every layer under `pruned` and runs one clip; `_scratch`
+    /// is not read. Compile once to run many clips, as `SimEngine` does.
+    /// Kept for the benchmark under `perfbench/` (ROADMAP item 2).
     pub fn forward_functional_with_scratch(
         &self,
         clip: &Tensor,
         pruned: &PrunedModel,
         _scratch: &mut SimScratch,
     ) -> SimOutput {
-        self.forward_functional(clip, pruned)
+        self.compile(pruned).forward(clip)
     }
 
     /// Compiles every conv stage under `pruned`'s block-enable maps for
@@ -277,14 +269,6 @@ impl QuantizedNetwork {
         CompiledNetwork {
             stages: stages.collect(),
         }
-    }
-
-    /// [`CompiledNetwork::forward`] on `layers`, compiled from this
-    /// network by [`QuantizedNetwork::compile`]. Bitwise identical to
-    /// [`QuantizedNetwork::forward_functional`] under the same pruned
-    /// model.
-    pub fn forward_compiled(&self, clip: &Tensor, layers: &CompiledNetwork) -> SimOutput {
-        layers.forward(clip)
     }
 }
 
@@ -502,8 +486,8 @@ mod tests {
             let q = QuantizedNetwork::from_network(&spec, &mut net, micro_cfg());
             let (c, d, h, w) = spec.input;
             let clip = TensorRng::seed(12).uniform_tensor([c, d, h, w], 0.0, 1.0);
-            let sim = q.forward_functional(&clip, &PrunedModel::dense());
             let dense = PrunedModel::dense();
+            let sim = q.compile(&dense).forward(&clip);
             let model = network_latency(&spec, &micro_cfg(), &dense, DoubleBuffering::On);
             assert!(sim.fc_cycles > 0, "{}", spec.name);
             assert_eq!(sim.fc_cycles, model.fc_cycles, "{}", spec.name);
@@ -605,7 +589,7 @@ mod tests {
         let layers = q.compile(&pruned);
         for loud in [1.0, 60.0] {
             let clip = rng.uniform_tensor([1, 4, 10, 10], -loud, loud);
-            let compiled = q.forward_compiled(&clip, &layers);
+            let compiled = layers.forward(&clip);
             let cycle = q.forward(&clip, &pruned);
             assert_eq!(compiled.logits, cycle.logits, "loudness {loud}");
             assert_eq!(compiled.stats, cycle.stats, "loudness {loud}");
@@ -647,11 +631,8 @@ mod tests {
             let mut rng = TensorRng::seed(10);
             for _ in 0..2 {
                 let clip = rng.uniform_tensor([1, 6, 16, 16], -loud, loud);
-                let compiled = q.forward_compiled(&clip, &layers);
-                for reference in [
-                    q.forward(&clip, &pruned),
-                    q.forward_functional(&clip, &pruned),
-                ] {
+                let compiled = layers.forward(&clip);
+                for reference in [q.forward(&clip, &pruned), q.compile(&pruned).forward(&clip)] {
                     assert_eq!(compiled.logits, reference.logits, "scale {scale}");
                     assert_eq!(compiled.stats, reference.stats, "scale {scale}");
                     assert_eq!(compiled.fc_cycles, reference.fc_cycles, "scale {scale}");

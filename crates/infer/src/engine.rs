@@ -435,7 +435,7 @@ impl Worker for SimWorker {
 /// workers: the quantised network's stage tree (the spec's stage plan)
 /// with every conv stage compiled once, when the engine is built
 /// ([`QuantizedNetwork::compile`]), under the block-enable maps of the
-/// pruned-model artifact, exactly as in `p3d simulate`. A compiled conv
+/// pruned-model artifact, as `p3d simulate` runs it. A compiled conv
 /// stage holds its tile-row runs, weight panel, statistics, 32-bit
 /// certificates and the bias, batch norm and ReLU the plan grouped with
 /// it; the other stages hold their folded batch norm or FC weights.
@@ -448,8 +448,7 @@ impl Worker for SimWorker {
 /// in the same finish. Integer sums do not depend on order, and the
 /// finish uses the post-processor's saturating operations in its order,
 /// so it is bitwise identical in logits and statistics to the
-/// cycle-approximate engine that `p3d simulate` uses for latency
-/// validation.
+/// cycle-approximate engine that validates it.
 ///
 /// The worker count is fixed when the engine is built: the thread count
 /// in force then, but never more than the host can run in parallel. The
@@ -479,7 +478,6 @@ mod tests {
     use super::*;
     use crate::chaos::Fault;
     use p3d_fpga::config::{AcceleratorConfig, Ports, Tiling};
-    use p3d_fpga::sim::SimScratch;
     use p3d_models::{build_network, r2plus1d_micro};
     use p3d_tensor::TensorRng;
 
@@ -517,13 +515,10 @@ mod tests {
             data_bits: 16,
         };
         let q = QuantizedNetwork::from_network(&spec, &mut build_network(&spec, SEED), cfg);
-        let mut scratch = SimScratch::new();
+        let layers = q.compile(&PrunedModel::dense());
         let saturation = clips
             .iter()
-            .map(|c| {
-                q.forward_functional_with_scratch(c, &PrunedModel::dense(), &mut scratch)
-                    .saturation_rate()
-            })
+            .map(|c| layers.forward(c).saturation_rate())
             .collect();
         let sim = SimEngine::new(q, PrunedModel::dense());
         vec![

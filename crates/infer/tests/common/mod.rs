@@ -62,14 +62,9 @@ pub fn engine_from(ckpt: &Checkpoint, replicas: usize) -> F32Engine {
 /// mismatch shapes. No fallback engine (tests pin bitwise primaries).
 pub fn micro_factory(replicas: usize) -> EngineFactory {
     Box::new(move |pushed: &Checkpoint| -> Result<EnginePair, String> {
-        let mut net = build_network(&micro_spec(), NET_SEED);
-        let report = pushed.try_restore(&mut net);
-        if report.num_restored() == 0 {
-            return Err("checkpoint matches no parameters of this model".to_string());
-        }
-        if !report.mismatched.is_empty() {
-            return Err(format!("shape mismatch for {:?}", report.mismatched));
-        }
+        pushed
+            .restore_checked(&mut build_network(&micro_spec(), NET_SEED))
+            .map_err(|e| format!("checkpoint {e}"))?;
         Ok((
             Box::new(engine_from(pushed, replicas)) as Box<dyn InferenceEngine + Send>,
             None,

@@ -91,8 +91,8 @@ fn extend_f32_le(out: &mut Vec<u8>, data: &[f32]) {
 ///
 /// Historically, tensors missing from the checkpoint or unused by the
 /// network were silently ignored; this report makes every mismatch
-/// visible, and [`Checkpoint::restore_strict`] turns any mismatch into
-/// an error.
+/// visible, and [`Checkpoint::restore_checked`] turns the ones a model
+/// loader cannot accept into an error.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RestoreReport {
     /// Names restored into the network (parameters, masks, and state).
@@ -108,17 +108,35 @@ pub struct RestoreReport {
 }
 
 impl RestoreReport {
-    /// Number of tensors restored.
-    pub fn num_restored(&self) -> usize {
-        self.restored.len()
-    }
-
     /// `true` when the checkpoint and network matched exactly: nothing
     /// missing, nothing unused, no shape mismatches.
     pub fn is_exact(&self) -> bool {
         self.missing.is_empty() && self.unused.is_empty() && self.mismatched.is_empty()
     }
 }
+
+/// Why a checkpoint does not fit a network ([`Checkpoint::restore_checked`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RestoreError {
+    /// No tensor of the checkpoint belongs to the network.
+    NothingRestored,
+    /// These tensors are in both, with different shapes.
+    ShapeMismatch(Vec<String>),
+}
+
+impl std::fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RestoreError::NothingRestored => write!(f, "matches no parameters of this model"),
+            RestoreError::ShapeMismatch(names) => write!(
+                f,
+                "shape mismatch for {names:?} — was it written by a different model?"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
 
 /// A named collection of tensors: parameters plus exported state
 /// (batch-norm running statistics, pruning masks, optimiser and
@@ -237,21 +255,17 @@ impl Checkpoint {
         self.restore_impl(network)
     }
 
-    /// Strict restore: errors unless the checkpoint and the network
-    /// match *exactly* — every network tensor restored, no checkpoint
-    /// tensor unused, no shape mismatch.
-    ///
-    /// Note that the network may still have been partially mutated when
-    /// this returns an error.
-    pub fn restore_strict(&self, network: &mut dyn Layer) -> io::Result<RestoreReport> {
+    /// [`Checkpoint::try_restore`] under the rule a model loader needs:
+    /// the checkpoint restores at least one tensor and mismatches none.
+    /// Tensors missing on either side are allowed and reported.
+    pub fn restore_checked(&self, network: &mut dyn Layer) -> Result<RestoreReport, RestoreError> {
         let report = self.restore_impl(network);
-        if report.is_exact() {
-            Ok(report)
+        if report.restored.is_empty() {
+            Err(RestoreError::NothingRestored)
+        } else if !report.mismatched.is_empty() {
+            Err(RestoreError::ShapeMismatch(report.mismatched))
         } else {
-            Err(invalid(format!(
-                "strict restore mismatch: missing {:?}, unused {:?}, shape-mismatched {:?}",
-                report.missing, report.unused, report.mismatched
-            )))
+            Ok(report)
         }
     }
 
@@ -541,7 +555,7 @@ mod tests {
         );
         let report = ckpt.restore(&mut fresh);
         // weight, bias, gamma, beta + running mean/var.
-        assert_eq!(report.num_restored(), 6);
+        assert_eq!(report.restored.len(), 6);
         assert!(report.is_exact(), "unexpected mismatch: {report:?}");
         assert_eq!(
             Checkpoint::capture(&mut fresh).tensors["a.weight"],
@@ -559,7 +573,8 @@ mod tests {
         assert_eq!(report.missing, vec!["a.bias".to_string()]);
         assert_eq!(report.unused, vec!["stray".to_string()]);
         assert!(!report.is_exact());
-        assert!(ckpt.restore_strict(&mut net).is_err());
+        // Missing and unused tensors are reported, not refused.
+        assert!(ckpt.restore_checked(&mut net).is_ok());
     }
 
     #[test]
@@ -607,6 +622,21 @@ mod tests {
             .insert("a.weight".into(), Tensor::zeros([1, 1, 1, 1, 1]));
         let report = ckpt.try_restore(&mut net);
         assert_eq!(report.mismatched, vec!["a.weight".to_string()]);
+        let err = ckpt.restore_checked(&mut net).unwrap_err();
+        assert_eq!(err, RestoreError::ShapeMismatch(vec!["a.weight".into()]));
+    }
+
+    #[test]
+    fn restore_checked_needs_one_tensor() {
+        let mut net = demo_net(12);
+        let full = Checkpoint::capture(&mut net);
+        assert!(full.restore_checked(&mut net).is_ok());
+        let stray = Checkpoint {
+            tensors: [("stray".to_string(), Tensor::zeros([1]))].into(),
+        };
+        let err = stray.restore_checked(&mut net).unwrap_err();
+        assert_eq!(err, RestoreError::NothingRestored);
+        assert_eq!(err.to_string(), "matches no parameters of this model");
     }
 
     #[test]

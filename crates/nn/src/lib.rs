@@ -60,7 +60,7 @@ pub mod trainer;
 pub use activation::Relu;
 pub use arena::{ArenaStats, BufId, EvalArena};
 pub use batchnorm::BatchNorm3d;
-pub use checkpoint::{Checkpoint, RestoreReport};
+pub use checkpoint::{Checkpoint, RestoreError, RestoreReport};
 pub use container::{ResidualBlock, Sequential};
 pub use conv3d::Conv3d;
 pub use layer::{Layer, LayerExt, Mode, Param, ParamKind};

@@ -91,11 +91,6 @@ impl TrainState {
         TrainState::default()
     }
 
-    /// Wraps an already-loaded checkpoint.
-    pub fn from_checkpoint(ckpt: Checkpoint) -> Self {
-        TrainState { ckpt }
-    }
-
     /// Inserts (or replaces) a named tensor.
     pub fn insert(&mut self, name: impl Into<String>, t: Tensor) {
         self.ckpt.tensors.insert(name.into(), t);
@@ -142,12 +137,20 @@ impl TrainState {
 
     /// Restores the model tensors, ignoring the reserved non-model keys.
     ///
-    /// Shape mismatches are reported in
-    /// [`RestoreReport::mismatched`], not panicked on.
-    pub fn restore_model(&self, network: &mut dyn Layer) -> RestoreReport {
+    /// # Errors
+    ///
+    /// `InvalidData` unless the state covers the model: a resumed run
+    /// needs every model tensor, at its shape.
+    pub fn restore_model(&self, network: &mut dyn Layer) -> io::Result<RestoreReport> {
         let mut report = self.ckpt.try_restore(network);
+        if !report.missing.is_empty() || !report.mismatched.is_empty() {
+            return Err(bad_state(format!(
+                "checkpoint does not cover the model: missing {:?}, mismatched {:?}",
+                report.missing, report.mismatched
+            )));
+        }
         report.unused.retain(|n| !is_reserved_key(n));
-        report
+        Ok(report)
     }
 
     /// Restores the trainer: RNG stream, batch size check, optimiser
@@ -278,8 +281,7 @@ mod tests {
             .push(Flatten::new())
             .push(Linear::new("fc", 2, 4, true, &mut rng2));
         let mut trainer2 = Trainer::new(CrossEntropyLoss::new(), Sgd::new(0.05, 0.9, 1e-4), 4, 777);
-        let report = state.restore_model(&mut net2);
-        assert!(report.mismatched.is_empty());
+        state.restore_model(&mut net2).unwrap();
         state.restore_trainer(&mut trainer2).unwrap();
         assert_eq!(state.u64s("progress.epoch"), Some(vec![3]));
 
@@ -329,8 +331,7 @@ mod tests {
         let mut state = TrainState::new();
         state.capture_model(&mut net);
         state.capture_trainer(&trainer);
-        let report = state.restore_model(&mut net);
+        let report = state.restore_model(&mut net).unwrap();
         assert!(report.unused.is_empty(), "unused: {:?}", report.unused);
-        assert!(report.missing.is_empty());
     }
 }

@@ -9,7 +9,8 @@
 //! cargo run --release --example fpga_simulation
 //! ```
 
-use p3d::fpga::{AcceleratorConfig, Ports, QuantizedNetwork, Tiling};
+use p3d::engines::accel_config;
+use p3d::fpga::QuantizedNetwork;
 use p3d::models::{build_network, r2plus1d_micro};
 use p3d::nn::{CrossEntropyLoss, Layer, Mode, Sgd, Trainer};
 use p3d::pruning::{magnitude_block_prune, targets_for_stages, BlockShape, KeepRule, PrunedModel};
@@ -36,12 +37,7 @@ fn main() {
 
     // Quantise for the accelerator: weights -> Q7.8, BN folded into
     // per-channel scale/shift for the post-processing unit.
-    let accel = AcceleratorConfig {
-        tiling: Tiling::new(4, 4, 2, 8, 8),
-        ports: Ports::new(2, 2, 2),
-        freq_mhz: 150.0,
-        data_bits: 16,
-    };
+    let accel = accel_config(4, 4).expect("positive tiling");
     let q = QuantizedNetwork::from_network(&spec, &mut net, accel.clone());
 
     let mut agree = 0usize;

@@ -10,7 +10,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use p3d::fpga::{network_latency, AcceleratorConfig, DoubleBuffering, Ports, Tiling};
+use p3d::engines::accel_config;
+use p3d::fpga::{network_latency, DoubleBuffering};
 use p3d::models::{build_network, r2plus1d_micro};
 use p3d::nn::{CrossEntropyLoss, LrSchedule, Sgd, Trainer};
 use p3d::pruning::{targets_for_stages, AdmmConfig, AdmmPruner, BlockShape, KeepRule, PrunedModel};
@@ -77,12 +78,7 @@ fn main() {
 
     // 5. What does the hardware gain? The block shape matches the FPGA
     //    tiling, so every pruned block skips one tile iteration.
-    let accel = AcceleratorConfig {
-        tiling: Tiling::new(block_shape.tm, block_shape.tn, 2, 8, 8),
-        ports: Ports::new(2, 2, 2),
-        freq_mhz: 150.0,
-        data_bits: 16,
-    };
+    let accel = accel_config(block_shape.tm, block_shape.tn).expect("positive tiling");
     let dense = network_latency(&spec, &accel, &PrunedModel::dense(), DoubleBuffering::On);
     let sparse = network_latency(&spec, &accel, &pruned, DoubleBuffering::On);
     println!(

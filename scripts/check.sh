@@ -54,6 +54,8 @@ crates/infer/tests/canary_rollback.rs             # poisoned candidates roll bac
 crates/infer/tests/respcache_e2e.rs               # response-cache hits bitwise equal, keyed by model hash
 crates/infer/tests/chaos_swap.rs                  # rapid swaps and corrupt pushes raced against worker faults
 crates/infer/tests/swap_soak.rs                   # release soak: three hot-swaps, no drops or duplicates, no thread leak
+tests/cli.rs                                      # every p3d command end to end; refusals exit nonzero without a panic
+tests/engines.rs                                  # the CLI's loader serves a masked checkpoint block-sparse, bitwise dense
 EOF
 [ "$missing" -eq 0 ] || exit 1
 

@@ -31,20 +31,19 @@
 //! All data is the synthetic motion dataset; determinism follows from
 //! `--seed`.
 
-use p3d::fpga::{AcceleratorConfig, Ports, QuantizedNetwork, Tiling};
+use p3d::engines::ModelCheckpoint;
 use p3d::infer::http::EnginePair;
 use p3d::infer::json::{backend_row, BackendReport, Obj};
 use p3d::infer::{
-    install_quiet_panic_hook, CanaryPolicy, F32Engine, FaultMix, FaultPlan, HttpServer,
-    InferenceEngine, ModelPushConfig, ModelRegistry, RegistryError, Request, ResilientServer,
-    ServeConfig, ServerConfig, SimEngine, WireLimits,
+    install_quiet_panic_hook, CanaryPolicy, FaultMix, FaultPlan, HttpServer, InferenceEngine,
+    ModelPushConfig, ModelRegistry, RegistryError, Request, ResilientServer, ServeConfig,
+    ServerConfig, WireLimits,
 };
 use p3d::models::{
     build_network, c3d_lite, r2plus1d_lite, r2plus1d_lite_wide, r2plus1d_micro, NetworkSpec,
 };
 use p3d::nn::{
-    evaluate, Checkpoint, CrossEntropyLoss, Dataset, LrSchedule, Sequential, Sgd, TrainState,
-    Trainer,
+    evaluate, Checkpoint, CrossEntropyLoss, Dataset, LrSchedule, Sgd, TrainState, Trainer,
 };
 use p3d::pruning::{
     capture_admm_train_state, capture_retrain_state, restore_admm_train_state,
@@ -139,7 +138,15 @@ fn model_spec(name: &str) -> Result<NetworkSpec, String> {
     }
 }
 
-fn dataset_for(spec: &NetworkSpec, clips: usize, seed: u64) -> (SyntheticVideo, SyntheticVideo) {
+/// `clips` training clips and `clips / 2` test clips, at least one.
+fn dataset_for(
+    spec: &NetworkSpec,
+    clips: usize,
+    seed: u64,
+) -> Result<(SyntheticVideo, SyntheticVideo), String> {
+    if clips < 2 {
+        return Err(format!("--clips {clips} leaves no test clips"));
+    }
     let (c, d, h, w) = spec.input;
     assert_eq!(c, 1, "CLI models are single-channel");
     let config = GeneratorConfig {
@@ -152,29 +159,7 @@ fn dataset_for(spec: &NetworkSpec, clips: usize, seed: u64) -> (SyntheticVideo, 
         radius: (2.5, h as f32 / 6.0),
         distractors: 0,
     };
-    SyntheticVideo::train_test(&config, clips, clips / 2, seed)
-}
-
-fn load_into(spec: &NetworkSpec, ckpt_path: &str, seed: u64) -> Result<Sequential, String> {
-    let ckpt = Checkpoint::load(ckpt_path).map_err(|e| format!("cannot load {ckpt_path}: {e}"))?;
-    restore_into(spec, &ckpt, seed).map_err(|e| format!("checkpoint {ckpt_path} {e}"))
-}
-
-/// Builds `spec` with `ckpt`'s weights, or says why the checkpoint does
-/// not fit the model.
-fn restore_into(spec: &NetworkSpec, ckpt: &Checkpoint, seed: u64) -> Result<Sequential, String> {
-    let mut net = build_network(spec, seed);
-    let report = ckpt.try_restore(&mut net);
-    if report.num_restored() == 0 {
-        return Err("matches no parameters of this model".to_string());
-    }
-    if !report.mismatched.is_empty() {
-        return Err(format!(
-            "shape mismatch for {:?} — was it written by a different model?",
-            report.mismatched
-        ));
-    }
-    Ok(net)
+    Ok(SyntheticVideo::train_test(&config, clips, clips / 2, seed))
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
@@ -185,7 +170,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
     let out = args.get("out", "model.ckpt".to_string())?;
 
-    let (train, test) = dataset_for(&spec, clips, seed);
+    let (train, test) = dataset_for(&spec, clips, seed)?;
     let mut net = build_network(&spec, seed);
     let mut trainer = Trainer::new(CrossEntropyLoss::new(), Sgd::new(1e-2, 0.9, 1e-4), 16, seed);
     for e in 0..epochs {
@@ -212,8 +197,8 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     let clips: usize = args.get("clips", 200)?;
     let seed: u64 = args.get("seed", 42)?;
     let ckpt = args.required("ckpt")?;
-    let mut net = load_into(&spec, &ckpt, seed)?;
-    let (_, test) = dataset_for(&spec, clips, seed);
+    let mut net = ModelCheckpoint::load(&spec, &ckpt, seed)?.network();
+    let (_, test) = dataset_for(&spec, clips, seed)?;
     let acc = evaluate(&mut net, &test, 16);
     println!("{model}: test accuracy {acc:.4} ({} clips)", test.len());
     Ok(())
@@ -235,8 +220,8 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
     let resume: bool = args.get("resume", false)?;
     let state_path = args.get("state", format!("{out}.state"))?;
 
-    let mut net = load_into(&spec, &ckpt, seed)?;
-    let (train, test) = dataset_for(&spec, clips, seed);
+    let mut net = ModelCheckpoint::load(&spec, &ckpt, seed)?.network();
+    let (train, test) = dataset_for(&spec, clips, seed)?;
     let before = evaluate(&mut net, &test, 16);
 
     let stage2 = if model == "c3d-lite" {
@@ -298,7 +283,10 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
         let (_saved_sched, done) = restore_retrain_state(st, &mut net, &mut retrainer)
             .map_err(|e| format!("cannot resume retraining: {e}"))?;
         eprintln!("resuming masked retraining after epoch {done}");
-        (pruner.pruned_model_from_masks(&mut net), done)
+        // Like `hard_prune`, the resumed retraining runs block-sparse.
+        let pruned = PrunedModel::from_masks(&mut net, pruner.block_shape());
+        pruned.install_block_sparse(&mut net);
+        (pruned, done)
     } else {
         let mut start = AdmmProgress::start();
         if let Some(st) = &loaded {
@@ -368,17 +356,6 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The accelerator every command simulates: a `(tm, tn)` MAC array at
-/// 150 MHz with 16-bit data.
-fn accel_config(tm: usize, tn: usize) -> AcceleratorConfig {
-    AcceleratorConfig {
-        tiling: Tiling::new(tm, tn, 2, 8, 8),
-        ports: Ports::new(2, 2, 2),
-        freq_mhz: 150.0,
-        data_bits: 16,
-    }
-}
-
 fn cmd_simulate(args: &Args) -> Result<(), String> {
     let model = args.get("model", "lite".to_string())?;
     let spec = model_spec(&model)?;
@@ -387,16 +364,15 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let tm: usize = args.get("tm", 8)?;
     let tn: usize = args.get("tn", 4)?;
     let ckpt = args.required("ckpt")?;
-    let mut net = load_into(&spec, &ckpt, seed)?;
-    let (_, test) = dataset_for(&spec, clips, seed);
+    // Bitwise the cycle engine, so its cycles model the pruned accelerator.
+    let (net, accel) = ModelCheckpoint::load(&spec, &ckpt, seed)?.compiled(tm, tn)?;
+    let (_, test) = dataset_for(&spec, clips, seed)?;
 
-    let accel = accel_config(tm, tn);
-    let q = QuantizedNetwork::from_network(&spec, &mut net, accel.clone());
     let mut correct = 0usize;
     let mut cycles = 0u64;
     for i in 0..test.len() {
         let (clip, label) = test.sample(i);
-        let out = q.forward(&clip, &PrunedModel::dense());
+        let out = net.forward(&clip);
         cycles += out.total_cycles();
         if out.prediction == label {
             correct += 1;
@@ -436,7 +412,8 @@ retry (--retries), poison quarantine, and automatic sim->f32
 degradation on Q7.8 saturation anomalies. --chaos-seed S injects a
 deterministic fault mix (panics, stalls, bit flips, saturation storms)
 to exercise those paths; the report gains an error budget
-(shed/retry/quarantine/fallback counters), also emitted in --json.";
+(shed/retry/quarantine/fallback counters), also emitted in --json.
+Pruned checkpoints are served block-sparse at --tm x --tn.";
 
 /// Hard sanity limits for `p3d infer` flags: values past these are
 /// almost certainly typos, and the failure modes (hour-long runs,
@@ -518,9 +495,8 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         set_thread_override(Some(threads));
     }
     let ckpt = args.required("ckpt")?;
-    // Validates model/checkpoint compatibility before replicating.
-    let mut net = load_into(&spec, &ckpt, seed)?;
-    let (_, test) = dataset_for(&spec, clips, seed);
+    let loaded = ModelCheckpoint::load(&spec, &ckpt, seed)?;
+    let (_, test) = dataset_for(&spec, clips, seed)?;
     let labels: Vec<usize> = (0..test.len()).map(|i| test.sample(i).1).collect();
     let replicas = if replicas_flag > 0 {
         replicas_flag
@@ -564,20 +540,14 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         seed,
         ..ServerConfig::default()
     };
-    let mut engine = |name: &str| -> Box<dyn InferenceEngine> {
-        if name == "sim" {
-            let q = QuantizedNetwork::from_network(&spec, &mut net, accel_config(tm, tn));
-            Box::new(SimEngine::new(q, PrunedModel::dense()))
-        } else {
-            Box::new(F32Engine::new(replicas, || {
-                load_into(&spec, &ckpt, seed).expect("checkpoint validated above")
-            }))
-        }
-    };
     let mut rows = Vec::new();
     for name in backends {
-        let mut primary = engine(name);
-        let mut fallback = (resilient && name == "sim").then(|| engine("f32"));
+        let mut primary: Box<dyn InferenceEngine> = match name {
+            "sim" => Box::new(loaded.sim(tm, tn)?),
+            _ => Box::new(loaded.f32(replicas, tm, tn)?),
+        };
+        let fallback = (resilient && name == "sim").then(|| loaded.f32(replicas, tm, tn));
+        let mut fallback = fallback.transpose()?;
         let mut server = ResilientServer::new(cfg.clone());
         for i in 0..test.len() {
             let (mut clip, _) = test.sample(i);
@@ -588,9 +558,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
             // drained responses; nothing to do with the error here.
             let _ = server.submit(Request::new(clip));
         }
-        let fallback = fallback
-            .as_deref_mut()
-            .map(|f| f as &mut dyn InferenceEngine);
+        let fallback = fallback.as_mut().map(|f| f as &mut dyn InferenceEngine);
         let run = server.drain(primary.as_mut(), fallback, chaos.as_ref());
         let b = &run.budget;
         let correct = run
@@ -699,7 +667,8 @@ hash. --canary-fraction F (0 < F <= 1) routes that fraction of traffic
 to a pushed model first, auto-promoting after --canary-after decided
 requests or auto-rolling-back on quarantine/sentinel/fallback/p99
 regression. --cache N keeps an exact-match LRU of N responses keyed by
-(model hash, clip hash); hits replay bitwise-identical logits.";
+(model hash, clip hash); hits replay bitwise-identical logits.
+Pruned checkpoints are served block-sparse at --tm x --tn.";
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     if args.get("help", false)? {
@@ -788,26 +757,19 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // f32 network alone.
     let engine_spec = spec.clone();
     let engines = move |ckpt: &Checkpoint| -> Result<EnginePair, String> {
-        let mut net =
-            restore_into(&engine_spec, ckpt, seed).map_err(|e| format!("checkpoint {e}"))?;
-        let f32_engine = {
-            let spec = engine_spec.clone();
-            let ckpt = ckpt.clone();
-            F32Engine::new(replicas, move || {
-                restore_into(&spec, &ckpt, seed).expect("checkpoint validated above")
-            })
-        };
+        let loaded = ModelCheckpoint::new(&engine_spec, ckpt.clone(), seed)
+            .map_err(|e| format!("checkpoint {e}"))?;
+        let f32_engine = Box::new(loaded.f32(replicas, tm, tn)?);
         Ok(if primary_is_sim {
-            let q = QuantizedNetwork::from_network(&engine_spec, &mut net, accel_config(tm, tn));
-            (
-                Box::new(SimEngine::new(q, PrunedModel::dense())),
-                Some(Box::new(f32_engine)),
-            )
+            (Box::new(loaded.sim(tm, tn)?), Some(f32_engine))
         } else {
-            (Box::new(f32_engine), None)
+            (f32_engine, None)
         })
     };
-    let startup = Checkpoint::load(&ckpt).map_err(|e| format!("cannot load {ckpt}: {e}"))?;
+    // One read serves the engines and the registry.
+    let bytes = std::fs::read(&ckpt).map_err(|e| format!("cannot load {ckpt}: {e}"))?;
+    let startup = Checkpoint::read_from(&mut bytes.as_slice())
+        .map_err(|e| format!("cannot load {ckpt}: {e}"))?;
     let (primary, fallback) = engines(&startup).map_err(|e| format!("{ckpt}: {e}"))?;
 
     // The model-push control plane: publish the startup checkpoint into
@@ -820,8 +782,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     } else {
         let registry = ModelRegistry::open(&model_dir)
             .map_err(|e| format!("cannot open model registry {model_dir}: {e}"))?;
-        let bytes =
-            std::fs::read(&ckpt).map_err(|e| format!("cannot read checkpoint {ckpt}: {e}"))?;
         let published = registry
             .publish(&bytes)
             .map_err(|e| format!("cannot publish startup checkpoint: {e}"))?;
@@ -1116,12 +1076,11 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
         set_thread_override(Some(threads));
     }
 
-    // Validates model/checkpoint compatibility before replicating.
-    let _validated = load_into(&spec, &ckpt, seed)?;
+    let loaded = ModelCheckpoint::load(&spec, &ckpt, seed)?;
     let replicas = max_threads().min(batch).max(1);
-    let mut engine = F32Engine::new(replicas, || {
-        load_into(&spec, &ckpt, seed).expect("checkpoint validated above")
-    });
+    // `ingest` takes no --tm/--tn: a pruned checkpoint runs block-sparse
+    // at the other commands' default 8x4 blocks.
+    let mut engine = loaded.f32(replicas, 8, 4)?;
 
     let preprocess = PreprocessConfig {
         resize_h,
@@ -1151,36 +1110,23 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     let mut predictions: Vec<usize> = Vec::with_capacity(total as usize);
     let mut pipe_bits: Vec<Vec<u32>> = Vec::with_capacity(total as usize);
     let mut pending: Vec<p3d::tensor::Tensor> = Vec::with_capacity(batch);
-    let flush = |pending: &mut Vec<p3d::tensor::Tensor>,
-                 engine: &mut F32Engine,
-                 predictions: &mut Vec<usize>,
-                 pipe_bits: &mut Vec<Vec<u32>>| {
-        if pending.is_empty() {
-            return;
-        }
-        for r in engine.infer_batch(pending) {
-            predictions.push(r.prediction);
-            pipe_bits.push(r.logits.iter().map(|x| x.to_bits()).collect());
-        }
-        for t in pending.drain(..) {
-            arena.release_tensor(t);
-        }
-    };
     loop {
         let clip = pipe
             .next_clip()
             .map_err(|e| format!("streaming {input}: {e}"))?;
-        match clip {
-            Some(clip) => {
-                pending.push(clip.into_tensor());
-                if pending.len() == batch {
-                    flush(&mut pending, &mut engine, &mut predictions, &mut pipe_bits);
-                }
+        let end = clip.is_none();
+        pending.extend(clip.map(|clip| clip.into_tensor()));
+        if pending.len() == batch || (end && !pending.is_empty()) {
+            for r in engine.infer_batch(&pending) {
+                predictions.push(r.prediction);
+                pipe_bits.push(r.logits.iter().map(|x| x.to_bits()).collect());
             }
-            None => {
-                flush(&mut pending, &mut engine, &mut predictions, &mut pipe_bits);
-                break;
+            for t in pending.drain(..) {
+                arena.release_tensor(t);
             }
+        }
+        if end {
+            break;
         }
     }
     let pipe_wall = t0.elapsed().as_secs_f64();
@@ -1200,7 +1146,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     let mut serial_cps = 0.0f64;
     let mut bitwise = true;
     if serial {
-        let mut net = load_into(&spec, &ckpt, seed)?;
+        let mut net = loaded.network();
         let t1 = std::time::Instant::now();
         let clips = read_video_clips(path, d, &preprocess)
             .map_err(|e| format!("serial decode of {input}: {e}"))?;

@@ -14,11 +14,15 @@
 //! * [`pruning`] — the paper's contribution: blockwise ADMM pruning,
 //! * [`fpga`] — the accelerator models and functional simulator,
 //! * [`infer`] — the batched inference serving layer over both the f32
-//!   network and the Q7.8 simulator.
+//!   network and the Q7.8 simulator,
+//! * [`engines`] — the `p3d` CLI's one loader from a checkpoint to
+//!   engines that skip its pruned blocks.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour, and the
 //! `p3d-bench` binaries (`table1`..`table4`, `accuracy`, `dse`,
 //! `ablation_*`) for the paper's tables and figures.
+
+pub mod engines;
 
 pub use p3d_core as pruning;
 pub use p3d_fpga as fpga;

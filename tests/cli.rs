@@ -92,6 +92,107 @@ fn train_eval_simulate_roundtrip() {
     let _ = std::fs::remove_file(&ckpt);
 }
 
+/// Trains a one-epoch micro checkpoint at `path` from `clips` clips.
+fn train_micro(path: &std::path::Path, clips: &str) {
+    let out = p3d()
+        .args([
+            "train", "--model", "micro", "--epochs", "1", "--clips", clips,
+        ])
+        .args(["--seed", "7", "--out", path.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "train failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// An empty test split (`--clips 1`) and a zero tiling factor are
+/// refused with an error, not a panic or a 0-clip run.
+#[test]
+fn empty_test_split_and_zero_tiles_fail_cleanly() {
+    let dir = std::env::temp_dir().join("p3d_cli_refusals");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("micro.ckpt");
+    train_micro(&ckpt, "4");
+    let ckpt_s = ckpt.to_str().unwrap();
+    let refused = |args: &[&str], why: &str| {
+        let out = p3d()
+            .args(args)
+            .args(["--model", "micro", "--ckpt", ckpt_s])
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+        assert!(err.contains(why), "{args:?}: {err}");
+    };
+    for cmd in ["eval", "simulate", "infer"] {
+        refused(&[cmd, "--clips", "1"], "leaves no test clips");
+    }
+    for cmd in ["simulate", "infer", "serve"] {
+        for tile in ["--tm", "--tn"] {
+            refused(&[cmd, tile, "0"], "--tm/--tn must be positive");
+        }
+    }
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+/// The mean latency `p3d simulate` prints for `ckpt`, in ms per clip.
+fn simulated_latency_ms(ckpt: &str) -> f64 {
+    let out = p3d()
+        .args(["simulate", "--model", "micro", "--ckpt", ckpt])
+        .args(["--clips", "8", "--seed", "7"])
+        .output()
+        .expect("spawn");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    text.split_once("mean latency: ")
+        .and_then(|(_, rest)| rest.split_once(" ms/clip"))
+        .and_then(|(ms, _)| ms.parse().ok())
+        .unwrap_or_else(|| panic!("no latency in {text}"))
+}
+
+/// `p3d simulate` runs a pruned checkpoint with its blocks skipped, so
+/// it models a lower latency than for the dense checkpoint it came from.
+#[test]
+fn train_prune_simulate_reports_the_pruned_latency() {
+    let dir = std::env::temp_dir().join("p3d_cli_prune_simulate");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dense = dir.join("model.ckpt");
+    let pruned = dir.join("pruned.ckpt");
+    train_micro(&dense, "8");
+    let out = p3d()
+        .args([
+            "prune",
+            "--model",
+            "micro",
+            "--ckpt",
+            dense.to_str().unwrap(),
+        ])
+        .args(["--clips", "8", "--retrain", "1", "--seed", "7"])
+        .args(["--out", pruned.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "prune failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let dense_ms = simulated_latency_ms(dense.to_str().unwrap());
+    let pruned_ms = simulated_latency_ms(pruned.to_str().unwrap());
+    assert!(
+        pruned_ms < dense_ms,
+        "pruned {pruned_ms} ms, dense {dense_ms} ms"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn eval_with_wrong_model_for_checkpoint_fails() {
     let dir = std::env::temp_dir().join("p3d_cli_test2");
@@ -810,8 +911,27 @@ fn serve_with_model_dir_hot_swaps_over_the_wire() {
         String::from_utf8_lossy(&reply).into_owned()
     };
 
-    // Push B over the wire; the server validates, publishes and swaps.
-    let b_bytes = std::fs::read(&ckpt_b).unwrap();
+    // Push B, block-pruned, over the wire; the server validates,
+    // publishes and swaps to engines that skip its pruned blocks.
+    let b_pruned = dir.join("b_pruned.ckpt");
+    let out = p3d()
+        .args([
+            "prune",
+            "--model",
+            "micro",
+            "--ckpt",
+            ckpt_b.to_str().unwrap(),
+        ])
+        .args(["--clips", "8", "--retrain", "1", "--seed", "14"])
+        .args(["--out", b_pruned.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "prune failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let b_bytes = std::fs::read(&b_pruned).unwrap();
     let push = request(
         &format!(
             "POST /v1/models HTTP/1.1\r\nConnection: close\r\n\
