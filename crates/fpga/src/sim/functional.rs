@@ -28,17 +28,20 @@
 //!   conv and every temporal conv) a tile row is one copy per plane, or
 //!   one for the whole chunk when its planes continue each other: the
 //!   CPU counterpart of the accelerator's one input-buffer load per tile
-//!   (Algorithm 2).
+//!   (Algorithm 2). Each tile row is then padded with zero words to a
+//!   whole number of 16-position strips (its *pitch*), so a chunk's last
+//!   strip reads zeros, not the next row, and its pad sums are zero.
 //! * **One register-tiled kernel per channel group** — a `Tm x Tn`
 //!   block grid means every output channel of block row `bi` reads the
 //!   same input channels, so the kernel walks a block row's channels in
-//!   groups of up to 4 and the chunk in strips of 8 positions, holding
-//!   the 4 x 8 sums in registers across the row's whole run list, then
-//!   finishes each sum once (below). The panel stores each run's
-//!   tile rows in pairs `(r, r + 1)`, one `i32` per channel holding
-//!   both `i16` weights, an odd-length run's last row paired with a
-//!   zero weight; a block row's last group is padded to 4 channels with
-//!   zero weights, and only its real channels are written.
+//!   groups of up to 4 and the chunk in strips of 16 positions, holding
+//!   the 4 x 16 sums in registers across the row's whole run list, then
+//!   finishes each sum once (below): the CPU counterpart of the paper's
+//!   `Tm x Tn` MAC array kept busy over a whole input tile. The panel
+//!   stores each run's tile rows in pairs `(r, r + 1)`, one `i32` per
+//!   channel holding both `i16` weights, an odd-length run's last row
+//!   paired with a zero weight; a block row's last group is padded to 4
+//!   channels with zero weights, and only its real channels are written.
 //! * **Fused post-processing** — the finish that rounds and saturates
 //!   each sum also applies its channel's epilogue: `+ bias`, then
 //!   `* scale + shift` (folded batch norm), then ReLU, in the saturating
@@ -63,17 +66,19 @@
 //! offset still fits in `i32` (`65535 * 2^15 + 128 < 2^31`). The
 //! certificate depends only on the weights, so no input can break it.
 //!
-//! * Full 8-position strips of a certified group run the one AVX2 body:
-//!   it interleaves two tile rows in registers and multiplies them
-//!   against the broadcast weight pair with `_mm256_madd_epi16`, summing
-//!   in `i32`, and finishes the sums in registers, epilogue included,
-//!   with one 128-bit store per channel.
-//! * Everything else runs the scalar body, which sums in `i64`, finishes
-//!   with the same epilogue and is the reference: ragged strips,
-//!   uncertified groups, and hosts without AVX2 (or under
-//!   [`p3d_tensor::simd::force_scalar`]). No measured model has an
-//!   uncertified group: the largest per-channel sums sit about 22x under
-//!   the bound (EXPERIMENTS.md, "Certificate margins").
+//! * Every strip of a certified group, the chunk's partial last one
+//!   included, runs the one AVX2 body: it interleaves two tile rows in
+//!   registers and multiplies them against the broadcast weight pair with
+//!   `_mm256_madd_epi16`, summing in `i32`, and finishes the sums in
+//!   registers, epilogue included, with one store per channel. A partial
+//!   strip computes its zero pad positions too and stores only its real
+//!   words.
+//! * Uncertified groups, and hosts without AVX2 (or under
+//!   [`p3d_tensor::simd::force_scalar`]), run the scalar body, which sums
+//!   in `i64`, finishes with the same epilogue and is the reference. No
+//!   measured model has an uncertified group: the largest per-channel
+//!   sums sit about 22x under the bound (EXPERIMENTS.md, "Certificate
+//!   margins").
 //!
 //! # Why the two engines are bitwise identical
 //!
@@ -85,7 +90,8 @@
 //! `PostProcessor` passes after the conv). Integer addition is
 //! associative and commutative, so the loop order — tiled there,
 //! lowered, chunked and paired here, vectorized or not — cannot change a
-//! single bit, and a lowered padding word or a zero weight adds nothing.
+//! single bit, and a lowered padding word, a strip's pad word or a zero
+//! weight adds nothing.
 //! The `conv_differential` suite pins this on random geometries, on
 //! every lite-wide layer, at both sides of the certificate's boundary
 //! and for fused epilogues at the rails. The statistics (cycles
@@ -105,10 +111,11 @@ use p3d_tensor::{simd, Fixed16, FixedTensor, Shape};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// Upper bound, in `i16` words, on one lowered input tile (64 KiB, so
-/// the tile stays cache-resident while every output channel of its
-/// chunk streams over it). A chunk is at least one output row, so a
-/// layer whose single row lowers to more than this uses one row.
+/// Upper bound, in `i16` words, on the lowered words of one input tile
+/// (64 KiB, so the tile stays cache-resident while every output channel
+/// of its chunk streams over it). Each tile row adds at most 15 zero pad
+/// words to reach a whole strip. A chunk is at least one output row, so
+/// a layer whose single row lowers to more than this uses one row.
 pub const TILE_WORDS: usize = 32 * 1024;
 
 /// Largest per-channel sum of `|w|` (in Q7.8 integer units) for which a
@@ -117,8 +124,9 @@ pub const CERTIFIED_L1: u64 = 65535;
 
 /// Output channels per register tile.
 const GROUP: usize = 4;
-/// Output positions per register tile.
-const STRIP: usize = 8;
+/// Output positions per register tile; tile rows are padded to a
+/// multiple of it.
+const STRIP: usize = 16;
 
 /// Exact sums of one register tile: `[channel][position]`.
 type TileSums = [[i64; STRIP]; GROUP];
@@ -438,8 +446,10 @@ impl CompiledConv {
         (out, stats)
     }
 
-    /// Lowers each chunk of output rows into `tile` and runs every
-    /// channel group over it, returning the railed output words.
+    /// Lowers each chunk of output rows into `tile`, one row per pitch
+    /// (the chunk length rounded up to whole strips, zero past it), and
+    /// runs every channel group over it, returning the railed output
+    /// words.
     fn compute(&self, x_bits: &[i16], out: &mut [Fixed16], tile: &mut Vec<i16>) -> u64 {
         let (kd, kr, kc) = self.geom.kernel;
         let ktaps = kd * kr * kc;
@@ -447,7 +457,7 @@ impl CompiledConv {
         let (_, od, oh, ow) = self.output;
         let out_rows = od * oh;
         let vol = out_rows * ow;
-        let words = lowered_rows * self.chunk_rows * ow;
+        let words = lowered_rows * (self.chunk_rows * ow).next_multiple_of(STRIP);
         if tile.len() < words {
             tile.resize(words.max(TILE_WORDS), 0);
         }
@@ -456,14 +466,18 @@ impl CompiledConv {
         for row0 in (0..out_rows).step_by(self.chunk_rows) {
             let chunk = row0..(row0 + self.chunk_rows).min(out_rows);
             let len = chunk.len() * ow;
-            let tile = &mut tile[..lowered_rows * len];
+            let pitch = len.next_multiple_of(STRIP);
+            let tile = &mut tile[..lowered_rows * pitch];
             // Column-matrix rows in tile order: the lowered channels, every tap.
             let lowered = self
                 .lowered
                 .iter()
                 .flat_map(|&n| n * ktaps..(n + 1) * ktaps);
-            for (tap_row, p) in tile.chunks_exact_mut(len).zip(lowered) {
-                lower_row(x_bits, &self.geom, p, chunk.clone(), tap_row);
+            for (tap_row, p) in tile.chunks_exact_mut(pitch).zip(lowered) {
+                let (row, pad) = tap_row.split_at_mut(len);
+                lower_row(x_bits, &self.geom, p, chunk.clone(), row);
+                // Zero pads sum to zero, so they never rail.
+                pad.fill(0);
             }
             for group in &self.groups {
                 railed += conv_group(
@@ -471,6 +485,7 @@ impl CompiledConv {
                     vol,
                     tile,
                     len,
+                    pitch,
                     &self.runs[group.runs.clone()],
                     &self.panel[group.panel.clone()],
                     &self.post[group.m0..group.m0 + group.g],
@@ -526,20 +541,21 @@ pub fn run_conv_functional_with_scratch(
 
 /// Computes output channels `0..g` (`g = post.len() <= GROUP`, rows
 /// `vol` apart in `out`) at the `len` positions of one lowered chunk,
-/// reading the tile rows in `runs` against `panel` (`GROUP` entries per
-/// pair of run rows, zero past channel `g`), and finishes each with its
-/// channel's epilogue `post`, then ReLU when `relu`. All `GROUP`
-/// channels are summed, but only the first `g` are written and counted:
-/// the rest would land in the next block row or past the end of `out`.
-/// With `use_avx2`, full strips of a `certified` group run the `i32`
-/// AVX2 body; everything else runs the exact scalar `i64` body. Returns
-/// the number of railed conv sums.
+/// reading the tile rows in `runs` (`pitch` words apart, zero past
+/// `len`) against `panel` (`GROUP` entries per pair of run rows, zero
+/// past channel `g`), and finishes each with its channel's epilogue
+/// `post`, then ReLU when `relu`. All `GROUP` channels are summed, but
+/// only the first `g` are written and counted: the rest would land in
+/// the next block row or past the end of `out`. With `use_avx2`, a
+/// `certified` group runs the `i32` AVX2 body; every other group runs
+/// the exact scalar `i64` body. Returns the number of railed conv sums.
 #[allow(clippy::too_many_arguments)]
 fn conv_group(
     out: &mut [Fixed16],
     vol: usize,
     tile: &[i16],
     len: usize,
+    pitch: usize,
     runs: &[Run],
     panel: &[i32],
     post: &[Post],
@@ -555,23 +571,28 @@ fn conv_group(
         "the panel holds GROUP entries per row pair"
     );
     assert!(
+        len <= pitch && pitch.is_multiple_of(STRIP),
+        "a tile row is whole strips"
+    );
+    assert!(
         runs.iter()
-            .all(|run| (run.row + run.len) * len <= tile.len()),
+            .all(|run| (run.row + run.len) * pitch <= tile.len()),
         "every run lies inside the tile"
     );
-    let mut j = 0;
-    let mut railed = 0;
     #[cfg(target_arch = "x86_64")]
     if use_avx2 && certified {
         // SAFETY: use_avx2 came from simd::use_avx2(), which is true only
         // when runtime detection proved AVX2 support; the asserts above
-        // prove that `tile` holds `len` words for every tile row of
-        // `runs` and that `panel` holds `GROUP` entries per row pair; the
-        // group is certified, so its sums fit in `i32`.
-        (j, railed) = unsafe { avx2::madd_strips(out, vol, tile, len, runs, panel, post, relu) };
+        // prove that `tile` holds `pitch` words, a whole number of
+        // strips, for every tile row of `runs`, and that `panel` holds
+        // `GROUP` entries per row pair; the group is certified, so its
+        // sums fit in `i32`.
+        return unsafe { avx2::madd_strips(out, vol, tile, len, pitch, runs, panel, post, relu) };
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (certified, use_avx2);
+    let mut railed = 0;
+    let mut j = 0;
     while j < len {
         let w = (len - j).min(STRIP);
         let mut sums = [[0i64; STRIP]; GROUP];
@@ -582,7 +603,7 @@ fn conv_group(
                     .next()
                     .expect("panel holds GROUP entries per row pair");
                 for h in 0..(run.len - i).min(2) {
-                    let x = &tile[(run.row + i + h) * len + j..][..w];
+                    let x = &tile[(run.row + i + h) * pitch + j..][..w];
                     for (acc, &wp) in sums.iter_mut().zip(wk) {
                         let wv = i64::from(half(wp, h));
                         for (a, &xv) in acc.iter_mut().zip(x) {
@@ -628,43 +649,48 @@ fn finish(
     railed
 }
 
-/// The AVX2 body of the register-tiled kernel, over full 8-position
-/// strips of one certified 4-channel group: per pair of tile rows
-/// `(r, r + 1)`, the two rows' eight `i16` inputs are interleaved in
-/// registers with `unpacklo/hi_epi16` into eight `(x_r, x_r+1)` dwords,
-/// and `_mm256_madd_epi16` multiplies them by each channel's broadcast
+/// The AVX2 body of the register-tiled kernel, over every 16-position
+/// strip of one certified 4-channel group. Per pair of tile rows
+/// `(r, r + 1)`, one 256-bit load each brings in the strip's sixteen
+/// `i16` inputs of both rows, and `unpacklo/hi_epi16` interleave them
+/// within each 128-bit lane into `(x_r, x_r+1)` dwords: positions
+/// `[0-3, 8-11]` in the low half, `[4-7, 12-15]` in the high half.
+/// `_mm256_madd_epi16` multiplies each by the channel's broadcast
 /// `(w_r, w_r+1)` entry and adds the two products, one `i32` per
-/// position; the sums stay in `i32`. This is exact only under the
-/// certificate: a pair of `(-2^15)^2` products alone overflows `i32`,
-/// and the certificate rules that out, along with every larger partial
-/// sum. The 4 x 8 sums stay in registers for the whole run list, and
-/// each channel's finish runs there too, step for step the scalar
-/// `finish`:
+/// position, into one of the channel's two accumulators; the sums stay
+/// in `i32`. This is exact only under the certificate: a pair of
+/// `(-2^15)^2` products alone overflows `i32`, and the certificate rules
+/// that out, along with every larger partial sum. The 4 x 16 sums stay
+/// in registers for the whole run list, and each channel's finish runs
+/// there too, step for step the scalar `finish`:
 ///
 /// 1. round, `(acc + 128) >> 8` (`srai_epi32`), still in `i32`;
 /// 2. count the rounded sums outside `i16` (`cmpgt` and `movemask`);
-/// 3. saturate to `i16` (`packs_epi32`);
+/// 3. saturate to `i16` (`packs_epi32` of the two halves, which puts
+///    positions 0-15 back in order within the lanes);
 /// 4. add the bias, saturating (`adds_epi16`);
-/// 5. multiply by the scale exactly in `i32` (`cvtepi16_epi32`,
+/// 5. multiply by the scale exactly in `i32` (each half sign-extended by
+///    `unpacklo/hi_epi16(y, y)` and `srai_epi32(_, 16)`, then
 ///    `mullo_epi32`), round the same way and saturate (`packs_epi32`);
 /// 6. add the shift, saturating (`adds_epi16`);
 /// 7. ReLU as `max_epi16` against zero (against `i16::MIN`, a no-op,
 ///    without ReLU);
-/// 8. store the eight words with one 128-bit store.
+/// 8. store the sixteen words with one 256-bit store, or, for a
+///    partial last strip, only its real words.
 ///
 /// Every step is the scalar operation's exact lane-wise counterpart, so
-/// the body is bitwise identical to the scalar one.
+/// the body is bitwise identical to the scalar one. A partial strip's
+/// pad positions read zero words, so their sums are zero and never rail.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{Post, Run, GROUP, STRIP};
     use p3d_tensor::Fixed16;
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_castsi256_ps, _mm256_castsi256_si128,
-        _mm256_cmpgt_epi32, _mm256_cvtepi16_epi32, _mm256_extracti128_si256, _mm256_madd_epi16,
-        _mm256_movemask_ps, _mm256_mullo_epi32, _mm256_or_si256, _mm256_set1_epi32,
-        _mm256_set_m128i, _mm256_setzero_si256, _mm256_srai_epi32, _mm_adds_epi16, _mm_loadu_si128,
-        _mm_max_epi16, _mm_packs_epi32, _mm_set1_epi16, _mm_setzero_si128, _mm_storeu_si128,
-        _mm_unpackhi_epi16, _mm_unpacklo_epi16,
+        __m256i, _mm256_add_epi32, _mm256_adds_epi16, _mm256_castsi256_ps, _mm256_cmpgt_epi32,
+        _mm256_loadu_si256, _mm256_madd_epi16, _mm256_max_epi16, _mm256_movemask_ps,
+        _mm256_mullo_epi32, _mm256_or_si256, _mm256_packs_epi32, _mm256_set1_epi16,
+        _mm256_set1_epi32, _mm256_setzero_si256, _mm256_srai_epi32, _mm256_storeu_si256,
+        _mm256_unpackhi_epi16, _mm256_unpacklo_epi16,
     };
 
     /// `(v + 128) >> 8` on eight `i32` lanes; `v + 128` must not
@@ -675,22 +701,25 @@ mod avx2 {
         _mm256_srai_epi32(_mm256_add_epi32(v, _mm256_set1_epi32(128)), 8)
     }
 
-    /// Eight `i32` lanes saturated to eight `i16`, in order.
+    /// The rounded sums of `v` outside `i16`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn pack(v: __m256i) -> __m128i {
-        _mm_packs_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1))
+    fn railed(v: __m256i) -> u64 {
+        let hi = _mm256_set1_epi32(i32::from(i16::MAX));
+        let lo = _mm256_set1_epi32(i32::from(i16::MIN));
+        let over = _mm256_or_si256(_mm256_cmpgt_epi32(v, hi), _mm256_cmpgt_epi32(lo, v));
+        u64::from(_mm256_movemask_ps(_mm256_castsi256_ps(over)).count_ones())
     }
 
-    /// Computes every full 8-position strip of a certified 4-channel
-    /// group in `i32` and writes its first `post.len()` channels with
-    /// their epilogues (the contract of `super::conv_group`), returning
-    /// the first position left for the scalar body and the railed sums.
+    /// Computes every strip of a certified 4-channel group in `i32` and
+    /// writes its first `post.len()` channels with their epilogues (the
+    /// contract of `super::conv_group`), returning the railed sums.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2 (callers gate on
-    /// [`p3d_tensor::simd::use_avx2`]). `tile` must hold `len` words for
+    /// [`p3d_tensor::simd::use_avx2`]). `pitch` must be a multiple of
+    /// `STRIP` and at least `len`, `tile` must hold `pitch` words for
     /// every tile row in `runs`, and `panel` `GROUP` entries per pair of
     /// run rows. Every channel's sum of `|w|` must be at most
     /// [`super::CERTIFIED_L1`], or sums wrap.
@@ -701,79 +730,94 @@ mod avx2 {
         vol: usize,
         tile: &[i16],
         len: usize,
+        pitch: usize,
         runs: &[Run],
         panel: &[i32],
         post: &[Post],
         relu: bool,
-    ) -> (usize, u64) {
-        let hi = _mm256_set1_epi32(i32::from(i16::MAX));
-        let lo = _mm256_set1_epi32(i32::from(i16::MIN));
-        let floor = _mm_set1_epi16(if relu { 0 } else { i16::MIN });
-        let mut bias = [_mm_setzero_si128(); GROUP];
+    ) -> u64 {
+        let floor = _mm256_set1_epi16(if relu { 0 } else { i16::MIN });
+        let mut bias = [_mm256_setzero_si256(); GROUP];
         let mut scale = [_mm256_setzero_si256(); GROUP];
-        let mut shift = [_mm_setzero_si128(); GROUP];
+        let mut shift = [_mm256_setzero_si256(); GROUP];
         for (c, p) in post.iter().enumerate() {
-            bias[c] = _mm_set1_epi16(p.bias.to_bits());
+            bias[c] = _mm256_set1_epi16(p.bias.to_bits());
             scale[c] = _mm256_set1_epi32(i32::from(p.scale.to_bits()));
-            shift[c] = _mm_set1_epi16(p.shift.to_bits());
+            shift[c] = _mm256_set1_epi16(p.shift.to_bits());
         }
-        let mut railed = 0;
+        let mut railed_sums = 0;
         let mut j = 0;
-        while j + STRIP <= len {
-            let mut acc = [_mm256_setzero_si256(); GROUP];
+        while j < len {
+            // Per channel, positions `[0-3, 8-11]` and `[4-7, 12-15]`.
+            let mut acc = [[_mm256_setzero_si256(); 2]; GROUP];
             let mut wp = panel.as_ptr();
             for run in runs {
-                // SAFETY: `run.row * len + j + STRIP <= (run.row + 1) * len`,
-                // inside `tile` by this function's contract.
-                let mut xp = unsafe { tile.as_ptr().add(run.row * len + j) };
+                // SAFETY: `j` is a multiple of `STRIP` below `len <= pitch`,
+                // and `pitch` is one too, so `j + STRIP <= pitch`: the
+                // strip lies inside tile row `run.row`, inside `tile` by
+                // this function's contract.
+                let mut xp = unsafe { tile.as_ptr().add(run.row * pitch + j) };
                 for i in (0..run.len).step_by(2) {
                     // SAFETY: `xp` points at `STRIP` in-bounds words of
                     // tile row `run.row + i`, and of the next row when
-                    // `i + 1 < run.len` (16-byte unaligned loads); an
-                    // odd run's last row is paired with zeros instead.
-                    // `wp` points at the pair's `GROUP` panel entries.
-                    // Both advance one pair per iteration; the pointer
-                    // step after the last pair is only computed, never
-                    // read.
+                    // `i + 1 < run.len` (32-byte unaligned loads); an odd
+                    // run's last row is paired with zeros instead. `wp`
+                    // points at the pair's `GROUP` panel entries. Both
+                    // advance one pair per iteration; the pointer step
+                    // after the last pair is only computed, never read.
                     unsafe {
-                        let a = _mm_loadu_si128(xp as *const __m128i);
+                        let a = _mm256_loadu_si256(xp as *const __m256i);
                         let b = if i + 1 < run.len {
-                            _mm_loadu_si128(xp.add(len) as *const __m128i)
+                            _mm256_loadu_si256(xp.add(pitch) as *const __m256i)
                         } else {
-                            _mm_setzero_si128()
+                            _mm256_setzero_si256()
                         };
-                        let x =
-                            _mm256_set_m128i(_mm_unpackhi_epi16(a, b), _mm_unpacklo_epi16(a, b));
+                        let x = [_mm256_unpacklo_epi16(a, b), _mm256_unpackhi_epi16(a, b)];
                         for (c, acc) in acc.iter_mut().enumerate() {
                             let w = _mm256_set1_epi32(*wp.add(c));
-                            *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(x, w));
+                            for (acc, &x) in acc.iter_mut().zip(&x) {
+                                *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(x, w));
+                            }
                         }
                         wp = wp.add(GROUP);
-                        xp = xp.wrapping_add(2 * len);
+                        xp = xp.wrapping_add(2 * pitch);
                     }
                 }
             }
-            for (c, &acc) in acc[..post.len()].iter().enumerate() {
+            let n = (len - j).min(STRIP);
+            for (c, &[lo, hi]) in acc[..post.len()].iter().enumerate() {
                 // The certificate keeps `acc + 128` in `i32`; an
                 // `i16 * i16` product plus 128 always fits.
-                let r = round(acc);
-                let over = _mm256_or_si256(_mm256_cmpgt_epi32(r, hi), _mm256_cmpgt_epi32(lo, r));
-                railed += u64::from(_mm256_movemask_ps(_mm256_castsi256_ps(over)).count_ones());
-                let y = _mm_adds_epi16(pack(r), bias[c]);
-                let y = pack(round(_mm256_mullo_epi32(
-                    _mm256_cvtepi16_epi32(y),
-                    scale[c],
-                )));
-                let y = _mm_max_epi16(_mm_adds_epi16(y, shift[c]), floor);
-                let dst = &mut out[c * vol + j..][..STRIP];
-                // SAFETY: `dst` holds exactly eight `Fixed16`, which is
-                // `repr(transparent)` over `i16`: one unaligned 128-bit
-                // store.
-                unsafe { _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, y) };
+                let (lo, hi) = (round(lo), round(hi));
+                railed_sums += railed(lo) + railed(hi);
+                let y = _mm256_adds_epi16(_mm256_packs_epi32(lo, hi), bias[c]);
+                // `(y, y)` dwords shifted right by 16: `y` sign-extended.
+                let lo = _mm256_srai_epi32(_mm256_unpacklo_epi16(y, y), 16);
+                let hi = _mm256_srai_epi32(_mm256_unpackhi_epi16(y, y), 16);
+                let (lo, hi) = (
+                    _mm256_mullo_epi32(lo, scale[c]),
+                    _mm256_mullo_epi32(hi, scale[c]),
+                );
+                let y = _mm256_packs_epi32(round(lo), round(hi));
+                let y = _mm256_max_epi16(_mm256_adds_epi16(y, shift[c]), floor);
+                let dst = &mut out[c * vol + j..][..n];
+                if n == STRIP {
+                    // SAFETY: `dst` holds exactly sixteen `Fixed16`, which
+                    // is `repr(transparent)` over `i16`: one unaligned
+                    // 256-bit store.
+                    unsafe { _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, y) };
+                } else {
+                    let mut words = [0i16; STRIP];
+                    // SAFETY: `words` holds exactly sixteen `i16`.
+                    unsafe { _mm256_storeu_si256(words.as_mut_ptr() as *mut __m256i, y) };
+                    for (o, &v) in dst.iter_mut().zip(&words) {
+                        *o = Fixed16::from_bits(v);
+                    }
+                }
             }
             j += STRIP;
         }
-        (j, railed)
+        railed_sums
     }
 }
 
@@ -869,7 +913,8 @@ mod tests {
     }
 
     /// A 1x1x1 conv, one output channel over two input channels, whose
-    /// weights are `w`.
+    /// weights are `w`, at 18 positions: one full strip and a 2-position
+    /// partial one.
     fn pointwise(w: [i16; 2]) -> (ConvInstance, FixedTensor) {
         let inst = ConvInstance {
             spec: Conv3dSpec {

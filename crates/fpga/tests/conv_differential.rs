@@ -371,7 +371,7 @@ fn assert_avx2_equals_forced_scalar_at_rails(inst: &ConvInstance, cfg: &Accelera
 
 #[test]
 fn functional_avx2_and_forced_scalar_bitwise_identical_at_rails() {
-    // W=17: vector body + odd scalar tail.
+    // W=17: every chunk ends in a partial strip.
     let inst = conv_inst("rails", (4, 6), (2, 3, 3), (1, 1, 1), (1, 1, 1), (3, 9, 17));
     assert_eq!(inst.output, (4, 4, 9, 17));
     assert_avx2_equals_forced_scalar_at_rails(&inst, &cfg());
@@ -382,7 +382,7 @@ fn functional_avx2_and_forced_scalar_bitwise_identical_at_rails() {
 /// feeds the SIMD kernel too.
 #[test]
 fn functional_avx2_and_forced_scalar_bitwise_identical_at_rails_stride2() {
-    // Ow=19: two vector steps + an odd scalar tail of 3.
+    // Ow=19: a full strip and a 3-position partial one per output row.
     let inst = conv_inst(
         "rails_s2",
         (4, 6),
@@ -533,8 +533,8 @@ fn functional_equals_cycle_across_lowered_tiles() {
 
 /// The register-tiled kernel's edges, functional against cycle under
 /// 8x4 blocks: block rows whose last register tile holds 1, 2, 3 and 4
-/// channels (`M` = 9..=12), chunk lengths with every `len % 8` (one
-/// chunk of `3 * W` positions, `W` = 1..=8), and masks with an empty
+/// channels (`M` = 9..=12), chunk lengths with every `len % 16` (one
+/// chunk of `3 * W` positions, `W` = 1..=16), and masks with an empty
 /// block row, no enabled block at all, different block columns per
 /// row, and two enabled columns around one that no row reads (their
 /// tile rows are adjacent but their weights are not). Disabled blocks
@@ -556,7 +556,7 @@ fn functional_equals_cycle_at_register_tile_edges() {
         let qw = FixedTensor::quantize(&rng.uniform_tensor([m, n, 1, 3, 3], -0.6, 0.6));
         let grid = BlockGrid::for_weight(&qw.dequantize(), BlockShape::new(8, 4));
         assert_eq!((grid.rows(), grid.cols()), (2, 3));
-        for w in 1..=8 {
+        for w in 1..=16 {
             let inst = conv_inst("edges", (m, n), (1, 3, 3), (1, 1, 1), (0, 1, 1), (1, 3, w));
             let qx = FixedTensor::quantize(&rng.uniform_tensor([n, 1, 3, w], -1.5, 1.5));
             for enabled in masks {
@@ -595,8 +595,9 @@ fn certificate_boundary_equals_cycle_at_the_rails() {
 
     let cfg = paper_cfg();
     // Five input channels in 8x4 blocks: block 0 holds channels 0..4,
-    // block 1 only channel 4. W = 20 gives 2 rows of 18 outputs: four
-    // full 8-position strips and a 4-position tail.
+    // block 1 only channel 4. W = 20 gives 2 rows of 18 outputs, one
+    // chunk of 36 positions: two full 16-position strips and a
+    // 4-position partial one.
     let inst = conv_inst("cert", (2, 5), (1, 1, 3), (1, 1, 1), (0, 0, 0), (1, 2, 20));
     assert_eq!(inst.output, (2, 1, 2, 18));
     let mask = LayerBlockMask::new(
@@ -664,7 +665,7 @@ fn certificate_boundary_equals_cycle_at_the_rails() {
 /// one whose channel 5 sums `-32768` weights past the certificate),
 /// 8..16 (every block disabled, so each channel holds its epilogue of
 /// zero) and 16..18 (a ragged group of two). Each output row is 7 wide,
-/// 21 positions per chunk: two full strips and a 5-position tail. The
+/// 21 positions per chunk: one full strip and a 5-position partial one. The
 /// epilogue parameters rotate through every channel: scales
 /// `{-32768, -1, 0, 1, 256, 32767}` (`1` is one ULP, `256` is 1.0),
 /// biases and shifts at both rails, zero and in between. Inputs are a
@@ -745,5 +746,47 @@ fn fused_epilogue_equals_cycle_then_post_processor_at_the_rails() {
                 }
             }
         }
+    }
+}
+
+/// Pad words of a partial strip never count. A rail-heavy certified
+/// layer (64 positions of rail-heavy inputs through weights at half the
+/// certificate) first fills the thread's lowered tile with large words;
+/// a quiet certified layer with 18 positions (one full strip and a
+/// 2-position partial one, the rest of its pitch overlapping the loud
+/// layer's words) then runs on the same tile. Its output and
+/// statistics, `saturated_words` included, must equal the cycle
+/// engine's, with the detected SIMD level and under forced scalar.
+#[test]
+fn partial_strip_ignores_stale_tile_words() {
+    use p3d_fpga::sim::CompiledConv;
+
+    let cfg = paper_cfg();
+    let (m, n) = (4, 2);
+    let loud = conv_inst("loud", (m, n), (1, 1, 1), (1, 1, 1), (0, 0, 0), (1, 4, 16));
+    let quiet = conv_inst("quiet", (m, n), (1, 1, 1), (1, 1, 1), (0, 0, 0), (1, 2, 9));
+    let mut qw = FixedTensor::zeros(Shape::from(&[m, n, 1, 1, 1][..]));
+    for (i, v) in qw.data_mut().iter_mut().enumerate() {
+        *v = Fixed16::from_bits(if i % 3 == 0 { -16384 } else { 16384 });
+    }
+    for inst in [&loud, &quiet] {
+        let layer = CompiledConv::compile(inst, &qw, None, &cfg);
+        assert_eq!(layer.certified_groups(), (1, 1), "{}", inst.spec.name);
+    }
+    let loud_x = full_range_tensor(&[n, 1, 4, 16], 0x57a1e);
+    let mut rng = TensorRng::seed(0x91e7);
+    let quiet_x = FixedTensor::quantize(&rng.uniform_tensor([n, 1, 2, 9], -0.01, 0.01));
+    let (want, want_stats) = run_conv(&quiet, &qw, &quiet_x, None, &cfg);
+    assert_eq!(want_stats.saturated_words, 0, "the quiet layer rails");
+
+    let _guard = SIMD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+    for forced in [false, true] {
+        simd::force_scalar(forced);
+        let (_, loud_stats) = run_conv_functional(&loud, &qw, &loud_x, None, &cfg);
+        let (got, stats) = run_conv_functional(&quiet, &qw, &quiet_x, None, &cfg);
+        simd::force_scalar(false);
+        assert!(loud_stats.saturated_words > 0, "the loud layer must rail");
+        assert_eq!(got, want, "forced scalar {forced}: output diverged");
+        assert_eq!(stats, want_stats, "forced scalar {forced}: stats diverged");
     }
 }

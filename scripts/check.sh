@@ -35,7 +35,7 @@ crates/core/tests/block_sparse_equivalence.rs     # block-sparse forward/backwar
 crates/infer/tests/pruned_serving.rs              # pruned-model serving equals dense serving on masked weights
 crates/bench/tests/inference_speedup.rs           # batched f32 >= 1.1x sequential at 8 threads; sim batched never below 1x
 crates/bench/tests/gemm_perf.rs                   # release: packed >= 1.5x naive, AVX2 >= 1.3x forced scalar
-crates/bench/tests/sim_fast_speedup.rs            # functional sim bitwise equal to the cycle engine; release: >= 3x it
+crates/bench/tests/sim_fast_speedup.rs            # functional sim bitwise equal to the cycle engine, AVX2 to scalar; release: >= 3x cycle, AVX2 >= 3x forced scalar
 crates/tensor/tests/parallel_pool.rs              # pool: bitwise across worker counts, panic containment, nested calls
 crates/bench/tests/thread_scaling.rs              # 1-thread step never spawns; release: 2/4 threads >= 0.85x serial
 crates/infer/tests/chaos.rs                       # seeded fault injection: exactly-once, balanced budget, bitwise survivors

@@ -31,7 +31,7 @@
 //! All data is the synthetic motion dataset; determinism follows from
 //! `--seed`.
 
-use p3d::engines::ModelCheckpoint;
+use p3d::engines::{accel_config, ModelCheckpoint};
 use p3d::infer::http::EnginePair;
 use p3d::infer::json::{backend_row, BackendReport, Obj};
 use p3d::infer::{
@@ -47,8 +47,8 @@ use p3d::nn::{
 };
 use p3d::pruning::{
     capture_admm_train_state, capture_retrain_state, restore_admm_train_state,
-    restore_retrain_state, targets_for_stages, AdmmConfig, AdmmProgress, AdmmPruner, BlockShape,
-    KeepRule, PrunedModel, RETRAIN_PROGRESS_KEY,
+    restore_retrain_state, targets_for_stages, AdmmConfig, AdmmProgress, AdmmPruner, KeepRule,
+    PrunedModel, RETRAIN_PROGRESS_KEY,
 };
 use p3d::tensor::parallel::{max_threads, set_thread_override};
 use p3d::tensor::simd;
@@ -219,6 +219,8 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
     let save_every: usize = args.get("save-every", 0)?;
     let resume: bool = args.get("resume", false)?;
     let state_path = args.get("state", format!("{out}.state"))?;
+    // Refuse zero tiles before the checkpoint load and the training.
+    let shape = accel_config(tm, tn)?.tiling.block_shape();
 
     let mut net = ModelCheckpoint::load(&spec, &ckpt, seed)?.network();
     let (train, test) = dataset_for(&spec, clips, seed)?;
@@ -251,7 +253,7 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
         keep_rule: KeepRule::Round,
         epsilon: 0.05,
     };
-    let mut pruner = AdmmPruner::new(&mut net, BlockShape::new(tm, tn), &targets, admm);
+    let mut pruner = AdmmPruner::new(&mut net, shape, &targets, admm);
     let schedule = LrSchedule::WarmupCosine {
         base_lr: 5e-3,
         warmup_epochs: 2,

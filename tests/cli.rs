@@ -131,7 +131,7 @@ fn empty_test_split_and_zero_tiles_fail_cleanly() {
     for cmd in ["eval", "simulate", "infer"] {
         refused(&[cmd, "--clips", "1"], "leaves no test clips");
     }
-    for cmd in ["simulate", "infer", "serve"] {
+    for cmd in ["simulate", "infer", "serve", "prune"] {
         for tile in ["--tm", "--tn"] {
             refused(&[cmd, tile, "0"], "--tm/--tn must be positive");
         }
